@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -19,7 +18,7 @@ from . import __version__
 from .errors import (DegenerateSupport, NotIrreducible, NotNormalized,
                      RwalkError, SpecFileError)
 from .groups import FiniteGroup, Lattice
-from .laws import Law, check_irreducible, default_window
+from .laws import Law, default_window
 from .recurrence import (build_recurrence_report,
                          check_translation_invariance, simulate_harris)
 from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
@@ -104,12 +103,12 @@ def _options_json(options):
     return {k: v for k, v in vars(options).items() if v is not None}
 
 
-def _spectral_json(spectral, irreducible):
+def _spectral_json(spectral):
     return {"theta": list(spectral.theta), "rho": spectral.rho, "R": spectral.R,
             "gradient_norm": spectral.gradient_norm,
             "iterations": spectral.iterations,
-            "irreducible": irreducible.irreducible,
-            "witness": irreducible.witness}
+            "irreducible": spectral.irreducibility.irreducible,
+            "witness": spectral.irreducibility.witness}
 
 
 def _mc_json(mc):
@@ -154,25 +153,20 @@ def _report_skeleton(path: str, spec: WalkSpec) -> dict:
             "timings": {}}
 
 
-def _analyze(spec: WalkSpec):
-    irreducible = check_irreducible(spec.law)
-    exponential, spectral = find_exponential(spec.law)
-    return exponential, spectral, irreducible
-
-
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
     report = _report_skeleton(args.spec, spec)
     t0 = time.perf_counter()
-    exponential, spectral, irreducible = _analyze(spec)
+    exponential, spectral = find_exponential(spec.law)
     report["timings"]["spectral"] = time.perf_counter() - t0
-    report["spectral"] = _spectral_json(spectral, irreducible)
+    report["spectral"] = _spectral_json(spectral)
     report["exit_code"] = EXIT_OK
     print(f"theta*        = {list(spectral.theta)}")
     print(f"rho           = {spectral.rho!r}")
     print(f"R             = {spectral.R!r}")
     print(f"gradient_norm = {spectral.gradient_norm:.3e}")
     print(f"iterations    = {spectral.iterations}")
+    irreducible = spectral.irreducibility
     print(f"irreducible   = {irreducible.irreducible} ({irreducible.witness})")
     _write_report(report, args.json)
     return EXIT_OK
@@ -180,7 +174,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_tilt(args) -> int:
     spec = _load_spec(args.spec)
-    exponential, spectral, _ = _analyze(spec)
+    exponential, spectral = find_exponential(spec.law)
     tw = tilt(spec.law, exponential, spectral.R)
     out_spec = WalkSpec(spec.group, tw.tilted, spec.options)
     text = format_walk_spec(out_spec)
@@ -259,9 +253,9 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     report = _report_skeleton(args.spec, spec)
     t0 = time.perf_counter()
-    exponential, spectral, irreducible = _analyze(spec)
+    exponential, spectral = find_exponential(spec.law)
     report["timings"]["spectral"] = time.perf_counter() - t0
-    report["spectral"] = _spectral_json(spectral, irreducible)
+    report["spectral"] = _spectral_json(spectral)
     ctx = {"exponential": exponential, "spectral": spectral,
            "window": _window_for(spec)}
     all_passed = True
@@ -288,16 +282,12 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _write_series_csv(path: str, series, R: float):
+def _write_series_csv(path: str, rec):
     with open(path, "w") as fh:
         fh.write("n,p_n,weighted_term,partial_sum\n")
-        acc = 0.0
-        ln_r = math.log(R)
-        for n, p in enumerate(series.probabilities):
-            term = 0.0
-            if p > 0.0:
-                term = p if ln_r == 0.0 else math.exp(n * ln_r + math.log(p))
-            acc += term
+        for n, (p, term, acc) in enumerate(zip(rec.series.probabilities,
+                                               rec.test.weighted_terms,
+                                               rec.test.partial_sums)):
             fh.write(f"{n},{p!r},{term!r},{acc!r}\n")
 
 
@@ -321,9 +311,9 @@ def cmd_simulate(args) -> int:
 
     report = _report_skeleton(args.spec, spec)
     t0 = time.perf_counter()
-    exponential, spectral, irreducible = _analyze(spec)
+    exponential, spectral = find_exponential(spec.law)
     report["timings"]["spectral"] = time.perf_counter() - t0
-    report["spectral"] = _spectral_json(spectral, irreducible)
+    report["spectral"] = _spectral_json(spectral)
 
     t0 = time.perf_counter()
     mc = simulate_harris(spec.law, target, trajectories, horizon, seed)
@@ -366,9 +356,7 @@ def cmd_simulate(args) -> int:
         print(f"warning: {w}")
 
     if args.csv:
-        from .recurrence import return_series
-        series = return_series(spec.law, args.series_horizon)
-        _write_series_csv(args.csv, series, spectral.R)
+        _write_series_csv(args.csv, rec)
     _write_report(report, args.json)
     return EXIT_OK
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from .errors import IndexOutOfRange
 
 
@@ -117,6 +119,8 @@ class FiniteGroup(Group):
                 raise ValueError(f"Cayley table not associative at ({a},{b},{c})")
 
         self.cayley = table
+        self.cayley_array = np.array(table, dtype=np.int64)
+        self.cayley_array.flags.writeable = False
         self.order = n
         self._identity = ident
         self._inverse = tuple(inv)

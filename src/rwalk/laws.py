@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .errors import GroupMismatch
 from .groups import FiniteGroup, Group, Lattice
-from .tables import FunctionTable
+from .tables import LatticeBox
 
 UNDERFLOW_FLOOR = 1e-300
 STRICT_SUM_TOL = 1e-12
@@ -96,25 +96,11 @@ class Law:
         return Law(self.group, {inv(x): p for x, p in self.atoms.items()},
                    sum_tol=CONVOLVE_SUM_TOL, mass_leak=self.mass_leak)
 
-    def step_expectation(self, f: FunctionTable, x) -> float:
-        """One-step transition operator: sum over y of f(xy) * mass(y).
-
-        Raises WindowExceeded if any reachable point xy falls outside the
-        table's window.
-        """
-        mul = self.group.multiply
-        return math.fsum(p * f[mul(x, y)] for y, p in self.atoms.items())
-
     def is_symmetric(self, atol: float = 1e-14) -> bool:
         d = self.dual()
         if set(d.atoms) != set(self.atoms):
             return False
         return all(abs(d.atoms[x] - p) <= atol for x, p in self.atoms.items())
-
-    def allclose(self, other: "Law", atol: float = 1e-12) -> bool:
-        if other.group != self.group or set(other.atoms) != set(self.atoms):
-            return False
-        return all(abs(other.atoms[x] - p) <= atol for x, p in self.atoms.items())
 
     def __eq__(self, other):
         return (isinstance(other, Law) and other.group == self.group
@@ -207,8 +193,6 @@ WINDOW_MULTIPLIER = {1: 32, 2: 16, 3: 8}
 def default_window(law: Law):
     """Default lattice check window: a centered box of WINDOW_MULTIPLIER[d]
     times the support radius.  Finite groups need no window (returns None)."""
-    from .tables import LatticeBox
-
     if isinstance(law.group, FiniteGroup):
         return None
     dim = law.group.dim

@@ -32,7 +32,7 @@ from .errors import (HorizonTooLarge, InsufficientData, RMismatch,
                      WindowExceeded)
 from .groups import FiniteGroup, Lattice
 from .laws import UNDERFLOW_FLOOR, Law
-from .tables import LatticeBox
+from .tables import FunctionTable, LatticeBox, step
 
 HORIZON_CAP = {1: 5000, 2: 600, 3: 120}
 HORIZON_CAP_FINITE = 10_000
@@ -206,6 +206,7 @@ class RecurrenceVerdict:
     verdict: Verdict
     recurrent_threshold: float
     transient_threshold: float
+    weighted_terms: list  # R^n p(n), n = 0..horizon
 
 
 def r_recurrence_test(series: ReturnSeries, R: float, *,
@@ -228,12 +229,16 @@ def r_recurrence_test(series: ReturnSeries, R: float, *,
             raise RMismatch(f"R={R!r} exceeds 1/rho_hat={1.0 / rho_hat!r} by more "
                             "than 1e-6; weighted series would blow up")
     ln_r = math.log(R)
+    terms = []
     sums = []
     acc = 0.0
     for n, p in enumerate(series.probabilities):
+        term = 0.0
         if p > 0.0:
             # R**n alone can overflow even when R**n * p(n) is tame
-            acc += p if ln_r == 0.0 else math.exp(n * ln_r + math.log(p))
+            term = p if ln_r == 0.0 else math.exp(n * ln_r + math.log(p))
+        acc += term
+        terms.append(term)
         sums.append(acc)
     growth = sums[series.horizon] / sums[series.horizon // 4]
     if growth >= recurrent_threshold:
@@ -243,7 +248,7 @@ def r_recurrence_test(series: ReturnSeries, R: float, *,
     else:
         verdict = Verdict.INCONCLUSIVE
     return RecurrenceVerdict(sums, growth, verdict,
-                             recurrent_threshold, transient_threshold)
+                             recurrent_threshold, transient_threshold, terms)
 
 
 @dataclass(frozen=True)
@@ -292,9 +297,9 @@ def _chunk_lattice(law_elems, cum, targets, horizon, seed, indices):
 
 
 def _chunk_finite(cayley, elems, cum, targets, horizon, seed, start_state, indices):
-    hits = 0
     kmax = len(cum) - 1
-    target_arr = np.array(sorted(targets), dtype=np.int64)
+    is_target = np.zeros(len(cayley), dtype=bool)
+    is_target[list(targets)] = True
     n = len(indices)
     incs = np.empty((n, horizon), dtype=np.int64)
     for j, i in enumerate(indices):
@@ -306,9 +311,8 @@ def _chunk_finite(cayley, elems, cum, targets, horizon, seed, start_state, indic
     hit = np.zeros(n, dtype=bool)
     for t in range(horizon):
         state = cayley[state, incs[:, t]]
-        hit |= np.isin(state, target_arr)
-    hits = int(hit.sum())
-    return hits, None, None
+        hit |= is_target[state]
+    return int(hit.sum()), None, None
 
 
 def simulate_harris(law: Law, target, trajectories: int, horizon: int,
@@ -354,7 +358,7 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
         evecs = np.array(elems, dtype=np.int64)
         run = lambda ix: _chunk_lattice(evecs, cum, targets, horizon, seed, ix)
     else:
-        cay = np.array(law.group.cayley, dtype=np.int64)
+        cay = law.group.cayley_array
         earr = np.array(elems, dtype=np.int64)
         start = law.group.identity()
         run = lambda ix: _chunk_finite(cay, earr, cum, targets, horizon, seed,
@@ -420,8 +424,8 @@ def hitting_dp(law: Law, targets, steps: int, window: LatticeBox | None = None) 
         raise ValueError("steps must be >= 0")
 
     if isinstance(group, FiniteGroup):
-        points = list(group.elements())
         window = None
+        margin = 0
     else:
         needed = _dp_window(law, targets, steps)
         if window is None:
@@ -432,21 +436,18 @@ def hitting_dp(law: Law, targets, steps: int, window: LatticeBox | None = None) 
                 raise WindowExceeded(
                     f"window {window!r} does not cover targets expanded by "
                     f"{steps} * support radius")
-        points = list(window.points())
+        margin = law.support_radius()
 
-    mul = group.multiply
-    atoms = list(law.atoms.items())
-    layer = {x: (1.0 if x in targets else 0.0) for x in points}
-    layers = [layer]
+    first = FunctionTable(group, window)
+    for t in targets:
+        first.values[first.index(t)] = 1.0
+    target = first.values == 1.0
+    layers = [first]
     for _ in range(steps):
-        prev = layers[-1]
-        nxt = {}
-        for x in points:
-            if x in targets:
-                nxt[x] = 1.0
-            else:
-                nxt[x] = math.fsum(p * prev.get(mul(x, u), 0.0) for u, p in atoms)
-        layers.append(nxt)
+        # zero padding is the absorbing truncation outside the window
+        prev = np.pad(layers[-1].values, margin)
+        layers.append(FunctionTable(group, window,
+                                    np.where(target, 1.0, step(law, prev, margin))))
     return HittingTable(targets, steps, window, layers)
 
 
@@ -462,21 +463,13 @@ def check_translation_invariance(law: Law, targets, y, steps: int) -> float:
     shifted_targets = frozenset(group.multiply(y, b) for b in targets)
     if isinstance(group, FiniteGroup):
         shifted_window = None
-        points = list(group.elements())
+        at_yx = group.cayley_array[y]   # shifted layer read at y*x, for every x
     else:
         shifted_window = base.window.translate(y)
-        points = list(base.window.points())
+        at_yx = Ellipsis                # the translated box puts y+x where x was
     shifted = hitting_dp(law, shifted_targets, steps, window=shifted_window)
-    mul = group.multiply
-    worst = 0.0
-    for n in range(steps + 1):
-        a = base.layers[n]
-        b = shifted.layers[n]
-        for x in points:
-            d = abs(b[mul(y, x)] - a[x])
-            if d > worst:
-                worst = d
-    return worst
+    return max(float(np.max(np.abs(b.values[at_yx] - a.values)))
+               for a, b in zip(base.layers, shifted.layers))
 
 
 @dataclass(frozen=True)
@@ -494,6 +487,8 @@ class RecurrenceReport:
     max_mass_error: float
     warnings: list
     mc: HarrisResult | None
+    series: ReturnSeries
+    test: RecurrenceVerdict
 
 
 def build_recurrence_report(law: Law, rho_spectral: float, R: float, *,
@@ -523,4 +518,4 @@ def build_recurrence_report(law: Law, rho_spectral: float, R: float, *,
     return RecurrenceReport(rho_series, rho_method, rho_spectral, series.period,
                             n, test.growth_ratio, test.verdict, checkpoints,
                             recurrent_threshold, transient_threshold,
-                            series.max_mass_error, warnings, mc)
+                            series.max_mass_error, warnings, mc, series, test)

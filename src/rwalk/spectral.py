@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSupport, ExponentOverflow, NotIrreducible,
-                     WindowExceeded)
+from .errors import DegenerateSupport, ExponentOverflow, NotIrreducible
 from .groups import FiniteGroup, Lattice
-from .laws import Law, _separating_direction, check_irreducible, default_window
-from .tables import FunctionTable, LatticeBox
+from .laws import (IrreducibilityResult, Law, _separating_direction,
+                   check_irreducible, default_window)
+from .tables import FunctionTable, LatticeBox, invariance_residual
 
 EXP_GUARD = 700.0
 GRAD_TOL = 1e-10
@@ -29,14 +29,23 @@ MAX_ITERATIONS = 10_000
 HESSIAN_CONDITION_CAP = 1e12
 
 
-def _guarded_exp(arg: float) -> float:
+def _guarded_exp(arg):
+    """exp of a float, or elementwise of an array, if no |arg| exceeds EXP_GUARD."""
+    if isinstance(arg, np.ndarray):
+        worst = float(np.max(np.abs(arg)))
+        if worst > EXP_GUARD:
+            raise ExponentOverflow(f"exponent {worst!r} beyond +/-{EXP_GUARD} guard")
+        return np.exp(arg)
     if abs(arg) > EXP_GUARD:
         raise ExponentOverflow(f"exponent {arg!r} beyond +/-{EXP_GUARD} guard")
     return math.exp(arg)
 
 
 class Exponential:
-    """Strictly positive multiplicative function phi on the group."""
+    """Strictly positive multiplicative function phi on the group.
+
+    phi and psi also take the coordinate arrays of FunctionTable.tabulate.
+    """
 
     def phi(self, x) -> float:
         raise NotImplementedError
@@ -55,11 +64,17 @@ class LatticeExponential(Exponential):
     def __init__(self, theta):
         self.theta = tuple(float(t) for t in theta)
 
-    def phi(self, x) -> float:
-        return _guarded_exp(math.fsum(t * c for t, c in zip(self.theta, x)))
+    def phi(self, x):
+        return _guarded_exp(self._dot(x))
 
-    def psi(self, x) -> float:
-        return _guarded_exp(-math.fsum(t * c for t, c in zip(self.theta, x)))
+    def psi(self, x):
+        return _guarded_exp(-self._dot(x))
+
+    def _dot(self, x):
+        if isinstance(x[0], np.ndarray):
+            # per-axis open grids: theta.x broadcasts to the whole box
+            return sum(t * c for t, c in zip(self.theta, x))
+        return math.fsum(t * c for t, c in zip(self.theta, x))
 
     def reciprocal(self) -> "LatticeExponential":
         return LatticeExponential(tuple(-t for t in self.theta))
@@ -93,6 +108,7 @@ class SpectralResult:
     R: float
     gradient_norm: float
     iterations: int
+    irreducibility: IrreducibilityResult
 
 
 def mgf(law: Law, theta) -> float:
@@ -186,19 +202,15 @@ def find_exponential(law: Law, theta0=None, *, grad_tol: float = GRAD_TOL,
     number exceeds HESSIAN_CONDITION_CAP.
     """
     group = law.group
-    if isinstance(group, FiniteGroup):
-        res = check_irreducible(law)
-        if not res.irreducible:
-            raise NotIrreducible(res.witness)
-        rho = law.mass()
-        return TrivialExponential(), SpectralResult((), rho, 1.0 / rho, 0.0, 0)
-
-    if _separating_direction(list(law.atoms), group.dim) is not None:
-        res = check_irreducible(law)
-        raise DegenerateSupport(res.witness)
     res = check_irreducible(law)
     if not res.irreducible:
+        if (isinstance(group, Lattice)
+                and _separating_direction(list(law.atoms), group.dim) is not None):
+            raise DegenerateSupport(res.witness)
         raise NotIrreducible(res.witness)
+    if isinstance(group, FiniteGroup):
+        rho = law.mass()
+        return TrivialExponential(), SpectralResult((), rho, 1.0 / rho, 0.0, 0, res)
 
     dim = group.dim
     theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
@@ -232,7 +244,7 @@ def find_exponential(law: Law, theta0=None, *, grad_tol: float = GRAD_TOL,
 
     rho = mgf(law, theta)
     spectral = SpectralResult(tuple(float(t) for t in theta), rho, 1.0 / rho,
-                              gn, iterations)
+                              gn, iterations, res)
     return LatticeExponential(spectral.theta), spectral
 
 
@@ -267,22 +279,6 @@ def verify_r_invariance(law: Law, exponential: Exponential, r: float,
     as every other pointwise identity; the residual is relative because
     phi spans many orders of magnitude across a window.
     """
-    group = law.group
-    if isinstance(group, FiniteGroup):
-        table = FunctionTable.tabulate(group, exponential.phi)
-        region = list(group.elements())
-    else:
-        window = window if window is not None else default_window(law)
-        margin = law.support_radius()
-        if not window.can_shrink(margin):
-            raise WindowExceeded(
-                f"window {window!r} too small to shrink by support radius {margin}")
-        table = FunctionTable.tabulate(group, exponential.phi, window)
-        region = list(window.shrink(margin).points())
-    worst = 0.0
-    for x in region:
-        ref = table[x]
-        resid = abs(ref - r * law.step_expectation(table, x)) / ref
-        if resid > worst:
-            worst = resid
-    return worst
+    window = window if window is not None else default_window(law)
+    table = FunctionTable.tabulate(law.group, exponential.phi, window)
+    return invariance_residual(law, table, r)

@@ -1,17 +1,24 @@
-"""Finite evaluation windows and function tables over them.
+"""Finite evaluation windows, function tables over them, and the one
+transition kernel that every window computation goes through.
 
-Pointwise identities on an infinite lattice are checked on an explicit
-truncation window; the caller shrinks the window by the walk's support
-radius to get an interior region where one transition step cannot escape.
-On a finite group the window is simply the whole group.
+A table is a dense array: over a lattice box it is anchored at the box
+corner, over a finite group it is indexed by the elements.  `step`
+applies the one-step operator (P f)(x) = sum_u mass(u) f(x u) to such an
+array: on a lattice as one shifted slice per atom, on a finite group as
+one gather through the Cayley table per atom, always in the law's
+canonical atom order.  A lattice input loses `margin` cells on every side,
+the points one step could carry out of the box, so truncation is never
+extrapolated; the hitting recursion pads with zeros first, which is its
+absorbing boundary.  Equal arrays give bit-identical outputs wherever the
+box sits, which keeps translated computations exactly comparable.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .errors import WindowExceeded
-from .groups import FiniteGroup, Group, Lattice
+from .groups import FiniteGroup, Group
 
 
 class LatticeBox:
@@ -33,14 +40,8 @@ class LatticeBox:
         return cls(tuple(x - radius for x in c), tuple(x + radius for x in c))
 
     @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    def contains(self, x: tuple) -> bool:
-        return all(a <= v <= b for v, a, b in zip(x, self.lo, self.hi))
-
-    def points(self):
-        return (tuple(p) for p in product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi))))
+    def shape(self) -> tuple:
+        return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
 
     def size(self) -> int:
         n = 1
@@ -48,16 +49,9 @@ class LatticeBox:
             n *= b - a + 1
         return n
 
-    def shrink(self, margin: int) -> "LatticeBox":
-        return LatticeBox(tuple(a + margin for a in self.lo),
-                          tuple(b - margin for b in self.hi))
-
     def translate(self, y: tuple) -> "LatticeBox":
         return LatticeBox(tuple(a + v for a, v in zip(self.lo, y)),
                           tuple(b + v for b, v in zip(self.hi, y)))
-
-    def can_shrink(self, margin: int) -> bool:
-        return all(b - a >= 2 * margin for a, b in zip(self.lo, self.hi))
 
     def __eq__(self, other):
         return isinstance(other, LatticeBox) and (self.lo, self.hi) == (other.lo, other.hi)
@@ -67,38 +61,89 @@ class LatticeBox:
 
 
 class FunctionTable:
-    """Real-valued function tabulated on a window (lattice box or whole finite group)."""
+    """Real-valued function tabulated on a window (lattice box or whole finite group).
 
-    def __init__(self, group: Group, window: LatticeBox | None, values: dict):
-        if isinstance(group, Lattice):
-            if window is None:
-                raise ValueError("lattice tables need an explicit window")
-        elif isinstance(group, FiniteGroup):
+    `values` is a float array, zero unless given: of the box's shape with
+    `values[0, ...]` at `window.lo` on a lattice, of shape (order,) on a
+    finite group.
+    """
+
+    def __init__(self, group: Group, window: LatticeBox | None, values=None):
+        if isinstance(group, FiniteGroup):
             window = None  # whole group
+            shape = (group.order,)
+        elif window is None:
+            raise ValueError("lattice tables need an explicit window")
+        else:
+            shape = window.shape
         self.group = group
         self.window = window
-        self.values = values
+        self.values = np.zeros(shape) if values is None else values
 
     @classmethod
     def tabulate(cls, group: Group, fn, window: LatticeBox | None = None) -> "FunctionTable":
-        if isinstance(group, FiniteGroup):
-            pts = group.elements()
-        else:
-            if window is None:
-                raise ValueError("lattice tables need an explicit window")
-            pts = window.points()
-        return cls(group, window, {x: float(fn(x)) for x in pts})
+        """Table of fn, evaluated once on the whole window.
 
-    def domain(self):
-        if isinstance(self.group, FiniteGroup):
-            return self.group.elements()
-        return self.window.points()
+        fn receives the window's coordinates as arrays: on a lattice the
+        per-axis open grids of the box (np.ogrid), on a finite group the
+        vector of element indices.  It returns values broadcastable to
+        the window's shape.
+        """
+        table = cls(group, window)
+        if table.window is None:
+            table.values[...] = fn(np.arange(group.order))
+        else:
+            box = table.window
+            table.values[...] = fn(np.ogrid[tuple(slice(a, b + 1)
+                                                  for a, b in zip(box.lo, box.hi))])
+        return table
+
+    def index(self, x):
+        """Array index of the point x; WindowExceeded if x is outside the window."""
+        shape = self.values.shape
+        if self.window is None:
+            inside = isinstance(x, int) and 0 <= x < shape[0]
+            idx = x
+        else:
+            idx = tuple(c - a for c, a in zip(x, self.window.lo))
+            inside = len(x) == len(shape) and all(0 <= i < n for i, n in zip(idx, shape))
+        if not inside:
+            raise WindowExceeded(f"point {x!r} outside table window")
+        return idx
 
     def __getitem__(self, x) -> float:
-        try:
-            return self.values[x]
-        except KeyError:
-            raise WindowExceeded(f"point {x!r} outside table window") from None
+        return float(self.values[self.index(x)])
 
-    def __contains__(self, x) -> bool:
-        return x in self.values
+
+def step(law, values: np.ndarray, margin: int) -> np.ndarray:
+    """One-step transition operator (P f)(x) = sum_u mass(u) f(x u).
+
+    On a lattice, `values` is f on a box and the result is P f on the box
+    shrunk by `margin` on every side; WindowExceeded if an atom reaches
+    further than `margin` or the box is too small to shrink.  On a finite
+    group `values` is f on every element and `margin` must be 0.
+    """
+    if isinstance(law.group, FiniteGroup):
+        cayley = law.group.cayley_array
+        out = np.zeros(values.shape)
+        for u, p in law.atoms.items():
+            out += p * values[cayley[:, u]]
+        return out
+    inner = tuple(n - 2 * margin for n in values.shape)
+    if law.support_radius() > margin or min(inner) < 1:
+        raise WindowExceeded(
+            f"box of shape {values.shape} too small to apply a step of support "
+            f"radius {law.support_radius()} with margin {margin}")
+    out = np.zeros(inner)
+    for u, p in law.atoms.items():
+        out += p * values[tuple(slice(margin + c, margin + c + n) for c, n in zip(u, inner))]
+    return out
+
+
+def invariance_residual(law, table: FunctionTable, r: float) -> float:
+    """Max relative residual of f = r * P f over the points of the table's
+    window that one step cannot carry outside it."""
+    margin = 0 if table.window is None else law.support_radius()
+    image = step(law, table.values, margin)
+    ref = table.values[tuple(slice(margin, n - margin) for n in table.values.shape)]
+    return float(np.max(np.abs(ref - r * image) / ref))

@@ -242,8 +242,8 @@ def test_criterion_9_property_suites(z1, z2, asymmetric_corpus):
     dp_ok = True
     for law in asymmetric_corpus:
         table = hitting_dp(law, {law.group.identity()}, 10)
-        dp_ok &= all(nxt[x] >= prev[x] for prev, nxt in
-                     zip(table.layers, table.layers[1:]) for x in prev)
+        dp_ok &= all(bool(np.all(nxt.values >= prev.values)) for prev, nxt in
+                     zip(table.layers, table.layers[1:]))
 
     ok = assoc_ok and dual_ok and convex_ok and grad_ok and unique_ok and dp_ok
     report(9, "property suites", ok,

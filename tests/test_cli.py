@@ -252,6 +252,22 @@ def test_simulate_csv_columns(tmp_path):
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
+def test_simulate_csv_partial_sums_match_report_checkpoints(tmp_path):
+    csv = tmp_path / "series.csv"
+    out = tmp_path / "report.json"
+    for name in ("bernoulli_025.spec", "z6.spec"):
+        assert main(["simulate", fixture(name), "--trajectories", "50",
+                     "--horizon", "50", "--series-horizon", "202",
+                     "--csv", str(csv), "--json", str(out)]) == 0
+        sums = [float(l.split(",")[3]) for l in csv.read_text().splitlines()[1:]]
+        checkpoints = json.loads(out.read_text())["recurrence"]["partial_sums"]
+        n = len(sums) - 1
+        assert n == 202
+        assert sums[n // 4] == checkpoints["quarter"]
+        assert sums[n // 2] == checkpoints["half"]
+        assert sums[n] == checkpoints["final"]
+
+
 def test_simulate_thread_env_does_not_change_results(tmp_path, monkeypatch):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -7,6 +7,7 @@ import pytest
 from rwalk import (FunctionTable, GroupMismatch, Law, LatticeBox,
                    WindowExceeded, check_irreducible, cyclic_group,
                    default_window)
+from rwalk.tables import step
 
 
 def brute_convolution(a, b):
@@ -95,28 +96,32 @@ def test_convolve_rejects_group_mismatch(bernoulli, z6_law):
         bernoulli.convolve(z6_law)
 
 
-def test_step_expectation_constant_one(bernoulli, z1):
+def test_step_constant_one(bernoulli, z1):
     window = LatticeBox.centered(3, 1)
     ones = FunctionTable.tabulate(z1, lambda x: 1.0, window)
-    assert bernoulli.step_expectation(ones, (0,)) == pytest.approx(1.0, abs=1e-15)
+    image = FunctionTable(z1, LatticeBox.centered(2, 1), step(bernoulli, ones.values, 1))
+    assert image[(0,)] == pytest.approx(1.0, abs=1e-15)
 
 
-def test_step_expectation_exponential(bernoulli, z1):
+def test_step_exponential(bernoulli, z1):
     window = LatticeBox.centered(3, 1)
-    flat = FunctionTable.tabulate(z1, lambda x: math.exp(0.0 * x[0]), window)
-    assert bernoulli.step_expectation(flat, (0,)) == pytest.approx(1.0, abs=1e-15)
+    inner = LatticeBox.centered(2, 1)
+    flat = FunctionTable.tabulate(z1, lambda x: np.exp(0.0 * x[0]), window)
+    image = FunctionTable(z1, inner, step(bernoulli, flat.values, 1))
+    assert image[(0,)] == pytest.approx(1.0, abs=1e-15)
     theta = 0.5 * math.log(3.0)
-    table = FunctionTable.tabulate(z1, lambda x: math.exp(theta * x[0]), window)
+    table = FunctionTable.tabulate(z1, lambda x: np.exp(theta * x[0]), window)
+    image = FunctionTable(z1, inner, step(bernoulli, table.values, 1))
     # closed form 2*sqrt(p*(1-p))
-    assert bernoulli.step_expectation(table, (0,)) == pytest.approx(
-        2.0 * math.sqrt(0.25 * 0.75), abs=1e-12)
+    assert image[(0,)] == pytest.approx(2.0 * math.sqrt(0.25 * 0.75), abs=1e-12)
 
 
-def test_step_expectation_window_exceeded(bernoulli, z1):
+def test_step_window_exceeded(bernoulli, z1):
     window = LatticeBox.centered(2, 1)
     t = FunctionTable.tabulate(z1, lambda x: 1.0, window)
+    # margin 0 keeps the boundary points, from which one step leaves the box
     with pytest.raises(WindowExceeded):
-        bernoulli.step_expectation(t, (2,))
+        step(bernoulli, t.values, 0)
 
 
 def test_irreducibility_examples(bernoulli, z1):

@@ -1,0 +1,180 @@
+"""The dense transition kernel against a per-point reference.
+
+The reference below is the pointwise definition, one math.fsum per
+point over the law's atoms, written independently of rwalk.tables.  The
+kernel sums the same terms in atom order instead, so the two agree to a
+few ulps of values that are O(1): residuals and hitting probabilities
+are compared with abs 1e-15.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
+                   check_dual_invariance, check_measure_invariance,
+                   check_translation_invariance, hitting_dp,
+                   invariant_measure_table, mgf, verify_r_invariance)
+from rwalk.groups import Lattice
+from rwalk.spectral import LatticeExponential, TrivialExponential
+from rwalk.tables import step
+
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                           database=None)
+DP_STEPS = {1: 10, 2: 5, 3: 3}  # keeps the pure-Python reference DP small
+
+
+@pytest.fixture(scope="module")
+def s3_skew(s3_group):
+    # asymmetric and non-abelian: a transposition and both 3-cycles
+    return Law(s3_group, {1: 0.5, 4: 0.3, 5: 0.2})
+
+
+# ---------------------------------------------------------------- reference
+
+def box_points(window):
+    grids = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(window.lo, window.hi)),
+                        indexing="ij")
+    return [tuple(int(c) for c in p) for p in zip(*(g.ravel() for g in grids))]
+
+
+def brute_residual(law, f, r, region):
+    """max over region of |f(x) - r * sum_u mass(u) f(x u)| / f(x)."""
+    mul = law.group.multiply
+    return max(abs(f(x) - r * math.fsum(p * f(mul(x, u)) for u, p in law.atoms.items()))
+               / f(x) for x in region)
+
+
+def brute_hitting(law, targets, steps, points):
+    """Backward recursion, one fsum per point, 0 outside `points`."""
+    mul = law.group.multiply
+    layer = {x: 1.0 if x in targets else 0.0 for x in points}
+    layers = [layer]
+    for _ in range(steps):
+        prev = layers[-1]
+        layers.append({x: 1.0 if x in targets else
+                       math.fsum(p * prev.get(mul(x, u), 0.0) for u, p in law.atoms.items())
+                       for x in points})
+    return layers
+
+
+@st.composite
+def lattice_laws(draw):
+    dim = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-2, 2)] * dim)
+    support = draw(st.lists(coords, min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(support),
+                            max_size=len(support)))
+    total = math.fsum(weights)
+    law = Law(Lattice(dim), {x: w / total for x, w in zip(support, weights)},
+              sum_tol=1e-9)
+    theta = tuple(draw(st.floats(-0.8, 0.8)) for _ in range(dim))
+    return law, theta
+
+
+# ------------------------------------------------------------------ lattice
+
+@KERNEL_SETTINGS
+@given(lattice_laws())
+def test_window_residuals_match_pointwise_reference(case):
+    law, theta = case
+    exponential = LatticeExponential(theta)
+    r = 1.0 / mgf(law, theta)
+    radius = law.support_radius()
+    window = LatticeBox.centered(radius + 3, law.group.dim)
+    region = box_points(LatticeBox.centered(3, law.group.dim))
+    phi = lambda x: math.exp(math.fsum(t * c for t, c in zip(theta, x)))
+    psi = lambda x: 1.0 / phi(x)
+
+    assert verify_r_invariance(law, exponential, r, window) == pytest.approx(
+        brute_residual(law, phi, r, region), abs=1e-15)
+    dual = check_dual_invariance(law, exponential, r, window)
+    assert dual == pytest.approx(brute_residual(law.dual(), psi, r, region), abs=1e-15)
+    assert check_measure_invariance(law, exponential, r, window) == dual
+
+
+@KERNEL_SETTINGS
+@given(lattice_laws(), st.data())
+def test_hitting_layers_match_pointwise_reference(case, data):
+    law, _ = case
+    steps = data.draw(st.integers(0, DP_STEPS[law.group.dim]))
+    origin = law.group.identity()
+    table = hitting_dp(law, {origin}, steps)
+    points = box_points(table.window)
+    ref = brute_hitting(law, {origin}, steps, points)
+    assert len(table.layers) == len(ref) == steps + 1
+    for layer, expected in zip(table.layers, ref):
+        assert max(abs(layer[x] - v) for x, v in expected.items()) <= 1e-15
+
+
+def test_step_is_translation_exact(drift2d, z2):
+    # the same array on two boxes: outputs are equal bit for bit
+    f = FunctionTable.tabulate(z2, lambda x: np.cos(x[0]) + x[1] ** 2,
+                               LatticeBox.centered(6, 2))
+    g = FunctionTable.tabulate(z2, lambda x: np.cos(x[0] - 7) + (x[1] + 3) ** 2,
+                               LatticeBox.centered(6, 2, center=(7, -3)))
+    assert np.array_equal(f.values, g.values)
+    assert np.array_equal(step(drift2d, f.values, 1), step(drift2d, g.values, 1))
+
+
+def test_dual_and_measure_residuals_identical(asymmetric_corpus, z6_law):
+    from rwalk import find_exponential
+    for law in list(asymmetric_corpus) + [z6_law]:
+        exponential, sp = find_exponential(law)
+        assert (check_measure_invariance(law, exponential, sp.R)
+                == check_dual_invariance(law, exponential, sp.R))
+
+
+def test_exponent_guard_on_window(bernoulli):
+    window = LatticeBox.centered(32, 1)
+    # theta.x reaches 30 * 32 = 960 at the window edge
+    with pytest.raises(ExponentOverflow):
+        verify_r_invariance(bernoulli, LatticeExponential((30.0,)), 1.0, window)
+    with pytest.raises(ExponentOverflow):
+        invariant_measure_table(bernoulli, LatticeExponential((-30.0,)), window)
+    # 21 * 32 = 672 stays inside the guard
+    assert verify_r_invariance(bernoulli, LatticeExponential((21.0,)),
+                               1.0 / mgf(bernoulli, (21.0,)), window) <= 1e-12
+
+
+# ------------------------------------------------------------- finite group
+
+def test_finite_step_matches_pointwise_reference(s3_skew):
+    rng = np.random.default_rng(7)
+    values = rng.uniform(0.5, 2.0, size=6)
+    f = lambda x: float(values[x])
+    mul = s3_skew.group.multiply
+    for law in (s3_skew, s3_skew.dual()):
+        out = step(law, values, 0)
+        for x in s3_skew.group.elements():
+            ref = math.fsum(p * f(mul(x, u)) for u, p in law.atoms.items())
+            assert out[x] == pytest.approx(ref, abs=1e-15)
+
+
+def test_finite_residuals_match_pointwise_reference(s3_skew):
+    region = list(s3_skew.group.elements())
+    one = lambda x: 1.0
+    for r in (1.0, 1.25):
+        assert verify_r_invariance(s3_skew, TrivialExponential(), r) == pytest.approx(
+            brute_residual(s3_skew, one, r, region), abs=1e-15)
+        dual = check_dual_invariance(s3_skew, TrivialExponential(), r)
+        assert dual == pytest.approx(
+            brute_residual(s3_skew.dual(), one, r, region), abs=1e-15)
+        assert check_measure_invariance(s3_skew, TrivialExponential(), r) == dual
+
+
+def test_finite_hitting_layers_match_pointwise_reference(s3_skew):
+    for targets in ({0}, {2, 4}):
+        table = hitting_dp(s3_skew, targets, 25)
+        ref = brute_hitting(s3_skew, targets, 25, list(s3_skew.group.elements()))
+        for layer, expected in zip(table.layers, ref):
+            assert max(abs(layer[x] - v) for x, v in expected.items()) <= 1e-15
+
+
+def test_translation_invariance_nonabelian_exact(s3_skew):
+    for y in s3_skew.group.elements():
+        assert check_translation_invariance(s3_skew, {0}, y, 40) == 0.0
+        assert check_translation_invariance(s3_skew, {1, 3}, y, 15) == 0.0
