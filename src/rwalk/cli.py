@@ -206,7 +206,7 @@ def _run_check(name: str, spec: WalkSpec, ctx: dict, tol_override: float | None)
         return resid, tol, resid <= tol, "tilted^n = R^n * phi * original^n, n <= 10"
     if name == "dual":
         resid_inv = check_dual_invariance(law, exponential, spectral.R, window)
-        dual_res = check_dual_spectral_radius(law)
+        dual_res = check_dual_spectral_radius(law, spectral=spectral)
         resid = max(resid_inv, abs(dual_res.rho - dual_res.rho_dual))
         return resid, tol, resid <= tol, "psi = R*Phat(psi) and rho(v) = rho(dual v)"
     if name == "measure":
@@ -226,7 +226,7 @@ def _run_check(name: str, spec: WalkSpec, ctx: dict, tol_override: float | None)
         resid = check_translation_invariance(law, {e}, y, steps)
         return resid, ttol, resid <= ttol, f"h^(yB)(yx) = h^B(x) with y={y}, T={steps}"
     if name == "corollary2":
-        deg = check_symmetric_degeneracy(law)
+        deg = check_symmetric_degeneracy(law, spectral)
         if not deg.is_symmetric:
             return 0.0, RESIDUAL_TOL, True, "law not symmetric; degeneracy vacuous"
         tw = tilt(law, exponential, spectral.R)

@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import GroupMismatch
 from .groups import FiniteGroup, Group, Lattice
-from .tables import LatticeBox
+from .tables import UNDERFLOW_FLOOR, LatticeBox
 
-UNDERFLOW_FLOOR = 1e-300
 STRICT_SUM_TOL = 1e-12
 CONVOLVE_SUM_TOL = 1e-10
 
@@ -142,14 +143,7 @@ def _sublattice_index(vectors, dim: int) -> int:
     return g
 
 
-def _perp2(s):
-    return (-s[1], s[0])
-
-
-def _cross3(s, t):
-    return (s[1] * t[2] - s[2] * t[1],
-            s[2] * t[0] - s[0] * t[2],
-            s[0] * t[1] - s[1] * t[0])
+_SEPARATION_BLOCK = 512  # candidate rows tested against the support at once
 
 
 def _separating_direction(vectors, dim: int):
@@ -159,29 +153,34 @@ def _separating_direction(vectors, dim: int):
     when the origin is interior to the convex hull.  If such a u exists,
     one exists among the perpendiculars/cross products enumerated below
     (an extreme ray of the polar cone activates dim-1 independent
-    constraints), so the search is exhaustive, not heuristic.
+    constraints), so the search is exhaustive, not heuristic.  Candidates
+    are built in one array, each followed by its negation, and tested in
+    blocks of rows; the first passing row in enumeration order is returned.
+    Every u.s is at most 6 c^3 for coordinates up to c; below 2^53 float64
+    holds every candidate and product exactly, larger supports are tested
+    in Python integers.
     """
     nz = [s for s in vectors if any(s)]
     if not nz:
         return (1,) + (0,) * (dim - 1)
+    c = max(abs(x) for s in nz for x in s)
+    nz = np.array(nz, dtype=float if 6 * c ** 3 < 2 ** 53 else object)
     if dim == 1:
-        candidates = [(1,), (-1,)]
+        base = np.array([[1]])
     elif dim == 2:
-        candidates = []
-        for s in nz:
-            p = _perp2(s)
-            candidates += [p, tuple(-c for c in p)]
+        base = np.stack([-nz[:, 1], nz[:, 0]], axis=1)
     else:
-        candidates = []
-        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        for i, s in enumerate(nz):
-            for t in nz[i + 1:] + axes:
-                c = _cross3(s, t)
-                if any(c):
-                    candidates += [c, tuple(-x for x in c)]
-    for u in candidates:
-        if all(sum(ui * si for ui, si in zip(u, s)) <= 0 for s in nz):
-            return u
+        # pairs (s_i, t) with t running over s_{i+1}, ..., then the three axes
+        others = np.concatenate([nz, np.eye(3, dtype=nz.dtype)])
+        i, j = np.nonzero(np.arange(len(others)) > np.arange(len(nz))[:, None])
+        base = np.cross(nz[i], others[j])
+        base = base[base.any(axis=1)]
+    cand = np.stack([base, -base], axis=1).reshape(-1, dim)
+    for start in range(0, len(cand), _SEPARATION_BLOCK):
+        block = cand[start:start + _SEPARATION_BLOCK]
+        hits = np.flatnonzero(np.all(block @ nz.T <= 0, axis=1))
+        if hits.size:
+            return tuple(int(v) for v in block[hits[0]])
     return None
 
 

@@ -31,8 +31,8 @@ import numpy as np
 from .errors import (HorizonTooLarge, InsufficientData, RMismatch,
                      WindowExceeded)
 from .groups import FiniteGroup, Lattice
-from .laws import UNDERFLOW_FLOOR, Law
-from .tables import FunctionTable, LatticeBox, step
+from .laws import Law
+from .tables import FunctionTable, LatticeBox, convolve, step, support_span
 
 HORIZON_CAP = {1: 5000, 2: 600, 3: 120}
 HORIZON_CAP_FINITE = 10_000
@@ -69,20 +69,6 @@ def default_horizon(law: Law) -> int:
     return DEFAULT_HORIZON[law.group.dim]
 
 
-def _convolve_dense(arr, lo, elems, masses, off_lo, off_hi):
-    """One exact convolution step on a dense box (shifted scaled adds)."""
-    shape = np.array(arr.shape, dtype=np.int64)
-    new = np.zeros(tuple(shape + (off_hi - off_lo)))
-    for e, p in zip(elems, masses):
-        start = e - off_lo
-        sl = tuple(slice(int(s), int(s + n)) for s, n in zip(start, shape))
-        new[sl] += p * arr
-    tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
-    if tiny.any():
-        new[tiny] = 0.0
-    return new, lo + off_lo
-
-
 def _paired_origin_mass(f, lo_f, g, lo_g):
     """sum_x f(x) g(-x): the origin mass of the convolution of f and g."""
     hi_f = lo_f + np.array(f.shape, dtype=np.int64) - 1
@@ -105,10 +91,7 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
     grow to half the horizon.
     """
     dim = law.group.dim
-    elems = np.array(list(law.atoms), dtype=np.int64)
-    masses = [law.atoms[tuple(e)] for e in elems]
-    off_lo = elems.min(axis=0)
-    off_hi = elems.max(axis=0)
+    span = support_span(law)
 
     arr = np.ones((1,) * dim)
     lo = np.zeros(dim, dtype=np.int64)
@@ -119,7 +102,7 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
         if 2 * n <= horizon and n >= 1:
             probs[2 * n] = _paired_origin_mass(arr, lo, arr, lo)
         if 2 * n + 1 <= horizon:
-            nxt, nxt_lo = _convolve_dense(arr, lo, elems, masses, off_lo, off_hi)
+            nxt, nxt_lo = convolve(law, arr, span), lo + span[0]
             worst_mass = max(worst_mass, abs(float(nxt.sum()) - 1.0))
             probs[2 * n + 1] = _paired_origin_mass(arr, lo, nxt, nxt_lo)
             arr, lo = nxt, nxt_lo

@@ -54,6 +54,10 @@ class Exponential:
         """Reciprocal value phi(x)^-1 = phi(x^-1)."""
         raise NotImplementedError
 
+    def exponent(self, x):
+        """log phi(x), unguarded."""
+        raise NotImplementedError
+
     def reciprocal(self) -> "Exponential":
         raise NotImplementedError
 
@@ -65,12 +69,12 @@ class LatticeExponential(Exponential):
         self.theta = tuple(float(t) for t in theta)
 
     def phi(self, x):
-        return _guarded_exp(self._dot(x))
+        return _guarded_exp(self.exponent(x))
 
     def psi(self, x):
-        return _guarded_exp(-self._dot(x))
+        return _guarded_exp(-self.exponent(x))
 
-    def _dot(self, x):
+    def exponent(self, x):
         if isinstance(x[0], np.ndarray):
             # per-axis open grids: theta.x broadcasts to the whole box
             return sum(t * c for t, c in zip(self.theta, x))
@@ -93,6 +97,9 @@ class TrivialExponential(Exponential):
 
     def psi(self, x) -> float:
         return 1.0
+
+    def exponent(self, x) -> float:
+        return 0.0
 
     def reciprocal(self) -> "TrivialExponential":
         return self
@@ -257,14 +264,16 @@ class DualSpectralResult:
     theta_dual: tuple
 
 
-def check_dual_spectral_radius(law: Law, atol: float = 1e-10) -> DualSpectralResult:
+def check_dual_spectral_radius(law: Law, atol: float = 1e-10,
+                               spectral: SpectralResult | None = None) -> DualSpectralResult:
     """Spectral radius of the walk versus its reversed walk.
 
     Analytically Lambda_dual(theta) = Lambda(-theta), so the minima agree
-    and the dual minimizer is -theta*; this recomputes both sides from
-    scratch and compares.
+    and the dual minimizer is -theta*; this computes the reversed side from
+    scratch and compares it with `spectral`, the walk's own minimization
+    (computed here when not given).
     """
-    _, fwd = find_exponential(law)
+    fwd = spectral if spectral is not None else find_exponential(law)[1]
     _, bwd = find_exponential(law.dual())
     return DualSpectralResult(fwd.rho, bwd.rho, abs(fwd.rho - bwd.rho) <= atol,
                               fwd.theta, bwd.theta)

@@ -1,5 +1,5 @@
-"""Finite evaluation windows, function tables over them, and the one
-transition kernel that every window computation goes through.
+"""Finite evaluation windows, function tables over them, and the two
+dense kernels that every window and n-step computation goes through.
 
 A table is a dense array: over a lattice box it is anchored at the box
 corner, over a finite group it is indexed by the elements.  `step`
@@ -11,6 +11,15 @@ the points one step could carry out of the box, so truncation is never
 extrapolated; the hitting recursion pads with zeros first, which is its
 absorbing boundary.  Equal arrays give bit-identical outputs wherever the
 box sits, which keeps translated computations exactly comparable.
+
+`convolve` is the forward counterpart on a lattice: from the law of X on
+a box it builds the law of X + u, u ~ law, on the box grown by one
+step's span, as shifted scaled adds in atom order, flushing cells below
+UNDERFLOW_FLOOR to zero as Law.convolve drops such atoms.  (On a finite
+group the same step is `step` with the reversed law.)  `powers` iterates
+either one to give the n-step laws as dense arrays.  Dense n-step boxes
+grow as n^d, so callers check their size against DENSE_CELL_LIMIT
+before allocating.
 """
 
 from __future__ import annotations
@@ -19,6 +28,9 @@ import numpy as np
 
 from .errors import WindowExceeded
 from .groups import FiniteGroup, Group
+
+UNDERFLOW_FLOOR = 1e-300
+DENSE_CELL_LIMIT = 1 << 22  # cells of one dense n-step box: 32 MiB of float64
 
 
 class LatticeBox:
@@ -147,3 +159,51 @@ def invariance_residual(law, table: FunctionTable, r: float) -> float:
     image = step(law, table.values, margin)
     ref = table.values[tuple(slice(margin, n - margin) for n in table.values.shape)]
     return float(np.max(np.abs(ref - r * image) / ref))
+
+
+def support_span(law) -> tuple:
+    """Per-axis (lowest, highest) atom coordinates of a lattice law, as int64 arrays."""
+    elems = np.array(list(law.atoms), dtype=np.int64)
+    return elems.min(axis=0), elems.max(axis=0)
+
+
+def convolve(law, values: np.ndarray, span: tuple) -> np.ndarray:
+    """One exact convolution step on a dense lattice box.
+
+    `values` is the law of X on a box; the result is the law of X + u,
+    u ~ law, on the box grown by span = (off_lo, off_hi), where
+    off_lo <= every atom <= off_hi per axis, so its corner moves by off_lo.
+    """
+    lo = [int(l) for l in span[0]]
+    shape = values.shape
+    new = np.zeros(tuple(n + int(h) - l for n, l, h in zip(shape, lo, span[1])))
+    for e, p in law.atoms.items():
+        new[tuple(slice(c - l, c - l + n) for c, l, n in zip(e, lo, shape))] += p * values
+    tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
+    if tiny.any():
+        new[tiny] = 0.0
+    return new
+
+
+def powers(law, n_max: int, span: tuple | None = None):
+    """Yield the law of X_n = u_1 ... u_n, n = 1..n_max, as dense arrays.
+
+    On a lattice the n-th array is anchored at n * span[0] and grows by
+    `span` (default: the support's own) per step; on a finite group it is
+    indexed by the elements, and each step gathers f(z u^-1) through the
+    reversed law, the law of X_n u (right multiplication, as Law.convolve).
+    """
+    group = law.group
+    if isinstance(group, FiniteGroup):
+        reversed_law = law.dual()
+        f = np.zeros(group.order)
+        f[group.identity()] = 1.0
+        for _ in range(n_max):
+            f = step(reversed_law, f, 0)
+            yield f
+        return
+    span = span if span is not None else support_span(law)
+    f = np.ones((1,) * group.dim)
+    for _ in range(n_max):
+        f = convolve(law, f, span)
+        yield f

@@ -1,17 +1,18 @@
 """Exponential change of measure: the tilted walk and its invariance checks.
 
 Reweighting the increment law by R*phi (with R*Lambda(theta*) = 1) yields
-a new probability law whose walk has zero drift; the checks here certify,
-pointwise on a window, the identities that make the construction tick:
+a new probability law whose walk has zero drift; the checks here certify
+the identities that make the construction tick:
 
-  * tilted n-step law  =  R^n * phi * (original n-step law)
+  * tilted n-step law  =  R^n * phi * (original n-step law), at every
+    point of the n-step bounding box (the dense powers of tables.powers)
   * psi = 1/phi is invariant for the reversed walk:  psi = R * Phat psi
   * the measure psi * counting is R-invariant:  psi(y) = R * sum_x psi(x) v(x^-1 y)
   * a symmetric law degenerates: theta* = 0, R = 1, tilting is the identity
 
 Residuals are relative wherever the reference value spans orders of
 magnitude; counting measure turns every "almost everywhere" statement
-into "at every point of the check region".  The window checks tabulate
+into "at every point of the check region".  The invariance checks tabulate
 phi or psi once as a dense array and apply the one transition kernel,
 tables.step, through tables.invariance_residual; the reversed-walk
 identity and the measure identity are the same sum, so they share one
@@ -23,10 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotNormalized
+import numpy as np
+
+from .errors import ExponentOverflow, NotNormalized, WindowExceeded
+from .groups import FiniteGroup
 from .laws import Law, default_window
-from .spectral import Exponential, find_exponential
-from .tables import FunctionTable, LatticeBox, invariance_residual
+from .spectral import EXP_GUARD, Exponential, SpectralResult, find_exponential
+from .tables import (DENSE_CELL_LIMIT, FunctionTable, LatticeBox, invariance_residual,
+                     powers)
 
 TILT_NORMALIZATION_TOL = 1e-10
 
@@ -64,22 +69,50 @@ def tilt_from_spectral(law: Law) -> TiltedWalk:
 
 
 def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
-    """Max atom discrepancy between tilted^n and R^n * phi * original^n, n <= n_max."""
+    """Max discrepancy between tilted^n and R^n * phi * original^n, n <= n_max.
+
+    Both n-step laws are dense arrays on one shared box, zero where an atom
+    is absent (tables.powers).  theta.x is tabulated once on the n_max-step
+    box and sliced per n; a point beyond the exponent guard only raises
+    ExponentOverflow where the original walk has mass.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    group = tw.original.group
+    if isinstance(group, FiniteGroup):
+        span, shape = None, (group.order,)
+        coords = np.arange(group.order)
+        boxes = [slice(None)] * n_max
+    else:
+        # the span keeps the origin, so every n-step box nests in the last one
+        points = np.array([group.identity(), *tw.tilted.atoms, *tw.original.atoms])
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        span = (lo, hi)
+        shape = tuple(int(n_max * (b - a)) + 1 for a, b in zip(lo, hi))
+        cells = math.prod(shape)
+        if cells > DENSE_CELL_LIMIT:
+            raise WindowExceeded(
+                f"the {n_max}-step box has {cells} cells, beyond the dense-array "
+                f"limit of {DENSE_CELL_LIMIT}")
+        coords = np.ogrid[tuple(slice(int(n_max * a), int(n_max * b) + 1)
+                                for a, b in zip(lo, hi))]
+        boxes = [tuple(slice(int((n - n_max) * a), int((n - n_max) * a + n * (b - a)) + 1)
+                       for a, b in zip(lo, hi)) for n in range(1, n_max + 1)]
+    phi = np.empty(shape)
+    phi[...] = tw.exponential.exponent(coords)  # theta.x, exponentiated in place
+    over = np.abs(phi) > EXP_GUARD
+    any_over = bool(over.any())
+    phi[over] = 0.0
+    np.exp(phi, out=phi)
     worst = 0.0
-    phi = tw.exponential.phi
-    left = Law.point_mass(tw.tilted.group)
-    right = Law.point_mass(tw.original.group)
     scale = 1.0
-    for _ in range(n_max):
-        left = left.convolve(tw.tilted)
-        right = right.convolve(tw.original)
+    for box, left, right in zip(boxes, powers(tw.tilted, n_max, span),
+                                powers(tw.original, n_max, span)):
         scale *= tw.R
-        for x in set(left.atoms) | set(right.atoms):
-            a = left.atoms.get(x, 0.0)
-            b = scale * phi(x) * right.atoms.get(x, 0.0)
-            worst = max(worst, abs(a - b))
+        if any_over and over[box][right > 0].any():
+            raise ExponentOverflow(
+                f"theta.x beyond the +/-{EXP_GUARD} guard at a point the walk reaches")
+        worst = max(worst, float(np.max(np.abs(left - scale * phi[box] * right))))
     return worst
 
 
@@ -117,11 +150,16 @@ class SymmetricDegeneracy:
     phi_trivial: bool | None
 
 
-def check_symmetric_degeneracy(law: Law) -> SymmetricDegeneracy:
-    """A symmetric law (equal to its reversal) must sit at theta* = 0, R = 1."""
+def check_symmetric_degeneracy(law: Law, spectral: SpectralResult | None = None
+                               ) -> SymmetricDegeneracy:
+    """A symmetric law (equal to its reversal) must sit at theta* = 0, R = 1.
+
+    `spectral` is the law's minimization, computed here when not given.
+    """
     if not law.is_symmetric(atol=1e-14):
         return SymmetricDegeneracy(False, None, None)
-    _, spectral = find_exponential(law)
+    if spectral is None:
+        _, spectral = find_exponential(law)
     phi_trivial = all(abs(t) <= 1e-8 for t in spectral.theta)
     r_equals_one = abs(spectral.R - 1.0) <= 1e-10
     return SymmetricDegeneracy(True, r_equals_one, phi_trivial)

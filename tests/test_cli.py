@@ -187,6 +187,53 @@ def test_verify_check_errors_are_reported_not_fatal(capsys, tmp_path):
     assert "eq12" in out and "PASS" in out
 
 
+WIDE_3D = """group lattice 3
+law
+  1 0 0 0.15
+  -1 0 0 0.15
+  0 1 0 0.15
+  0 -1 0 0.15
+  0 0 1 0.15
+  0 0 -1 0.15
+  40 40 40 0.05
+  -40 -40 -40 0.05
+"""
+
+
+def test_verify_eq17_box_too_large_fails_fast(capsys, tmp_path):
+    # the 10-step box would be 801^3 cells, 3.8 GiB per array
+    spec = tmp_path / "wide.spec"
+    spec.write_text(WIDE_3D)
+    code = main(["verify", str(spec), "--paper-checks", "eq17"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "eq17" in captured.out and "ERROR" in captured.out
+    assert str(801 ** 3) in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("name", ["drift2d.spec", "symmetric.spec"])
+def test_verify_minimizes_twice(monkeypatch, capsys, name):
+    # once for the walk, once for the reversed walk in `dual`; `dual` and
+    # `corollary2` reuse the walk's own result
+    import sys
+    from rwalk import spectral
+    original = spectral.find_exponential
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in [m for k, m in sys.modules.items() if k.startswith("rwalk")]:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counting)
+    assert main(["verify", fixture(name)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
 def test_analyze_json_to_stdout(capsys):
     code = main(["analyze", fixture("bernoulli_025.spec"), "--json", "-"])
     assert code == 0

@@ -3,10 +3,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwalk import (FunctionTable, GroupMismatch, Law, LatticeBox,
                    WindowExceeded, check_irreducible, cyclic_group,
                    default_window)
+from rwalk.laws import _separating_direction
 from rwalk.tables import step
 
 
@@ -160,6 +163,78 @@ def test_irreducibility_lattice_3d(symmetric3d, z3):
     cone = Law(z3, {(1, 0, 0): 0.4, (0, 1, 0): 0.3, (0, 0, 1): 0.3})
     res = check_irreducible(cone)
     assert not res.irreducible and "half-space" in res.witness
+
+
+def reference_separating_direction(vectors, dim):
+    """Pure-Python enumerator: perpendiculars (2D) or cross products with the
+    later vectors and the axes (3D), each followed by its negation; the
+    first candidate with u.s <= 0 for every nonzero s, else None."""
+    nz = [s for s in vectors if any(s)]
+    if not nz:
+        return (1,) + (0,) * (dim - 1)
+    if dim == 1:
+        candidates = [(1,), (-1,)]
+    elif dim == 2:
+        candidates = []
+        for s in nz:
+            candidates += [(-s[1], s[0]), (s[1], -s[0])]
+    else:
+        candidates = []
+        for i, s in enumerate(nz):
+            for t in nz[i + 1:] + [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+                c = (s[1] * t[2] - s[2] * t[1], s[2] * t[0] - s[0] * t[2],
+                     s[0] * t[1] - s[1] * t[0])
+                if any(c):
+                    candidates += [c, tuple(-x for x in c)]
+    for u in candidates:
+        if all(sum(a * b for a, b in zip(u, s)) <= 0 for s in nz):
+            return u
+    return None
+
+
+@st.composite
+def supports(draw):
+    """Random 1-3D supports; about half are folded into a half-space."""
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([3, 10 ** 7]))
+    coords = st.tuples(*[st.integers(-scale, scale)] * dim)
+    vectors = draw(st.lists(coords, min_size=1, max_size=40, unique=True))
+    if draw(st.booleans()):
+        normal = draw(coords.filter(any))
+        vectors = [s if sum(a * b for a, b in zip(normal, s)) <= 0 else tuple(-c for c in s)
+                   for s in vectors]
+    return vectors, dim
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(supports())
+def test_separating_direction_matches_reference(case):
+    vectors, dim = case
+    assert _separating_direction(vectors, dim) == reference_separating_direction(vectors, dim)
+
+
+def test_separating_direction_blocks_keep_enumeration_order():
+    # 60 atoms in 3D give about 3900 candidates; folded into the half-space
+    # below, the first passing one is candidate 3032, in the sixth block
+    rng = np.random.default_rng(10)
+    vectors = [tuple(int(c) for c in v) for v in rng.integers(-6, 7, size=(60, 3)) if any(v)]
+    normal = rng.integers(-3, 4, size=3)
+    cone = [v if np.dot(normal, v) <= 0 else tuple(-c for c in v) for v in vectors]
+    assert _separating_direction(cone, 3) == reference_separating_direction(cone, 3) \
+        == (28, 2, -44)
+    assert _separating_direction(vectors, 3) is None
+
+
+def test_separating_direction_exact_beyond_int64():
+    # coordinates near 1e7 make u.s reach 1e21: int64 products would wrap
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        vectors = [tuple(int(c) for c in v) for v in rng.integers(-10 ** 7, 10 ** 7, size=(5, 3))]
+        if rng.random() < 0.5:
+            normal = rng.integers(-3, 4, size=3)
+            vectors = [v if sum(int(a) * b for a, b in zip(normal, v)) <= 0
+                       else tuple(-c for c in v) for v in vectors]
+        assert _separating_direction(vectors, 3) == reference_separating_direction(vectors, 3)
 
 
 def test_irreducibility_finite(z6_group, z6_law, s3_law):

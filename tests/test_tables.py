@@ -1,10 +1,11 @@
-"""The dense transition kernel against a per-point reference.
+"""The dense kernels against a per-point reference.
 
 The reference below is the pointwise definition, one math.fsum per
 point over the law's atoms, written independently of rwalk.tables.  The
 kernel sums the same terms in atom order instead, so the two agree to a
 few ulps of values that are O(1): residuals and hitting probabilities
-are compared with abs 1e-15.
+are compared with abs 1e-15.  The dense n-step laws are compared with
+Law.power, the dictionary convolution, to the same tolerance.
 """
 
 import math
@@ -18,13 +19,14 @@ from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
                    check_dual_invariance, check_measure_invariance,
                    check_translation_invariance, hitting_dp,
                    invariant_measure_table, mgf, verify_r_invariance)
-from rwalk.groups import Lattice
+from rwalk.groups import FiniteGroup, Lattice
 from rwalk.spectral import LatticeExponential, TrivialExponential
-from rwalk.tables import step
+from rwalk.tables import powers, step, support_span
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                            database=None)
 DP_STEPS = {1: 10, 2: 5, 3: 3}  # keeps the pure-Python reference DP small
+POWER_STEPS = {1: 6, 2: 4, 3: 3}  # keeps the dictionary Law.power small
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,33 @@ def test_hitting_layers_match_pointwise_reference(case, data):
         assert max(abs(layer[x] - v) for x, v in expected.items()) <= 1e-15
 
 
+def assert_powers_match(law, n_max):
+    """tables.powers against Law.power: every atom, and zero off the support."""
+    if isinstance(law.group, FiniteGroup):
+        index = lambda x, n: x
+    else:
+        lo, _ = support_span(law)
+        index = lambda x, n: tuple(c - n * l for c, l in zip(x, lo))
+    for n, dense in enumerate(powers(law, n_max), start=1):
+        expected = np.zeros(dense.shape)
+        for x, p in law.power(n).atoms.items():
+            expected[index(x, n)] = p
+        assert np.max(np.abs(dense - expected)) <= 1e-15
+
+
+@KERNEL_SETTINGS
+@given(lattice_laws())
+def test_dense_powers_match_law_power(case):
+    law, _ = case
+    assert_powers_match(law, POWER_STEPS[law.group.dim])
+
+
+def test_dense_powers_lopsided_support(z1, z2):
+    # supports not centred on the origin: the box grows unevenly per side
+    assert_powers_match(Law(z1, {(-1,): 0.1, (0,): 0.2, (1,): 0.3, (2,): 0.4}), 8)
+    assert_powers_match(Law(z2, {(2, 0): 0.5, (1, 1): 0.25, (0, -1): 0.25}), 5)
+
+
 def test_step_is_translation_exact(drift2d, z2):
     # the same array on two boxes: outputs are equal bit for bit
     f = FunctionTable.tabulate(z2, lambda x: np.cos(x[0]) + x[1] ** 2,
@@ -152,6 +181,19 @@ def test_finite_step_matches_pointwise_reference(s3_skew):
         for x in s3_skew.group.elements():
             ref = math.fsum(p * f(mul(x, u)) for u, p in law.atoms.items())
             assert out[x] == pytest.approx(ref, abs=1e-15)
+
+
+def test_finite_dense_powers_use_right_multiplication(s3_skew):
+    assert_powers_match(s3_skew, 8)
+    # stepping the law itself gathers f(z u), the law of X_n u^-1: for this
+    # asymmetric law a different one, which the comparison above would catch
+    f = np.eye(6)[s3_skew.group.identity()]
+    worst = 0.0
+    for n in range(1, 4):
+        f = step(s3_skew, f, 0)
+        law_n = s3_skew.power(n)
+        worst = max(worst, max(abs(f[x] - law_n.atoms.get(x, 0.0)) for x in range(6)))
+    assert worst > 0.01
 
 
 def test_finite_residuals_match_pointwise_reference(s3_skew):

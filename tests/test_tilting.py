@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rwalk import (NotNormalized, check_dual_invariance,
-                   check_measure_invariance, check_symmetric_degeneracy,
-                   check_tilted_powers, find_exponential,
-                   invariant_measure_table, tilt, tilt_from_spectral)
-from rwalk.spectral import LatticeExponential
+from rwalk import (ExponentOverflow, Law, NotNormalized, WindowExceeded,
+                   check_dual_invariance, check_measure_invariance,
+                   check_symmetric_degeneracy, check_tilted_powers,
+                   find_exponential, invariant_measure_table, tilt,
+                   tilt_from_spectral)
+from rwalk.spectral import LatticeExponential, mgf
+from rwalk.tables import DENSE_CELL_LIMIT
 
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
 LAZY_R = 1.0 / LAZY_RHO
@@ -90,6 +92,30 @@ def test_power_identity_corpus(asymmetric_corpus):
 def test_power_identity_lazy_deep(lazy_drift):
     tw = tilt_from_spectral(lazy_drift)
     assert check_tilted_powers(tw, 8) <= 1e-12
+
+
+def test_power_identity_box_limit(z3):
+    # a 40-step jump makes the 10-step box 801^3 cells: refused before allocating
+    atoms = {(1, 0, 0): .15, (-1, 0, 0): .15, (0, 1, 0): .15, (0, -1, 0): .15,
+             (0, 0, 1): .15, (0, 0, -1): .15, (40, 40, 40): .05, (-40, -40, -40): .05}
+    tw = tilt_from_spectral(Law(z3, atoms))
+    with pytest.raises(WindowExceeded, match=str(801 ** 3)):
+        check_tilted_powers(tw, 10)
+    assert 801 ** 3 > DENSE_CELL_LIMIT >= 81 ** 3
+    assert check_tilted_powers(tw, 1) <= 1e-14
+
+
+def test_power_identity_guard_only_where_the_walk_reaches(drift2d, bernoulli):
+    # theta.x = 800 at the box corner (10, 10), which 10 nearest-neighbour
+    # steps cannot reach; every reachable point stays at or below 400
+    theta = (40.0, 40.0)
+    tw = tilt(drift2d, LatticeExponential(theta), 1.0 / mgf(drift2d, theta))
+    assert check_tilted_powers(tw, 10) <= 1e-12
+    # theta.x = 800 at x = 10, where the walk does go
+    tw = tilt(bernoulli, LatticeExponential((80.0,)), 1.0 / mgf(bernoulli, (80.0,)))
+    assert check_tilted_powers(tw, 8) <= 1e-12
+    with pytest.raises(ExponentOverflow):
+        check_tilted_powers(tw, 10)
 
 
 def test_dual_invariance_corpus(asymmetric_corpus):
