@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from .errors import (DegenerateSupport, NotIrreducible, NotNormalized,
@@ -20,7 +23,8 @@ from .errors import (DegenerateSupport, NotIrreducible, NotNormalized,
 from .groups import FiniteGroup, Lattice
 from .laws import Law, default_window
 from .recurrence import (build_recurrence_report,
-                         check_translation_invariance, simulate_harris)
+                         check_translation_invariance, simulate_harris,
+                         worker_count)
 from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
                        parse_walk_spec)
 from .spectral import check_dual_spectral_radius, find_exponential
@@ -146,7 +150,9 @@ def _window_for(spec: WalkSpec):
 
 
 def _report_skeleton(path: str, spec: WalkSpec) -> dict:
-    return {"tool": {"name": "rwalk", "version": __version__},
+    return {"tool": {"name": "rwalk", "version": __version__,
+                     "workers": worker_count(), "numpy": np.__version__,
+                     "python": platform.python_version()},
             "spec": {"path": path, "group": _group_json(spec.group),
                      "law": _law_json(spec.law),
                      "options": _options_json(spec.options)},
@@ -367,6 +373,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    try:
+        worker_count()  # a bad RWALK_THREADS is a usage error, before any work
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

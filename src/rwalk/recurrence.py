@@ -16,6 +16,22 @@ decide from finitely many terms:
 
 plus the exact hitting-probability dynamic program used for the
 translation-invariance identity h^{yB}(yx) = h^B(x).
+
+The Monte Carlo kernels step dense (trajectories, steps) blocks.  Each
+row is filled from its own trajectory's stream in order, so the draws
+are those of one random(horizon) call per trajectory, and an atom index
+is a comparison sum over the cumulative probabilities (searchsorted above
+_COMPARE_ATOMS atoms).  On a lattice a position is one int64 mixed-radix
+key, sum_k x_k W_k with radix 2*horizon*r_k + 1 on axis k (r_k the
+largest |atom coordinate|), which is injective on every reachable
+position: a walk is one 1-D cumsum of atom keys and a hit is one key
+comparison.  Targets out of reach are dropped first, since their keys
+could equal reachable ones, and axes whose radix product would pass 2^63
+get a key of their own.  The end position is decoded from the final key.
+On a finite group a step is one lookup in a table whose extra absorbing
+state stands for "has hit"; a trajectory stops drawing after the block of
+its first hit, and a chunk stops once all its trajectories have hit.  Only
+first hits count, so neither changes a result.
 """
 
 from __future__ import annotations
@@ -44,6 +60,16 @@ GROWTH_TRANSIENT = 1.05
 WIDE_SUPPORT_RADIUS = 8
 
 _MC_CHUNK = 256  # fixed chunk size so results never depend on worker count
+# Monte Carlo blocks: lattice rows are stepped 16 trajectories x 1024 steps
+# at a time, finite-group rows a whole chunk x 64 steps; either way a
+# block of doubles is 128 KiB per worker.
+_LATTICE_ROWS = 16
+_BLOCK_STEPS = 1024
+_FINITE_STEPS = 64
+# The comparison sum costs K-1 passes, searchsorted one branchy pass that
+# grows with log K; measured they cross near 160 atoms.  uint8 indices
+# need K <= 256.
+_COMPARE_ATOMS = 128
 
 
 class Verdict(str, Enum):
@@ -250,7 +276,11 @@ def worker_count(requested: int | None = None) -> int:
         return max(1, requested)
     env = os.environ.get("RWALK_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"RWALK_THREADS must be an integer number of worker "
+                             f"threads, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -259,43 +289,120 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _atom_index(cum, u):
+    """Atom drawn by each uniform u: the first k with u < cum[k], the last
+    atom if cumulative rounding leaves cum[-1] below u.  This equals
+    clip(searchsorted(cum, u, "right"), 0, K-1); below _COMPARE_ATOMS atoms
+    the sum of K-1 comparisons is the faster way to compute it."""
+    if len(cum) > _COMPARE_ATOMS:
+        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    idx = np.zeros(u.shape, dtype=np.uint8)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
+
+
+def _draw_blocks(rngs, horizon, buf):
+    """Yield each trajectory's next uniforms as rows of (len(rngs), block)
+    views of buf, one time block at a time.  A row is filled from its
+    own stream in order, so the draws are those of one random(horizon).
+    The caller may shrink rngs between blocks to drop finished rows."""
+    for t0 in range(0, horizon, buf.shape[1]):
+        block = buf[:len(rngs), :min(buf.shape[1], horizon - t0)]
+        for rng, row in zip(rngs, block):
+            rng.random(out=row)
+        yield block
+
+
+def _key_weights(reach):
+    """Mixed-radix weights, one row per group of axes: axis k has radix
+    2*reach[k] + 1, so sum_k x_k W_k is injective on |x_k| <= reach[k].
+    An axis opens a new group when the group's radix product would pass
+    2^63, so every key of a reachable position fits in an int64."""
+    groups, prod = [], 0
+    for k, m in enumerate(2 * int(r) + 1 for r in reach):
+        if not groups or prod * m >= 2 ** 63:
+            groups.append([0] * len(reach))
+            prod = 1
+        groups[-1][k] = prod
+        prod *= m
+    return np.array(groups, dtype=np.int64)
+
+
 def _chunk_lattice(law_elems, cum, targets, horizon, seed, indices):
     dim = law_elems.shape[1]
+    reach = horizon * np.abs(law_elems).max(axis=0)
+    weights = _key_weights(reach)
+    atom_keys = (law_elems @ weights.T).T                  # (groups, K)
+    # a target out of reach on some axis would alias a reachable key
+    tvecs = [t for t in targets if all(abs(c) <= m for c, m in zip(t, reach))]
+    target_keys = np.array(tvecs, dtype=np.int64).reshape(-1, dim) @ weights.T
+    buf = np.empty((_LATTICE_ROWS, _BLOCK_STEPS))
     hits = 0
+    ends = np.empty((len(weights), len(indices)), dtype=np.int64)
+    for s in range(0, len(indices), _LATTICE_ROWS):
+        rngs = [_trajectory_rng(seed, i) for i in indices[s:s + _LATTICE_ROWS]]
+        live = np.full(len(rngs), len(target_keys) > 0)   # not yet hit
+        at = np.zeros((len(weights), len(rngs), 1), dtype=np.int64)
+        for u in _draw_blocks(rngs, horizon, buf):
+            path = atom_keys.take(_atom_index(cum, u), axis=1)
+            path[:, :, :1] += at
+            np.cumsum(path, axis=2, out=path)
+            at = path[:, :, -1:]
+            if live.any():
+                hit = np.zeros(len(rngs), dtype=bool)
+                for tk in target_keys:
+                    hit |= (path == tk[:, None, None]).all(axis=0).any(axis=1)
+                hits += int(np.count_nonzero(hit & live))
+                live &= ~hit
+        ends[:, s:s + len(rngs)] = at[:, :, 0]
+    # exact end positions, summed in trajectory order so the float sums
+    # do not depend on the block shape
     disp_sum = np.zeros(dim)
     disp_sq = np.zeros(dim)
-    kmax = len(cum) - 1
-    tvecs = [np.asarray(t, dtype=np.int64) for t in targets]
-    for i in indices:
-        rng = _trajectory_rng(seed, i)
-        idx = np.searchsorted(cum, rng.random(horizon), side="right")
-        np.clip(idx, 0, kmax, out=idx)
-        pos = np.cumsum(law_elems[idx], axis=0)
-        hit = any((pos == t).all(axis=1).any() for t in tvecs)
-        hits += hit
-        disp = pos[-1].astype(float)
-        disp_sum += disp
-        disp_sq += disp * disp
+    for d in _decode_keys(ends, weights, reach).astype(float):
+        disp_sum += d
+        disp_sq += d * d
     return hits, disp_sum, disp_sq
 
 
+def _decode_keys(keys, weights, reach):
+    """Positions (n, dim) from their keys (groups, n): the inverse of
+    x -> x @ weights.T on the box |x_k| <= reach[k]."""
+    pos = np.empty((keys.shape[1], len(reach)), dtype=np.int64)
+    for key, w in zip(keys, weights):
+        digits = key + int(w @ reach)      # every digit x_k + reach[k] >= 0
+        for k in np.flatnonzero(w):
+            pos[:, k] = digits // w[k] % (2 * reach[k] + 1) - reach[k]
+    return pos
+
+
 def _chunk_finite(cayley, elems, cum, targets, horizon, seed, start_state, indices):
-    kmax = len(cum) - 1
-    is_target = np.zeros(len(cayley), dtype=bool)
+    order, n_atoms = len(cayley), len(elems)
+    is_target = np.zeros(order, dtype=bool)
     is_target[list(targets)] = True
-    n = len(indices)
-    incs = np.empty((n, horizon), dtype=np.int64)
-    for j, i in enumerate(indices):
-        rng = _trajectory_rng(seed, i)
-        idx = np.searchsorted(cum, rng.random(horizon), side="right")
-        np.clip(idx, 0, kmax, out=idx)
-        incs[j] = elems[idx]
-    state = np.full(n, start_state, dtype=np.int64)
-    hit = np.zeros(n, dtype=bool)
-    for t in range(horizon):
-        state = cayley[state, incs[:, t]]
-        hit |= is_target[state]
-    return int(hit.sum()), None, None
+    # one absorbing state, `order`, that every step onto a target enters;
+    # states are stored premultiplied by K so a step is one flat take
+    after = cayley[:, elems]
+    table = np.full((order + 1, n_atoms), order)
+    table[:order] = np.where(is_target[after], order, after)
+    table = (table * n_atoms).ravel()
+    absorbed = order * n_atoms
+    rngs = [_trajectory_rng(seed, i) for i in indices]
+    state = np.full(len(rngs), start_state * n_atoms)
+    buf = np.empty((len(rngs), _FINITE_STEPS))
+    hits = 0
+    for u in _draw_blocks(rngs, horizon, buf):
+        for col in _atom_index(cum, u).T:
+            state = table.take(state + col)
+        # only first hits count: drop those rows and their streams
+        done = state == absorbed
+        hits += int(done.sum())
+        rngs[:] = [rng for rng, d in zip(rngs, done) if not d]
+        state = state[~done]
+        if not rngs:
+            break
+    return hits, None, None
 
 
 def simulate_harris(law: Law, target, trajectories: int, horizon: int,
@@ -329,6 +436,8 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
         raise ValueError("target set must be nonempty")
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     for t in targets:
         law.group.validate_element(t)
 

@@ -1,11 +1,14 @@
 import json
 import math
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rwalk import parse_walk_spec
 from rwalk.cli import main
+from rwalk.recurrence import worker_count
 
 from conftest import FIXTURES
 
@@ -276,6 +279,10 @@ def test_simulate_report_and_determinism(capsys, tmp_path):
     assert a["recurrence"]["mc"]["seed"] == 9
     assert a["recurrence"]["verdict"] in \
         ("RRecurrentHeuristic", "TransientHeuristic", "Inconclusive")
+    tool = a["tool"]
+    assert tool["workers"] == worker_count() >= 1
+    assert tool["numpy"] == np.__version__
+    assert tool["python"] == platform.python_version()
 
 
 def test_simulate_zero_trajectories_rejected(capsys):
@@ -328,6 +335,17 @@ def test_simulate_thread_env_does_not_change_results(tmp_path, monkeypatch):
     b = json.loads(out2.read_text())["recurrence"]["mc"]
     assert a["return_fraction"] == b["return_fraction"]
     assert a.get("mean_displacement") == b.get("mean_displacement")
+
+
+def test_bad_thread_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RWALK_THREADS", "abc")
+    for command in (["simulate", fixture("bernoulli_025.spec"), "--trajectories", "10",
+                     "--horizon", "10"], ["analyze", fixture("bernoulli_025.spec")]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "RWALK_THREADS" in err and "integer" in err and "'abc'" in err
+        assert "Traceback" not in err
 
 
 def test_simulate_target_flag(capsys):

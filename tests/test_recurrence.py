@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwalk import (HorizonTooLarge, InsufficientData, Law, LatticeBox,
                    RMismatch, Verdict, WindowExceeded,
@@ -10,6 +12,9 @@ from rwalk import (HorizonTooLarge, InsufficientData, Law, LatticeBox,
                    estimate_rho, find_exponential, hitting_dp,
                    r_recurrence_test, return_series, simulate_harris,
                    tilt_from_spectral)
+from rwalk.recurrence import (_COMPARE_ATOMS, _atom_index, _chunk_finite,
+                              _chunk_lattice, _decode_keys, _key_weights,
+                              _trajectory_rng)
 
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
@@ -318,8 +323,182 @@ def test_simulate_matches_exact_dp_at_short_horizon(bernoulli):
     assert abs(res.return_fraction - exact) <= max(3.0 * res.ci_halfwidth, 0.02)
 
 
-def test_simulate_argument_validation(bernoulli):
+def test_simulate_argument_validation(bernoulli, z6_law):
     with pytest.raises(ValueError):
         simulate_harris(bernoulli, set(), 10, 10, seed=0)
     with pytest.raises(ValueError):
         simulate_harris(bernoulli, {(0,)}, 0, 10, seed=0)
+    for law, target in ((bernoulli, {(0,)}), (z6_law, {0})):
+        for horizon in (0, -3):
+            with pytest.raises(ValueError, match="horizon must be >= 1"):
+                simulate_harris(law, target, 10, horizon, seed=0)
+
+
+# ----------------------------------------------- Monte Carlo block kernels
+#
+# The references below step one trajectory at a time: one searchsorted
+# over the whole horizon, then an (H, d) cumsum of positions and a
+# per-target all-axes test on a lattice, or one Cayley lookup per step on
+# a finite group.  The block kernels must agree with them bit for bit.
+
+def reference_chunk_lattice(law_elems, cum, targets, horizon, seed, indices):
+    dim = law_elems.shape[1]
+    hits = 0
+    disp_sum = np.zeros(dim)
+    disp_sq = np.zeros(dim)
+    kmax = len(cum) - 1
+    tvecs = [np.asarray(t, dtype=np.int64) for t in targets]
+    for i in indices:
+        rng = _trajectory_rng(seed, i)
+        idx = np.searchsorted(cum, rng.random(horizon), side="right")
+        np.clip(idx, 0, kmax, out=idx)
+        pos = np.cumsum(law_elems[idx], axis=0)
+        hits += any((pos == t).all(axis=1).any() for t in tvecs)
+        disp = pos[-1].astype(float)
+        disp_sum += disp
+        disp_sq += disp * disp
+    return hits, disp_sum, disp_sq
+
+
+def reference_chunk_finite(cayley, elems, cum, targets, horizon, seed, start, indices):
+    is_target = np.zeros(len(cayley), dtype=bool)
+    is_target[list(targets)] = True
+    hits = 0
+    for i in indices:
+        rng = _trajectory_rng(seed, i)
+        idx = np.minimum(np.searchsorted(cum, rng.random(horizon), side="right"),
+                         len(cum) - 1)
+        state = start
+        for inc in elems[idx]:
+            state = cayley[state, inc]
+            if is_target[state]:
+                hits += 1
+                break
+    return hits, None, None
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 6, _COMPARE_ATOMS, _COMPARE_ATOMS + 1, 300])
+def test_atom_index_matches_clipped_searchsorted(n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    cum = np.cumsum(rng.random(n_atoms) + 0.01)
+    cum /= cum[-1]
+    cum[-1] = np.nextafter(1.0, 0.0) if n_atoms > 1 else 0.5  # room above cum[-1]
+    u = np.concatenate([rng.random(4000), cum, np.nextafter(cum, 0.0),
+                        [0.0, np.nextafter(1.0, 0.0)]]).reshape(2, -1)
+    want = np.clip(np.searchsorted(cum, u, side="right"), 0, n_atoms - 1)
+    got = _atom_index(cum, u)
+    assert got.shape == u.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("reach", [(0,), (7,), (5, 0), (3, 9, 4),
+                                   (2_000_000,) * 3, (2 ** 40, 3)])
+def test_key_weights_roundtrip(reach):
+    reach = np.array(reach, dtype=np.int64)
+    weights = _key_weights(reach)
+    assert np.array_equal(np.count_nonzero(weights, axis=0), [1] * len(reach))
+    for w in weights:
+        assert math.prod(2 * int(r) + 1 for r, x in zip(reach, w) if x) < 2 ** 63
+    corners = np.array(list(product(*[(-r, 0, r) for r in reach])), dtype=np.int64)
+    rng = np.random.default_rng(len(reach))
+    inner = np.stack([rng.integers(-r, r + 1, 200) for r in reach], axis=1)
+    pos = np.concatenate([corners, inner])
+    keys = weights @ pos.T
+    assert np.array_equal(_decode_keys(keys, weights, reach), pos)
+
+
+def test_key_weights_split_axes_past_int64():
+    # (2*2e6 + 1)^3 > 2^63: the third axis needs a group of its own
+    weights = _key_weights(np.array([2_000_000] * 3))
+    assert weights.tolist() == [[1, 4_000_001, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("law_name", ["simple_symmetric", "symmetric2d", "drift2d"])
+def test_chunk_lattice_across_time_blocks_matches_reference(law_name, request):
+    # 2500 steps span three time blocks; recurrent walks hit in several
+    law = request.getfixturevalue(law_name)
+    elems = np.array(list(law.atoms), dtype=np.int64)
+    cum = np.cumsum(list(law.atoms.values()))
+    origin = law.group.identity()
+    for targets in ({origin}, {origin, tuple(elems[0] * 40)}):
+        got = _chunk_lattice(elems, cum, targets, 2500, 8, range(100, 160))
+        want = reference_chunk_lattice(elems, cum, targets, 2500, 8, range(100, 160))
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+def test_chunk_lattice_with_split_keys_matches_reference():
+    # reach 3e8 per axis: (6e8 + 1)^3 > 2^63, so z gets a key of its own
+    big = 10 ** 6
+    elems = np.array([(big, 0, 0), (0, big, 0), (0, 0, big), (-big, -big, -big)])
+    cum = np.cumsum([0.3, 0.3, 0.2, 0.2])
+    assert len(_key_weights(300 * np.abs(elems).max(axis=0))) == 2
+    targets = {(big, 0, 0), (0, big, big), (0, 0, 0), (301 * big, 0, 0)}
+    got = _chunk_lattice(elems, cum, targets, 300, 3, range(40))
+    want = reference_chunk_lattice(elems, cum, targets, 300, 3, range(40))
+    assert got[0] == want[0] > 0
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@st.composite
+def lattice_walks(draw):
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    if draw(st.booleans()):
+        # wide enough that the three-axis key no longer fits in an int64
+        coord = st.integers(-10 ** 6, 10 ** 6)
+    atoms = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=20,
+                          unique=True))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(atoms),
+                            max_size=len(atoms)))
+    horizon = draw(st.integers(1, 300))
+    # targets: short sums of atoms (hit now and then) and arbitrary points,
+    # some beyond every walk's reach
+    sums = draw(st.lists(st.lists(st.sampled_from(atoms), min_size=1, max_size=3),
+                         max_size=3))
+    points = draw(st.lists(st.tuples(*[st.integers(-4 * 10 ** 8, 4 * 10 ** 8)] * dim),
+                           max_size=2))
+    targets = {tuple(int(c) for c in np.sum(s, axis=0)) for s in sums} | set(points)
+    if not targets:
+        targets = {(0,) * dim}
+    start = draw(st.integers(0, 10 ** 6))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2 ** 32))
+    return atoms, weights, targets, horizon, seed, range(start, start + n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lattice_walks())
+def test_chunk_lattice_matches_per_trajectory_reference(walk):
+    atoms, weights, targets, horizon, seed, indices = walk
+    elems = np.array(atoms, dtype=np.int64)
+    cum = np.cumsum(np.array(weights) / sum(weights))
+    got = _chunk_lattice(elems, cum, targets, horizon, seed, indices)
+    want = reference_chunk_lattice(elems, cum, targets, horizon, seed, indices)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_chunk_finite_matches_per_trajectory_reference(data, s3_group):
+    if data.draw(st.booleans()):
+        cayley = s3_group.cayley_array
+    else:
+        order = data.draw(st.integers(1, 12))
+        cayley = np.add.outer(np.arange(order), np.arange(order)) % order
+    size = len(cayley)
+    elems = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size,
+                               unique=True))
+    weights = data.draw(st.lists(st.integers(1, 20), min_size=len(elems),
+                                 max_size=len(elems)))
+    targets = data.draw(st.sets(st.integers(0, size - 1), min_size=1))
+    horizon = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    start = data.draw(st.integers(0, 10 ** 6))
+    indices = range(start, start + data.draw(st.integers(1, 60)))
+    cum = np.cumsum(np.array(weights) / sum(weights))
+    args = (cayley, np.array(elems, dtype=np.int64), cum, targets, horizon, seed,
+            0, indices)
+    assert _chunk_finite(*args) == reference_chunk_finite(*args)
