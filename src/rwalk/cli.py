@@ -312,6 +312,9 @@ def cmd_simulate(args) -> int:
     if horizon < 1:
         print("--horizon must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.series_horizon is not None and args.series_horizon < 1:
+        print("--series-horizon must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     target = (parse_element_set(args.target, spec.group) if args.target
               else frozenset({spec.group.identity()}))
 

@@ -17,6 +17,16 @@ decide from finitely many terms:
 plus the exact hitting-probability dynamic program used for the
 translation-invariance identity h^{yB}(yx) = h^B(x).
 
+On a lattice the series convolves on the walk's parity coset when it has
+one: if a.u is odd for every atom u and some a in {0,1}^d, X_n lies in
+a.x = n (mod 2), and the coordinates c_j = (a.x - n)/2 (other axes
+unchanged) turn each atom into a fixed shift while the box along axis j
+shrinks to about half.  Every cell equals the x-coordinate convolution
+bit for bit (the cells left out held exact zeros), odd-n returns are
+exact zeros and are not computed, and only the pairing sums p(2n) add
+the same nonzero products in another layout, so they can differ from
+an x-coordinate sum in the last few ulps.
+
 The Monte Carlo kernels step dense (trajectories, steps) blocks.  Each
 row is filled from its own trajectory's stream in order, so the draws
 are those of one random(horizon) call per trajectory, and an atom index
@@ -36,6 +46,7 @@ first hits count, so neither changes a result.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +59,7 @@ from .errors import (HorizonTooLarge, InsufficientData, RMismatch,
                      WindowExceeded)
 from .groups import FiniteGroup, Lattice
 from .laws import Law
-from .tables import FunctionTable, LatticeBox, convolve, step, support_span
+from .tables import FunctionTable, LatticeBox, convolve, step
 
 HORIZON_CAP = {1: 5000, 2: 600, 3: 120}
 HORIZON_CAP_FINITE = 10_000
@@ -108,16 +119,52 @@ def _paired_origin_mass(f, lo_f, g, lo_g):
     return float(np.sum(f[f_sl] * np.flip(g[g_sl])))
 
 
+def _coset_frame(law: Law):
+    """Coordinates in which the walk's n-step laws fill half-size boxes.
+
+    Returns (shifts, a, j).  `a` is the first a in {0,1}^d, a != 0, with
+    a.u odd for every atom u, or None: with it every step flips the parity
+    of a.x, so X_n lies in the coset a.x = n (mod 2) and no odd n returns.
+    On that coset c_k = x_k for k != j and c_j = (a.x - n)/2 are integer
+    coordinates in which atom u is the fixed shift s_k = u_k, s_j =
+    (a.u - 1)/2.  j is the widest axis with a_j = 1, or None when the
+    sheared span (max a.u - min a.u)/2 would not be narrower than that
+    axis (then the shifts are the atoms themselves).  `shifts` is an
+    (atoms, d) int64 array in the law's canonical atom order.
+    """
+    elems = np.array(list(law.atoms), dtype=np.int64)
+    for a in itertools.product((0, 1), repeat=elems.shape[1]):
+        au = elems @ np.array(a)
+        if any(a) and np.all(au % 2 == 1):
+            break
+    else:
+        return elems, None, None
+    width = elems.max(axis=0) - elems.min(axis=0)
+    j = max((k for k in range(len(a)) if a[k]), key=lambda k: width[k])
+    if (au.max() - au.min()) // 2 >= width[j]:
+        return elems, a, None
+    shifts = elems.copy()
+    shifts[:, j] = (au - 1) // 2
+    return shifts, a, j
+
+
 def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
     """Exact convolution powers, paired around the midpoint.
 
     Since increments are i.i.d., p(m + n) = sum_x P(X_m = x) P(X_n = -x);
     reading p(2n) and p(2n+1) off consecutive half-way distributions keeps
     every value exact convolution arithmetic while the dense arrays only
-    grow to half the horizon.
+    grow to half the horizon.  The arrays live in _coset_frame's
+    coordinates, where -x at step n pairs with c at step m as
+    -c - ((m + n)/2) e_j, and p(odd) = 0 is not computed on a period-2 walk.
     """
     dim = law.group.dim
-    span = support_span(law)
+    shifts, a, j = _coset_frame(law)
+    atoms = list(zip(map(tuple, shifts.tolist()), law.atoms.values()))
+    span = shifts.min(axis=0), shifts.max(axis=0)
+    pair_offset = np.zeros(dim, dtype=np.int64)   # p(k) moves g's corner by k/2 of it
+    if j is not None:
+        pair_offset[j] = 1
 
     arr = np.ones((1,) * dim)
     lo = np.zeros(dim, dtype=np.int64)
@@ -125,12 +172,13 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
     probs[0] = 1.0
     worst_mass = 0.0
     for n in range(horizon // 2 + 1):
-        if 2 * n <= horizon and n >= 1:
-            probs[2 * n] = _paired_origin_mass(arr, lo, arr, lo)
+        if n >= 1:
+            probs[2 * n] = _paired_origin_mass(arr, lo, arr, lo + n * pair_offset)
         if 2 * n + 1 <= horizon:
-            nxt, nxt_lo = convolve(law, arr, span), lo + span[0]
+            nxt, nxt_lo = convolve(atoms, arr, span), lo + span[0]
             worst_mass = max(worst_mass, abs(float(nxt.sum()) - 1.0))
-            probs[2 * n + 1] = _paired_origin_mass(arr, lo, nxt, nxt_lo)
+            if a is None:
+                probs[2 * n + 1] = _paired_origin_mass(arr, lo, nxt, nxt_lo)
             arr, lo = nxt, nxt_lo
     return _finish_series(probs, horizon, worst_mass)
 
@@ -138,10 +186,10 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
 def _series_finite(law: Law, horizon: int) -> ReturnSeries:
     group = law.group
     n = group.order
+    rows = np.arange(n)
     trans = np.zeros((n, n))
     for u, p in law.atoms.items():
-        for i in range(n):
-            trans[i, group.multiply(i, u)] += p
+        trans[rows, group.cayley_array[:, u]] += p
     e = group.identity()
     row = np.zeros(n)
     row[e] = 1.0
@@ -273,14 +321,19 @@ class HarrisResult:
 
 def worker_count(requested: int | None = None) -> int:
     if requested is not None:
-        return max(1, requested)
+        if requested < 1:
+            raise ValueError(f"workers must be >= 1, got {requested!r}")
+        return requested
     env = os.environ.get("RWALK_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
-            raise ValueError(f"RWALK_THREADS must be an integer number of worker "
-                             f"threads, got {env!r}") from None
+            count = 0  # reported below, like a non-positive count
+        if count < 1:
+            raise ValueError(f"RWALK_THREADS must be a positive integer number of "
+                             f"worker threads, got {env!r}")
+        return count
     return os.cpu_count() or 1
 
 

@@ -14,7 +14,9 @@ box sits, which keeps translated computations exactly comparable.
 
 `convolve` is the forward counterpart on a lattice: from the law of X on
 a box it builds the law of X + u, u ~ law, on the box grown by one
-step's span, as shifted scaled adds in atom order, flushing cells below
+step's span, as shifted scaled adds in the order the caller passes the
+atoms (the law's canonical order; the return series passes the same
+atoms as shifts in its coset coordinates), flushing cells below
 UNDERFLOW_FLOOR to zero as Law.convolve drops such atoms.  (On a finite
 group the same step is `step` with the reversed law.)  `powers` iterates
 either one to give the n-step laws as dense arrays.  Dense n-step boxes
@@ -167,17 +169,18 @@ def support_span(law) -> tuple:
     return elems.min(axis=0), elems.max(axis=0)
 
 
-def convolve(law, values: np.ndarray, span: tuple) -> np.ndarray:
+def convolve(atoms, values: np.ndarray, span: tuple) -> np.ndarray:
     """One exact convolution step on a dense lattice box.
 
-    `values` is the law of X on a box; the result is the law of X + u,
-    u ~ law, on the box grown by span = (off_lo, off_hi), where
-    off_lo <= every atom <= off_hi per axis, so its corner moves by off_lo.
+    `values` is the law of X on a box; the result is the law of X + u on
+    the box grown by span = (off_lo, off_hi), where `atoms` yields the
+    (shift, mass) pairs of u in the order they are added and
+    off_lo <= every shift <= off_hi per axis, so the corner moves by off_lo.
     """
     lo = [int(l) for l in span[0]]
     shape = values.shape
     new = np.zeros(tuple(n + int(h) - l for n, l, h in zip(shape, lo, span[1])))
-    for e, p in law.atoms.items():
+    for e, p in atoms:
         new[tuple(slice(c - l, c - l + n) for c, l, n in zip(e, lo, shape))] += p * values
     tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
     if tiny.any():
@@ -205,5 +208,5 @@ def powers(law, n_max: int, span: tuple | None = None):
     span = span if span is not None else support_span(law)
     f = np.ones((1,) * group.dim)
     for _ in range(n_max):
-        f = convolve(law, f, span)
+        f = convolve(law.atoms.items(), f, span)
         yield f

@@ -1,6 +1,7 @@
 import json
 import math
 import platform
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -338,14 +339,24 @@ def test_simulate_thread_env_does_not_change_results(tmp_path, monkeypatch):
 
 
 def test_bad_thread_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("RWALK_THREADS", "abc")
-    for command in (["simulate", fixture("bernoulli_025.spec"), "--trajectories", "10",
-                     "--horizon", "10"], ["analyze", fixture("bernoulli_025.spec")]):
+    commands = (["simulate", fixture("bernoulli_025.spec"), "--trajectories", "10",
+                 "--horizon", "10"], ["analyze", fixture("bernoulli_025.spec")])
+    for env, command in product(["abc", "0", "-5"], commands):
+        monkeypatch.setenv("RWALK_THREADS", env)
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "RWALK_THREADS" in err and "integer" in err and "'abc'" in err
+        assert "RWALK_THREADS" in err and "integer" in err and repr(env) in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_simulate_bad_series_horizon_is_a_usage_error(capsys, value):
+    assert main(["simulate", fixture("bernoulli_025.spec"), "--trajectories", "10",
+                 "--horizon", "10", "--series-horizon", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "--series-horizon must be >= 1\n"
+    assert captured.out == ""
 
 
 def test_simulate_target_flag(capsys):

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwalk import (HorizonTooLarge, InsufficientData, Law, LatticeBox,
+from rwalk import (HorizonTooLarge, InsufficientData, Lattice, Law, LatticeBox,
                    RMismatch, Verdict, WindowExceeded,
                    build_recurrence_report, check_translation_invariance,
                    estimate_rho, find_exponential, hitting_dp,
                    r_recurrence_test, return_series, simulate_harris,
                    tilt_from_spectral)
+import rwalk.recurrence as recurrence
 from rwalk.recurrence import (_COMPARE_ATOMS, _atom_index, _chunk_finite,
-                              _chunk_lattice, _decode_keys, _key_weights,
-                              _trajectory_rng)
+                              _chunk_lattice, _coset_frame, _decode_keys,
+                              _key_weights, _trajectory_rng, worker_count)
+from rwalk.tables import convolve, support_span
 
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
@@ -77,6 +79,204 @@ def test_horizon_caps(bernoulli, symmetric2d, symmetric3d, z6_law):
         return_series(symmetric3d, 121)
     with pytest.raises(HorizonTooLarge):
         return_series(z6_law, 10_001)
+
+
+def test_return_series_finite_matches_multiply_table(z6_law, s3_law):
+    # the transition matrix gathered through cayley_array is the one built
+    # entry by entry with group.multiply, so the series is bit-identical
+    for law in (z6_law, s3_law):
+        group = law.group
+        trans = np.zeros((group.order, group.order))
+        for u, p in law.atoms.items():
+            for i in range(group.order):
+                trans[i, group.multiply(i, u)] += p
+        row = np.zeros(group.order)
+        row[group.identity()] = 1.0
+        want = [1.0]
+        for _ in range(300):
+            row = row @ trans
+            want.append(float(row[group.identity()]))
+        assert return_series(law, 300).probabilities == want
+
+
+# -------------------------------------------- series on the parity coset
+#
+# The reference is the lattice series as it was before the coset frame:
+# every n-step law on its full bounding box in x coordinates, and every
+# p(k) paired, odd k included.
+
+def reference_paired_origin_mass(f, lo_f, g, lo_g):
+    hi_f = lo_f + np.array(f.shape, dtype=np.int64) - 1
+    hi_g = lo_g + np.array(g.shape, dtype=np.int64) - 1
+    a = np.maximum(lo_f, -hi_g)
+    b = np.minimum(hi_f, -lo_g)
+    if np.any(a > b):
+        return 0.0
+    f_sl = tuple(slice(int(x - l), int(y - l + 1)) for x, y, l in zip(a, b, lo_f))
+    g_sl = tuple(slice(int(-y - l), int(-x - l + 1)) for x, y, l in zip(a, b, lo_g))
+    return float(np.sum(f[f_sl] * np.flip(g[g_sl])))
+
+
+def reference_series_lattice(law, horizon):
+    dim = law.group.dim
+    span = support_span(law)
+    arr = np.ones((1,) * dim)
+    lo = np.zeros(dim, dtype=np.int64)
+    probs = [0.0] * (horizon + 1)
+    probs[0] = 1.0
+    worst_mass = 0.0
+    for n in range(horizon // 2 + 1):
+        if 2 * n <= horizon and n >= 1:
+            probs[2 * n] = reference_paired_origin_mass(arr, lo, arr, lo)
+        if 2 * n + 1 <= horizon:
+            nxt, nxt_lo = convolve(law.atoms.items(), arr, span), lo + span[0]
+            worst_mass = max(worst_mass, abs(float(nxt.sum()) - 1.0))
+            probs[2 * n + 1] = reference_paired_origin_mass(arr, lo, nxt, nxt_lo)
+            arr, lo = nxt, nxt_lo
+    period = 0
+    for n, p in enumerate(probs):
+        if n >= 1 and p > 0.0:
+            period = math.gcd(period, n)
+    return probs, period, worst_mass
+
+
+def no_shear_law():
+    # {+-(1,1,1), +-e_k}: a = (1,1,1), but the sheared axis would span 3 > 2
+    atoms = [(1, 1, 1), (-1, -1, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
+             (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    return Law(Lattice(3), {u: w / 36 for u, w in zip(atoms, (3, 5, 4, 6, 2, 7, 5, 4))})
+
+
+@st.composite
+def lattice_laws(draw):
+    """Period-2 laws (a.u odd for a random a), period-1 laws with a zero
+    atom, and the no-shear law."""
+    kind = draw(st.sampled_from(["period2", "period2", "lazy", "no_shear"]))
+    if kind == "no_shear":
+        return no_shear_law()
+    dim = draw(st.integers(1, 3))
+    # unequal per-axis bounds, so the widest axis is often not the first
+    bounds = draw(st.tuples(*[st.integers(1, 3)] * dim))
+    raw = draw(st.lists(st.tuples(*[st.integers(-r, r) for r in bounds]), min_size=2,
+                        max_size=8))
+    if kind == "lazy":
+        atoms = set(raw) | {(0,) * dim}
+    else:
+        a = draw(st.tuples(*[st.integers(0, 1)] * dim).filter(any))
+        j = draw(st.sampled_from([k for k in range(dim) if a[k]]))
+        # flip the parity of a.u along an axis with a_j = 1 where it is even
+        atoms = {tuple(c + int(k == j and np.dot(a, u) % 2 == 0) for k, c in enumerate(u))
+                 for u in raw}
+    atoms = sorted(atoms)
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(atoms),
+                            max_size=len(atoms)))
+    return Law(Lattice(dim), {u: w / sum(weights) for u, w in zip(atoms, weights)})
+
+
+def test_coset_frame_on_the_fixtures(bernoulli, drift2d, symmetric3d, lazy_drift):
+    for law in (bernoulli, drift2d, symmetric3d):
+        shifts, a, j = _coset_frame(law)
+        assert a == (1,) * law.group.dim and j == 0
+        assert shifts.min(axis=0)[0] == -1 and shifts.max(axis=0)[0] == 0
+    shifts, a, j = _coset_frame(no_shear_law())
+    assert a == (1, 1, 1) and j is None
+    assert shifts.tolist() == [list(u) for u in no_shear_law().atoms]
+    assert _coset_frame(lazy_drift)[1:] == (None, None)
+    # the widest axis with a_j = 1 is sheared: here y, span 6 -> 3
+    wide_y = Law(Lattice(2), {(1, 0): .25, (-1, 0): .25, (0, 3): .25, (0, -3): .25})
+    shifts, a, j = _coset_frame(wide_y)
+    assert a == (1, 1) and j == 1
+    assert shifts[:, 1].tolist() == [-1, -2, 1, 0]   # atoms in canonical order
+
+
+def box_widths(shifts):
+    return shifts.max(axis=0) - shifts.min(axis=0)
+
+
+def assert_frame_is_smallest(law, shifts, a, j):
+    """The frame's box grows by the least of the identity and every shear
+    along an axis with a_k = 1, and it is the identity when they tie."""
+    elems = np.array(list(law.atoms), dtype=np.int64)
+    width = box_widths(elems)
+    if a is None:
+        assert np.array_equal(shifts, elems) and j is None
+        return
+    assert all(np.dot(a, u) % 2 == 1 for u in elems)
+    au = elems @ np.array(a)
+    sheared = (au.max() - au.min()) // 2
+    best = min([math.prod(width + 1)] +
+               [math.prod(width + 1) // (width[k] + 1) * (sheared + 1)
+                for k in range(len(a)) if a[k]])
+    assert math.prod(box_widths(shifts) + 1) == best
+    if j is None:
+        assert np.array_equal(shifts, elems)
+    else:
+        assert box_widths(shifts)[j] == sheared < width[j]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lattice_laws(), st.integers(1, 41))
+def test_series_lattice_matches_reference(law, horizon):
+    frame = _coset_frame(law)
+    assert_frame_is_smallest(law, *frame)
+    got = return_series(law, horizon)
+    probs, period, worst_mass = reference_series_lattice(law, horizon)
+    want = np.array(probs)
+    have = np.array(got.probabilities)
+    assert np.array_equal(have == 0.0, want == 0.0)
+    assert got.period == period
+    if frame[1] is not None:
+        assert period % 2 == 0 and not np.any(want[1::2])
+    assert np.all(np.abs(have - want) <= 16 * np.spacing(want))
+    assert abs(got.max_mass_error - worst_mass) <= 1e-15
+
+
+def assert_coset_cells_equal_dense(law, n_max, monkeypatch):
+    """Each n-step array of the series, mapped back from coset to x
+    coordinates, equals the dense x-box law cell for cell, and every cell
+    it leaves out is zero there."""
+    seen = []
+
+    def recording_convolve(atoms, values, span):
+        out = convolve(atoms, values, span)
+        seen.append((out, span[0]))
+        return out
+
+    monkeypatch.setattr(recurrence, "convolve", recording_convolve)
+    return_series(law, 2 * n_max)
+    monkeypatch.undo()
+    assert len(seen) == n_max
+    dim = law.group.dim
+    _, a, j = _coset_frame(law)
+    dense_span = support_span(law)
+    f = np.ones((1,) * dim)
+    for n, (g, g_lo) in enumerate(seen, start=1):
+        f = convolve(law.atoms.items(), f, dense_span)
+        c = [axis + int(lo) for axis, lo in zip(np.indices(g.shape), n * g_lo)]
+        x = list(c)
+        if j is not None:
+            x[j] = 2 * c[j] + n - sum(a[k] * c[k] for k in range(dim) if k != j)
+        idx = [xk - int(lo) for xk, lo in zip(x, n * dense_span[0])]
+        inside = np.all([(i >= 0) & (i < m) for i, m in zip(idx, f.shape)], axis=0)
+        assert not np.any(g[~inside])
+        hit = np.zeros(f.shape, dtype=bool)
+        hit[tuple(i[inside] for i in idx)] = True
+        assert np.array_equal(f[tuple(i[inside] for i in idx)], g[inside])
+        assert not np.any(f[~hit])
+
+
+def test_coset_cells_equal_dense_on_the_fixtures(bernoulli, drift2d, symmetric3d,
+                                                  lazy_drift, monkeypatch):
+    for law in (bernoulli, drift2d, symmetric3d, lazy_drift, no_shear_law()):
+        assert_coset_cells_equal_dense(law, 30 if law.group.dim < 3 else 16,
+                                       monkeypatch)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lattice_laws())
+def test_coset_cells_equal_dense(law):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_coset_cells_equal_dense(law, 12, monkeypatch)
 
 
 # ------------------------------------------------------------- estimator
@@ -332,6 +532,23 @@ def test_simulate_argument_validation(bernoulli, z6_law):
         for horizon in (0, -3):
             with pytest.raises(ValueError, match="horizon must be >= 1"):
                 simulate_harris(law, target, 10, horizon, seed=0)
+
+
+def test_worker_count_rejects_non_positive_counts(monkeypatch):
+    monkeypatch.delenv("RWALK_THREADS", raising=False)
+    assert worker_count(3) == 3
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            worker_count(bad)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            simulate_harris(Law(Lattice(1), {(1,): .5, (-1,): .5}), {(0,)}, 10, 10,
+                            seed=0, workers=bad)
+    for env in ("0", "-5", "abc"):
+        monkeypatch.setenv("RWALK_THREADS", env)
+        with pytest.raises(ValueError, match="RWALK_THREADS must be a positive integer"):
+            worker_count()
+    monkeypatch.setenv("RWALK_THREADS", "2")
+    assert worker_count() == 2
 
 
 # ----------------------------------------------- Monte Carlo block kernels
