@@ -18,8 +18,7 @@ from .specfile import (WalkOptions, WalkSpec, format_walk_spec,
                        parse_element_set, parse_walk_spec)
 from .spectral import (Exponential, LatticeExponential, SpectralResult,
                        TrivialExponential, check_dual_spectral_radius,
-                       find_exponential, mgf, mgf_gradient, mgf_hessian,
-                       verify_r_invariance)
+                       find_exponential, mgf, verify_r_invariance)
 from .tables import FunctionTable, LatticeBox
 from .tilting import (SymmetricDegeneracy, TiltedWalk, check_dual_invariance,
                       check_measure_invariance, check_symmetric_degeneracy,

@@ -27,7 +27,8 @@ from .recurrence import (build_recurrence_report,
                          worker_count)
 from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
                        parse_walk_spec)
-from .spectral import check_dual_spectral_radius, find_exponential
+from .spectral import (check_dual_spectral_radius, find_exponential,
+                       verify_r_invariance)
 from .tables import LatticeBox
 from .tilting import (check_dual_invariance, check_measure_invariance,
                       check_symmetric_degeneracy, check_tilted_powers, tilt)
@@ -203,7 +204,6 @@ def _run_check(name: str, spec: WalkSpec, ctx: dict, tol_override: float | None)
 
     if name == "eq1":
         closure = abs(spectral.R * spectral.rho - 1.0)
-        from .spectral import verify_r_invariance
         resid = max(closure, verify_r_invariance(law, exponential, spectral.R, window))
         return resid, tol, resid <= tol, "fixed point R*Lambda(theta*) = 1 and phi = R*P(phi)"
     if name == "eq17":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -53,9 +52,6 @@ class Law:
 
     def mass(self) -> float:
         return math.fsum(self.atoms.values())
-
-    def support(self):
-        return list(self.atoms)
 
     def support_radius(self) -> int:
         """Chebyshev radius of the support (lattice groups only)."""
@@ -118,29 +114,31 @@ class IrreducibilityResult:
     witness: str
 
 
-def _det(rows) -> int:
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        (a, b), (c, e) = rows
-        return a * e - b * c
-    (a, b, c), (p, q, r), (u, v, w) = rows
-    return a * (q * w - r * v) - b * (p * w - r * u) + c * (p * v - q * u)
-
-
 def _sublattice_index(vectors, dim: int) -> int:
     """Index of the subgroup of Z^d generated by the vectors.
 
-    Equals the gcd of all d x d minors of the stacked vector matrix;
-    0 means the vectors do not span a rank-d sublattice.
+    Integer row reduction: Euclid's algorithm on column k leaves one row
+    with a nonzero entry there, the pivot, which is set aside; the index is
+    |product of pivots|, the |det| of an echelon basis.  0 means the vectors
+    do not span a rank-d sublattice.
     """
-    g = 0
-    for rows in combinations(vectors, dim):
-        g = math.gcd(g, abs(_det(rows)))
-        if g == 1:
-            return 1
-    return g
+    rows = [list(v) for v in vectors]
+    index = 1
+    for k in range(dim):
+        while True:
+            live = [r for r in rows if r[k]]
+            if not live:
+                return 0
+            pivot = min(live, key=lambda r: abs(r[k]))
+            if len(live) == 1:
+                break
+            for r in live:
+                if r is not pivot:
+                    q = r[k] // pivot[k]
+                    r[:] = [a - q * b for a, b in zip(r, pivot)]
+        rows.remove(pivot)
+        index *= abs(pivot[k])
+    return index
 
 
 _SEPARATION_BLOCK = 512  # candidate rows tested against the support at once
@@ -205,7 +203,7 @@ def check_irreducible(law: Law) -> IrreducibilityResult:
     Finite group: breadth-first closure of the support under multiplication
     (a finite subsemigroup of a group is a subgroup, so closure suffices).
     Lattice: the semigroup is all of Z^d exactly when (a) the subgroup
-    generated by the support is Z^d (gcd of d x d minors equals 1) and
+    generated by the support is Z^d (its index is 1) and
     (b) the origin is interior to the convex hull of the support.
     """
     group = law.group

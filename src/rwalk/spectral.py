@@ -24,9 +24,11 @@ from .laws import (IrreducibilityResult, Law, _separating_direction,
 from .tables import FunctionTable, LatticeBox, invariance_residual
 
 EXP_GUARD = 700.0
-GRAD_TOL = 1e-10
 MAX_ITERATIONS = 10_000
-HESSIAN_CONDITION_CAP = 1e12
+# Newton stops once g.H^-1 g <= DECREMENT_TOL * Lambda: far below the
+# decrement one iteration before convergence, far above its rounding
+# floor of about eps^2 = 5e-32.
+DECREMENT_TOL = 1e-24
 
 
 def _guarded_exp(arg):
@@ -118,95 +120,39 @@ class SpectralResult:
     irreducibility: IrreducibilityResult
 
 
+def _lambda_pass(law: Law, theta):
+    """Lambda, its gradient and its Hessian at theta, in one pass over the atoms.
+
+    With w_x = mass(x) exp(theta.x): Lambda = sum w_x, the gradient is
+    sum w_x x and the Hessian sum w_x x x^T.  Lambda is summed exactly
+    (math.fsum) because it is reported as rho and R = 1/rho.
+    """
+    x = np.array(list(law.atoms), dtype=float)
+    w = np.fromiter(law.atoms.values(), float, len(x)) * _guarded_exp(x @ theta)
+    xw = x * w[:, None]
+    return math.fsum(w), xw.sum(axis=0), xw.T @ x
+
+
 def mgf(law: Law, theta) -> float:
     """Lambda(theta) = sum_x mass(x) exp(theta.x); convex, Lambda(0) = mass."""
     if not isinstance(law.group, Lattice):
         raise TypeError("mgf is defined for lattice laws")
-    th = tuple(float(t) for t in theta)
-    return math.fsum(p * _guarded_exp(math.fsum(t * c for t, c in zip(th, x)))
-                     for x, p in law.atoms.items())
+    return _lambda_pass(law, np.asarray(theta, dtype=float))[0]
 
 
-def mgf_gradient(law: Law, theta) -> tuple:
-    th = tuple(float(t) for t in theta)
-    dim = law.group.dim
-    parts = [[] for _ in range(dim)]
-    for x, p in law.atoms.items():
-        w = p * _guarded_exp(math.fsum(t * c for t, c in zip(th, x)))
-        for k in range(dim):
-            parts[k].append(w * x[k])
-    return tuple(math.fsum(col) for col in parts)
-
-
-def mgf_hessian(law: Law, theta) -> np.ndarray:
-    th = tuple(float(t) for t in theta)
-    dim = law.group.dim
-    h = np.zeros((dim, dim))
-    for x, p in law.atoms.items():
-        w = p * _guarded_exp(math.fsum(t * c for t, c in zip(th, x)))
-        xv = np.asarray(x, dtype=float)
-        h += w * np.outer(xv, xv)
-    return h
-
-
-def _coordinate_minimize(law: Law, theta: np.ndarray, grad_tol: float,
-                         max_iter: int, start_iter: int):
-    """Cyclic coordinate descent; fallback when the full Hessian is unusable.
-
-    Each coordinate is bracketed by golden-section down to 1e-6 (immune to
-    any conditioning trouble), then polished with scalar Newton steps using
-    the strictly positive diagonal curvature; value-comparison search alone
-    would stall at the sqrt(eps) noise floor, far above grad_tol.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    it = start_iter
-    dim = theta.size
-    gn = math.inf
-    while it < max_iter:
-        it += 1
-        for k in range(dim):
-            def along(t):
-                trial = theta.copy()
-                trial[k] = t
-                return mgf(law, trial)
-
-            a, b = theta[k] - 1.0, theta[k] + 1.0
-            # widen the bracket until the minimum is interior
-            while along(a) < along(a + 1e-9):
-                a -= b - a
-            while along(b) < along(b - 1e-9):
-                b += b - a
-            while b - a > 1e-6:
-                c = b - invphi * (b - a)
-                d = a + invphi * (b - a)
-                if along(c) <= along(d):
-                    b = d
-                else:
-                    a = c
-            theta[k] = 0.5 * (a + b)
-            for _ in range(60):
-                g = mgf_gradient(law, theta)[k]
-                if abs(g) <= 0.05 * grad_tol:
-                    break
-                h = mgf_hessian(law, theta)[k, k]
-                if h <= 0.0:
-                    break
-                theta[k] -= g / h
-        gn = math.sqrt(math.fsum(g * g for g in mgf_gradient(law, theta)))
-        if gn <= grad_tol:
-            break
-    return theta, gn, it
-
-
-def find_exponential(law: Law, theta0=None, *, grad_tol: float = GRAD_TOL,
-                     max_iter: int = MAX_ITERATIONS):
+def find_exponential(law: Law, theta0=None):
     """Minimize Lambda and return (exponential, SpectralResult).
 
     Requires an irreducible law; on a lattice the origin must additionally
     be interior to the support hull (otherwise Lambda has no interior
     minimizer and DegenerateSupport is raised).  Damped Newton with the
-    analytic Hessian; cyclic coordinate descent if the Hessian condition
-    number exceeds HESSIAN_CONDITION_CAP.
+    analytic Hessian: the step H^-1 g is halved until Lambda does not rise
+    beyond rounding, and the accepted point's gradient and Hessian serve the
+    next iteration.  The loop stops when the Newton decrement g.H^-1 g is at
+    most DECREMENT_TOL * Lambda; the decrement is affine-invariant, unlike
+    |g|, so a skewed law whose curvature is tiny along one axis is still
+    minimized along it (Boyd & Vandenberghe, Convex Optimization, 9.5.1).
+    It also stops when no halving keeps Lambda from rising.
     """
     group = law.group
     res = check_irreducible(law)
@@ -219,39 +165,32 @@ def find_exponential(law: Law, theta0=None, *, grad_tol: float = GRAD_TOL,
         rho = law.mass()
         return TrivialExponential(), SpectralResult((), rho, 1.0 / rho, 0.0, 0, res)
 
-    dim = group.dim
-    theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    val = mgf(law, theta)
-    gn = math.sqrt(math.fsum(g * g for g in mgf_gradient(law, theta)))
+    theta = np.zeros(group.dim) if theta0 is None else np.asarray(theta0, dtype=float)
+    val, grad, hess = _lambda_pass(law, theta)
     iterations = 0
-    while gn > grad_tol and iterations < max_iter:
-        iterations += 1
-        hess = mgf_hessian(law, theta)
-        cond = np.linalg.cond(hess)
-        if not np.isfinite(cond) or cond > HESSIAN_CONDITION_CAP:
-            theta, gn, iterations = _coordinate_minimize(
-                law, theta, grad_tol, max_iter, iterations)
+    while iterations < MAX_ITERATIONS:
+        step = np.linalg.solve(hess, grad)
+        if grad @ step <= DECREMENT_TOL * val:
             break
-        step = np.linalg.solve(hess, np.asarray(mgf_gradient(law, theta)))
+        iterations += 1
         lam = 1.0
-        while True:
+        while lam >= 1e-30:
             cand = theta - lam * step
             try:
-                cval = mgf(law, cand)
+                cval, cgrad, chess = _lambda_pass(law, cand)
             except ExponentOverflow:
                 cval = math.inf
-            if cval <= val + 1e-15:
+            # near the minimum Lambda is flat to double precision while theta
+            # still moves, so a rise within rounding is accepted
+            if cval - val <= 1e-15 * val:
                 break
             lam *= 0.5
-            if lam < 1e-30:
-                cand, cval = theta, val
-                break
-        theta, val = cand, cval
-        gn = math.sqrt(math.fsum(g * g for g in mgf_gradient(law, theta)))
+        else:  # no halving keeps Lambda from rising: theta is as good as it gets
+            break
+        theta, val, grad, hess = cand, cval, cgrad, chess
 
-    rho = mgf(law, theta)
-    spectral = SpectralResult(tuple(float(t) for t in theta), rho, 1.0 / rho,
-                              gn, iterations, res)
+    spectral = SpectralResult(tuple(float(t) for t in theta), val, 1.0 / val,
+                              float(np.linalg.norm(grad)), iterations, res)
     return LatticeExponential(spectral.theta), spectral
 
 

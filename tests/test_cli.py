@@ -246,6 +246,20 @@ def test_analyze_json_to_stdout(capsys):
     check_schema(report, SCHEMA)
 
 
+def test_analyze_skewed_law_closed_form(capsys, tmp_path):
+    py = 1e-26
+    spec = tmp_path / "skewed.spec"
+    spec.write_text(f"group lattice 2\n\nlaw\n  1 0 0.3\n  -1 0 0.2\n"
+                    f"  0 1 {py!r}\n  0 -1 {0.5 - py!r}\n")
+    assert main(["analyze", str(spec), "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    s = json.loads(out[out.index("{"):])["spectral"]
+    theta = (0.5 * math.log(0.2 / 0.3), 0.5 * math.log((0.5 - py) / py))
+    rho = 2 * math.sqrt(0.06) + 2 * math.sqrt(py * (0.5 - py))
+    assert max(abs(a - b) for a, b in zip(s["theta"], theta)) <= 1e-9
+    assert s["rho"] == pytest.approx(rho, rel=1e-12, abs=0)
+
+
 def test_verify_symmetric_corollary(capsys):
     code = main(["verify", fixture("symmetric.spec"),
                  "--paper-checks", "corollary2"])

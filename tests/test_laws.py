@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rwalk import (FunctionTable, GroupMismatch, Law, LatticeBox,
                    WindowExceeded, check_irreducible, cyclic_group,
                    default_window)
-from rwalk.laws import _separating_direction
+from rwalk.laws import _separating_direction, _sublattice_index
 from rwalk.tables import step
 
 
@@ -235,6 +235,49 @@ def test_separating_direction_exact_beyond_int64():
             vectors = [v if sum(int(a) * b for a, b in zip(normal, v)) <= 0
                        else tuple(-c for c in v) for v in vectors]
         assert _separating_direction(vectors, 3) == reference_separating_direction(vectors, 3)
+
+
+def reference_sublattice_index(vectors, dim):
+    """gcd of all d x d minors of the stacked vectors; 0 below rank d."""
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        if len(rows) == 2:
+            (a, b), (c, e) = rows
+            return a * e - b * c
+        (a, b, c), (p, q, r), (u, v, w) = rows
+        return a * (q * w - r * v) - b * (p * w - r * u) + c * (p * v - q * u)
+
+    g = 0
+    for rows in combinations(vectors, dim):
+        g = math.gcd(g, abs(det(rows)))
+    return g
+
+
+@st.composite
+def generated_supports(draw):
+    """Random 1-3D supports: integer combinations of up to d generators
+    (fewer gives rank < d), sometimes mapped by a random integer matrix,
+    which scales the index by |det|."""
+    dim = draw(st.integers(1, 3))
+    small = st.integers(-4, 4)
+    gens = draw(st.lists(st.tuples(*[small] * dim), min_size=1, max_size=dim))
+    combos = draw(st.lists(st.tuples(*[small] * len(gens)), min_size=1, max_size=25))
+    vectors = [tuple(sum(c * g[k] for c, g in zip(co, gens)) for k in range(dim))
+               for co in combos]
+    if draw(st.booleans()):
+        m = draw(st.lists(st.tuples(*[small] * dim), min_size=dim, max_size=dim))
+        vectors = [tuple(sum(m[i][k] * v[k] for k in range(dim)) for i in range(dim))
+                   for v in vectors]
+    vectors += draw(st.lists(st.tuples(*[small] * dim), max_size=3))
+    return vectors, dim
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(generated_supports())
+def test_sublattice_index_matches_minors_gcd(case):
+    vectors, dim = case
+    assert _sublattice_index(vectors, dim) == reference_sublattice_index(vectors, dim)
 
 
 def test_irreducibility_finite(z6_group, z6_law, s3_law):

@@ -2,18 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rwalk import (DegenerateSupport, ExponentOverflow, Law,
+from rwalk import (DegenerateSupport, ExponentOverflow, Lattice, Law,
                    LatticeBox, NotIrreducible, TrivialExponential,
                    WindowExceeded, check_dual_spectral_radius,
-                   find_exponential, mgf, mgf_gradient, mgf_hessian,
-                   verify_r_invariance)
-from rwalk.spectral import LatticeExponential, _coordinate_minimize
+                   find_exponential, mgf, verify_r_invariance)
+from rwalk.spectral import LatticeExponential, _lambda_pass
 
 BERNOULLI_THETA = 0.5 * math.log(3.0)            # calculus: 0.25 e^t = 0.75 e^-t
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
 LAZY_THETA = 0.5 * math.log(2.0 / 3.0)
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
+
+
+def gradient(law, theta):
+    return _lambda_pass(law, np.asarray(theta, dtype=float))[1]
+
+
+def hessian(law, theta):
+    return _lambda_pass(law, np.asarray(theta, dtype=float))[2]
+
+
+# Reference: Lambda and its derivatives as per-atom loops with exact sums.
+
+def _weight(x, p, theta):
+    return p * math.exp(math.fsum(t * c for t, c in zip(theta, x)))
+
+
+def reference_mgf(law, theta):
+    return math.fsum(_weight(x, p, theta) for x, p in law.atoms.items())
+
+
+def reference_gradient(law, theta):
+    return np.array([math.fsum(_weight(x, p, theta) * x[k] for x, p in law.atoms.items())
+                     for k in range(law.group.dim)])
+
+
+def reference_hessian(law, theta):
+    dim = law.group.dim
+    return np.array([[math.fsum(_weight(x, p, theta) * x[i] * x[j]
+                                for x, p in law.atoms.items())
+                      for j in range(dim)] for i in range(dim)])
 
 
 def test_mgf_at_zero_is_total_mass(bernoulli):
@@ -169,7 +200,7 @@ def test_gradient_matches_finite_differences(asymmetric_corpus):
         points = [np.zeros(dim), np.asarray(sp.theta)] + \
                  [rng.uniform(-1, 1, size=dim) for _ in range(5)]
         for theta in points:
-            grad = np.asarray(mgf_gradient(law, theta))
+            grad = gradient(law, theta)
             fd = np.zeros(dim)
             for k in range(dim):
                 up, dn = theta.copy(), theta.copy()
@@ -183,7 +214,7 @@ def test_gradient_matches_finite_differences(asymmetric_corpus):
 def test_gradient_norm_at_minimizer(asymmetric_corpus):
     for law in asymmetric_corpus:
         _, sp = find_exponential(law)
-        fd_ok = np.asarray(mgf_gradient(law, sp.theta))
+        fd_ok = gradient(law, sp.theta)
         assert np.linalg.norm(fd_ok) <= 1e-8
 
 
@@ -213,22 +244,57 @@ def test_multistart_uniqueness(asymmetric_corpus):
 def test_hessian_positive_definite_at_minimizer(asymmetric_corpus):
     for law in asymmetric_corpus:
         _, sp = find_exponential(law)
-        eigs = np.linalg.eigvalsh(mgf_hessian(law, sp.theta))
+        eigs = np.linalg.eigvalsh(hessian(law, sp.theta))
         assert np.all(eigs > 0)
 
 
-def test_coordinate_descent_fallback_direct(bernoulli):
-    theta, gn, _ = _coordinate_minimize(bernoulli, np.zeros(1), 1e-10, 100, 0)
-    assert theta[0] == pytest.approx(BERNOULLI_THETA, abs=1e-9)
-    assert gn <= 1e-10
-
-
-def test_ill_conditioned_hessian_falls_back(z2):
+def test_ill_conditioned_hessian_solved_by_newton(z2):
     eps = 5e-14
     law = Law(z2, {(1, 0): 0.3 - eps, (-1, 0): 0.7 - eps,
                    (1, 1): eps, (-1, -1): eps}, sum_tol=1e-9)
-    cond = np.linalg.cond(mgf_hessian(law, (0.0, 0.0)))
-    assert cond > 1e12  # Newton cannot be trusted here
+    cond = np.linalg.cond(hessian(law, (0.0, 0.0)))
+    assert cond > 1e12
     _, sp = find_exponential(law)
     assert sp.gradient_norm <= 1e-10
     assert sp.theta[0] == pytest.approx(0.5 * math.log(0.7 / 0.3), abs=1e-6)
+
+
+@st.composite
+def laws_and_points(draw):
+    """Random 1-3D laws with coordinates up to 5, masses over 12 decades,
+    and a point theta with |theta.x| well inside the exponent guard."""
+    dim = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-5, 5)] * dim)
+    atoms = draw(st.lists(coords, min_size=1, max_size=30, unique=True))
+    weights = [10.0 ** draw(st.floats(-12, 0)) for _ in atoms]
+    total = math.fsum(weights)
+    law = Law(Lattice(dim), {x: w / total for x, w in zip(atoms, weights)})
+    theta = tuple(draw(st.floats(-3, 3)) for _ in range(dim))
+    return law, theta
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(laws_and_points())
+def test_one_pass_matches_reference(case):
+    # tolerances are relative to the sums of |terms|, so a gradient that
+    # cancels to near zero is held to the rounding of its terms
+    law, theta = case
+    val, grad, hess = _lambda_pass(law, np.asarray(theta))
+    x = np.abs(np.array(list(law.atoms), dtype=float))
+    w = np.array([_weight(a, p, theta) for a, p in law.atoms.items()])
+    assert val == pytest.approx(reference_mgf(law, theta), rel=1e-13, abs=0)
+    assert np.all(np.abs(grad - reference_gradient(law, theta)) <= 1e-13 * (w @ x))
+    assert np.all(np.abs(hess - reference_hessian(law, theta)) <= 1e-13 * ((x * w[:, None]).T @ x))
+    assert mgf(law, theta) == val
+
+
+@pytest.mark.parametrize("py", [1e-12, 1e-20, 1e-26])
+def test_skewed_law_closed_form(z2, py):
+    # the y-curvature at theta* is about 2 sqrt(py/2), down to 1.4e-13:
+    # |grad| is below 1e-10 far from the minimizer, the decrement is not
+    law = Law(z2, {(1, 0): 0.3, (-1, 0): 0.2, (0, 1): py, (0, -1): 0.5 - py})
+    _, sp = find_exponential(law)
+    theta = (0.5 * math.log(0.2 / 0.3), 0.5 * math.log((0.5 - py) / py))
+    rho = 2 * math.sqrt(0.06) + 2 * math.sqrt(py * (0.5 - py))
+    assert max(abs(a - b) for a, b in zip(sp.theta, theta)) <= 1e-9
+    assert sp.rho == pytest.approx(rho, rel=1e-12, abs=0)
