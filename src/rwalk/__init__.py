@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateSupport, ExponentOverflow, GroupMismatch,
                      HorizonTooLarge, IndexOutOfRange, InsufficientData,
-                     NotIrreducible, NotNormalized, RMismatch, RwalkError,
-                     SpecFileError, WindowExceeded)
+                     NotIrreducible, NotNormalized, RwalkError, SpecFileError,
+                     WindowExceeded)
 from .groups import FiniteGroup, Group, Lattice, cyclic_group
 from .laws import Law, check_irreducible, default_window
 from .recurrence import (HarrisResult, HittingTable, RecurrenceReport,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -30,7 +31,8 @@ from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
 from .spectral import (check_dual_spectral_radius, find_exponential,
                        verify_r_invariance)
 from .tables import LatticeBox
-from .tilting import (check_dual_invariance, check_measure_invariance,
+from .tilting import (DEGENERACY_R_TOL, DEGENERACY_THETA_TOL,
+                      check_dual_invariance, check_measure_invariance,
                       check_symmetric_degeneracy, check_tilted_powers, tilt)
 
 CHECK_NAMES = ("eq1", "eq17", "dual", "measure", "eq12", "corollary2")
@@ -88,7 +90,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--series-horizon", type=int, default=None,
                        help="horizon for the exact return series (default per dimension)")
     p_sim.add_argument("--csv", metavar="PATH",
-                       help="dump the weighted return series as CSV")
+                       help="dump the return series as CSV")
     return parser
 
 
@@ -195,6 +197,10 @@ def cmd_tilt(args) -> int:
     return EXIT_OK
 
 
+def _tol_text(tol: float) -> str:
+    return f"{tol:.0e}".replace("e-0", "e-")   # '1e-8', not '1e-08'
+
+
 def _run_check(name: str, spec: WalkSpec, ctx: dict, tol_override: float | None):
     """Returns (residual, tolerance, passed, detail)."""
     law = spec.law
@@ -239,11 +245,12 @@ def _run_check(name: str, spec: WalkSpec, ctx: dict, tol_override: float | None)
         atom_diff = max(abs(tw.tilted.atoms[x] - p) for x, p in law.atoms.items())
         theta_norm = max((abs(t) for t in spectral.theta), default=0.0)
         r_diff = abs(spectral.R - 1.0)
-        passed = theta_norm <= 1e-8 and r_diff <= 1e-10 and atom_diff <= 1e-14
+        passed = deg.phi_trivial and deg.r_equals_one and atom_diff <= 1e-14
         resid = max(theta_norm, r_diff, atom_diff)
-        detail = (f"|theta*|={theta_norm:.2e} (tol 1e-8), |R-1|={r_diff:.2e} "
-                  f"(tol 1e-10), atom diff={atom_diff:.2e} (tol 1e-14)")
-        return resid, 1e-8, passed, detail
+        detail = (f"|theta*|={theta_norm:.2e} (tol {_tol_text(DEGENERACY_THETA_TOL)}), "
+                  f"|R-1|={r_diff:.2e} (tol {_tol_text(DEGENERACY_R_TOL)}), "
+                  f"atom diff={atom_diff:.2e} (tol 1e-14)")
+        return resid, DEGENERACY_THETA_TOL, passed, detail
     raise ValueError(f"unknown check {name!r}")
 
 
@@ -289,11 +296,13 @@ def cmd_verify(args) -> int:
 
 
 def _write_series_csv(path: str, rec):
+    # p_n: the original walk's p(n) = rho^n p~(n), from the tilted series
+    ln_rho = math.log(rec.rho_spectral)
     with open(path, "w") as fh:
         fh.write("n,p_n,weighted_term,partial_sum\n")
-        for n, (p, term, acc) in enumerate(zip(rec.series.probabilities,
-                                               rec.test.weighted_terms,
-                                               rec.test.partial_sums)):
+        for n, (term, acc) in enumerate(zip(rec.series.probabilities,
+                                            rec.test.partial_sums)):
+            p = math.exp(n * ln_rho + math.log(term)) if term > 0.0 else 0.0
             fh.write(f"{n},{p!r},{term!r},{acc!r}\n")
 
 
@@ -334,7 +343,8 @@ def cmd_simulate(args) -> int:
         kwargs["recurrent_threshold"] = opts.growth_recurrent
     if opts.growth_transient is not None:
         kwargs["transient_threshold"] = opts.growth_transient
-    rec = build_recurrence_report(spec.law, spectral.rho, spectral.R,
+    tw = tilt(spec.law, exponential, spectral.R)
+    rec = build_recurrence_report(tw.tilted, spectral.rho,
                                   horizon=args.series_horizon, mc=mc, **kwargs)
     report["timings"]["series"] = time.perf_counter() - t0
 

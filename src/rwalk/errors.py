@@ -45,10 +45,6 @@ class InsufficientData(RwalkError):
     """Too few nonzero series terms to estimate the spectral radius."""
 
 
-class RMismatch(RwalkError):
-    """Weight R incompatible with the series decay rate (sum would blow up)."""
-
-
 class SpecFileError(RwalkError):
     """Walk-spec file rejected; message carries line/field location."""
 

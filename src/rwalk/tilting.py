@@ -34,6 +34,9 @@ from .tables import (DENSE_CELL_LIMIT, FunctionTable, LatticeBox, invariance_res
                      powers)
 
 TILT_NORMALIZATION_TOL = 1e-10
+# Corollary 2: how close to theta* = 0 and R = 1 a symmetric law must land
+DEGENERACY_THETA_TOL = 1e-8
+DEGENERACY_R_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,6 @@ def check_symmetric_degeneracy(law: Law, spectral: SpectralResult | None = None
         return SymmetricDegeneracy(False, None, None)
     if spectral is None:
         _, spectral = find_exponential(law)
-    phi_trivial = all(abs(t) <= 1e-8 for t in spectral.theta)
-    r_equals_one = abs(spectral.R - 1.0) <= 1e-10
+    phi_trivial = all(abs(t) <= DEGENERACY_THETA_TOL for t in spectral.theta)
+    r_equals_one = abs(spectral.R - 1.0) <= DEGENERACY_R_TOL
     return SymmetricDegeneracy(True, r_equals_one, phi_trivial)

@@ -164,9 +164,9 @@ def test_criterion_8_series_estimator(bernoulli, lazy_drift, symmetric3d):
         worst = max(worst, abs(estimate_rho(series).rho_hat - sp.rho))
     tw = tilt_from_spectral(bernoulli)
     tilted_series = return_series(tw.tilted, 4000)
-    rec = r_recurrence_test(tilted_series, 1.0)
+    rec = r_recurrence_test(tilted_series)
     series3 = return_series(symmetric3d)
-    trans = r_recurrence_test(series3, 1.0)
+    trans = r_recurrence_test(series3)
     elapsed = time.perf_counter() - t0
     ok = (worst <= 5e-3
           and rec.verdict is Verdict.R_RECURRENT and rec.growth_ratio >= 1.8

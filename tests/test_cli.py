@@ -395,3 +395,39 @@ def test_simulate_threshold_options_flow_through(tmp_path):
     rec = report["recurrence"]
     assert rec["thresholds"] == {"recurrent": 1.0001, "transient": 1.00001}
     assert rec["verdict"] == "RRecurrentHeuristic"
+
+
+def test_simulate_decides_on_the_tilted_series(tmp_path):
+    # p(n) of {1: .9, -1: .1} drops below the underflow floor at n = 1444,
+    # so R^n p(n) stops growing; the tilted walk is the simple symmetric
+    # walk, whose series keeps growing like sqrt(n)
+    spec = tmp_path / "walk.spec"
+    spec.write_text("group lattice 1\n\nlaw\n  1 0.9\n  -1 0.1\n")
+    out = tmp_path / "report.json"
+    assert main(["simulate", str(spec), "--trajectories", "20", "--horizon", "20",
+                 "--series-horizon", "4000", "--json", str(out)]) == 0
+    rec = json.loads(out.read_text())["recurrence"]
+    assert rec["verdict"] == "RRecurrentHeuristic"
+    assert rec["growth_ratio"] >= 1.9
+    assert rec["partial_sums"]["half"] < rec["partial_sums"]["final"]
+
+
+def test_simulate_unsettled_series_reports_no_rho(tmp_path):
+    # Z13 with {5: .1, 8: .9} mixes slowly: at series horizon 60 the ratio
+    # estimate would read 10.6; at the default 2000 it is 1 + 2.8e-10
+    rows = "".join("  " + " ".join(str((i + j) % 13) for j in range(13)) + "\n"
+                   for i in range(13))
+    spec = tmp_path / "walk.spec"
+    spec.write_text(f"group finite 13\ncayley\n{rows}\nlaw\n  5 0.1\n  8 0.9\n")
+    out = tmp_path / "report.json"
+    args = ["simulate", str(spec), "--trajectories", "20", "--horizon", "20",
+            "--json", str(out)]
+    assert main(args + ["--series-horizon", "60"]) == 0
+    report = json.loads(out.read_text())
+    check_schema(report, SCHEMA)
+    rec = report["recurrence"]
+    assert rec["rho_series"] is None and rec["rho_method"] is None
+    assert any(w.startswith("rho estimate unavailable") for w in rec["warnings"])
+    assert main(args) == 0
+    rec = json.loads(out.read_text())["recurrence"]
+    assert rec["rho_series"] == pytest.approx(1.0, abs=1e-9) and rec["warnings"] == []

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwalk import (HorizonTooLarge, InsufficientData, Lattice, Law, LatticeBox,
-                   RMismatch, Verdict, WindowExceeded,
-                   build_recurrence_report, check_translation_invariance,
-                   estimate_rho, find_exponential, hitting_dp,
-                   r_recurrence_test, return_series, simulate_harris,
-                   tilt_from_spectral)
+                   Verdict, WindowExceeded, build_recurrence_report,
+                   check_translation_invariance, cyclic_group, estimate_rho,
+                   find_exponential, hitting_dp, r_recurrence_test,
+                   return_series, simulate_harris, tilt_from_spectral)
 import rwalk.recurrence as recurrence
-from rwalk.recurrence import (_COMPARE_ATOMS, _atom_index, _chunk_finite,
+from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_finite,
                               _chunk_lattice, _coset_frame, _decode_keys,
                               _key_weights, _trajectory_rng, worker_count)
 from rwalk.tables import convolve, support_span
@@ -338,30 +337,80 @@ def test_estimate_rho_root_fallback():
     assert est.rho_hat == pytest.approx(rho, rel=1e-12)
 
 
+@st.composite
+def irreducible_lattice_laws(draw):
+    """+-e_k on every axis plus up to four atoms of radius <= 2, integer
+    weights: irreducible with the origin interior, and usually drifted.
+    The horizon keeps the 2-D and 3-D boxes small."""
+    dim = draw(st.integers(1, 3))
+    units = [tuple(s * int(j == k) for j in range(dim))
+             for k in range(dim) for s in (1, -1)]
+    extra = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=4))
+    atoms = sorted(set(units) | set(extra))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(atoms),
+                            max_size=len(atoms)))
+    horizon = draw(st.integers(1, (200, 60, 24)[dim - 1]))
+    return Law(Lattice(dim), {u: w / sum(weights) for u, w in zip(atoms, weights)}), horizon
+
+
+@st.composite
+def finite_group_laws(draw, s3_group):
+    if draw(st.booleans()):
+        group = s3_group
+    else:
+        group = cyclic_group(draw(st.integers(2, 15)))
+    elems = draw(st.lists(st.integers(0, group.order - 1), min_size=1,
+                          max_size=group.order, unique=True))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(elems),
+                            max_size=len(elems)))
+    return Law(group, {u: w / sum(weights) for u, w in zip(elems, weights)})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(irreducible_lattice_laws())
+def test_tilted_series_is_weighted_series(case):
+    # eq17 at x = e, where phi(e) = 1: the tilted walk returns with
+    # probability R^n p(n), so its plain sum is the weighted one
+    law, horizon = case
+    tw = tilt_from_spectral(law)
+    tilted = return_series(tw.tilted, horizon).probabilities
+    plain = return_series(law, horizon).probabilities
+    for n, (q, p) in enumerate(zip(tilted, plain)):
+        if p > 1e-250:
+            assert q == pytest.approx(tw.R ** n * p, rel=1e-12, abs=0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_estimate_rho_never_above_one(data, s3_group):
+    if data.draw(st.booleans()):
+        law, horizon = data.draw(irreducible_lattice_laws())
+        law = tilt_from_spectral(law).tilted
+    else:
+        law = data.draw(finite_group_laws(s3_group))
+        horizon = data.draw(st.integers(1, 400))
+    try:
+        est = estimate_rho(return_series(law, horizon))
+    except InsufficientData:
+        return
+    assert 0.0 < est.rho_hat <= 1.0 + RHO_SLACK
+
+
 # ------------------------------------------------------------- heuristic
 
 def test_r_recurrence_tilted_bernoulli(bernoulli):
     tw = tilt_from_spectral(bernoulli)
     series = return_series(tw.tilted, 4000)
-    res = r_recurrence_test(series, 1.0)
+    res = r_recurrence_test(series)
     assert res.verdict is Verdict.R_RECURRENT
     assert res.growth_ratio >= 1.8
     sums = res.partial_sums
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
-def test_r_recurrence_untilted_bernoulli_with_weights(bernoulli):
-    # the weighted series with R = 1/rho diverges just like the tilted one
-    _, sp = find_exponential(bernoulli)
-    series = return_series(bernoulli, 4000)
-    res = r_recurrence_test(series, sp.R)
-    assert res.verdict is Verdict.R_RECURRENT
-    assert res.growth_ratio >= 1.8
-
-
 def test_r_recurrence_3d_transient(symmetric3d):
     series = return_series(symmetric3d)  # default horizon = the d=3 cap
-    res = r_recurrence_test(series, 1.0)
+    res = r_recurrence_test(series)
     assert res.verdict is Verdict.TRANSIENT
     assert res.growth_ratio <= 1.05
 
@@ -370,19 +419,13 @@ def test_r_recurrence_2d_inconclusive(symmetric2d):
     # logarithmic divergence is too slow to clear the recurrent threshold
     # at desk scale; the documented expected outcome is Inconclusive
     series = return_series(symmetric2d, 600)
-    res = r_recurrence_test(series, 1.0)
+    res = r_recurrence_test(series)
     assert res.verdict is Verdict.INCONCLUSIVE
-
-
-def test_r_recurrence_rejects_oversized_R(bernoulli):
-    series = return_series(bernoulli, 4000)
-    with pytest.raises(RMismatch):
-        r_recurrence_test(series, 1.2)
 
 
 def test_recurrence_report_bundle(bernoulli):
     _, sp = find_exponential(bernoulli)
-    rep = build_recurrence_report(bernoulli, sp.rho, sp.R)
+    rep = build_recurrence_report(tilt_from_spectral(bernoulli).tilted, sp.rho)
     assert rep.verdict is Verdict.R_RECURRENT
     assert abs(rep.rho_series - rep.rho_spectral) <= 5e-3
     assert rep.period == 2
@@ -393,12 +436,12 @@ def test_recurrence_report_bundle(bernoulli):
 def test_recurrence_report_warns_on_wide_support(z1):
     atoms = {(k,): 1.0 / 19.0 for k in range(-9, 10)}
     wide = Law(z1, atoms, sum_tol=1e-9)
-    rep = build_recurrence_report(wide, 1.0, 1.0, horizon=600)
+    rep = build_recurrence_report(wide, 1.0, horizon=600)
     assert any("support radius" in w for w in rep.warnings)
 
 
 def test_recurrence_report_3d(symmetric3d):
-    rep = build_recurrence_report(symmetric3d, 1.0, 1.0)
+    rep = build_recurrence_report(symmetric3d, 1.0)
     assert rep.verdict is Verdict.TRANSIENT
     # the ratio estimator carries ~3/(4k) bias for n^(-3/2) terms, so it
     # lands visibly below 1 but must stay sane
@@ -407,8 +450,8 @@ def test_recurrence_report_3d(symmetric3d):
 
 def test_recurrence_report_short_series_declines_estimate(symmetric3d):
     # 31 nonzero terms at horizon 60: the estimator declines, the divergence
-    # heuristic still runs (R = 1 cannot blow up)
-    rep = build_recurrence_report(symmetric3d, 1.0, 1.0, horizon=60)
+    # heuristic still runs
+    rep = build_recurrence_report(symmetric3d, 1.0, horizon=60)
     assert rep.rho_series is None
     assert any("rho estimate" in w for w in rep.warnings)
     assert rep.verdict in (Verdict.TRANSIENT, Verdict.INCONCLUSIVE)
