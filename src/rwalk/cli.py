@@ -260,6 +260,9 @@ def cmd_verify(args) -> int:
         names = list(CHECK_NAMES)
     else:
         names = [n.strip() for n in args.paper_checks.split(",") if n.strip()]
+        if not names:
+            print("--paper-checks names no check", file=sys.stderr)
+            return EXIT_USAGE
         unknown = [n for n in names if n not in CHECK_NAMES]
         if unknown:
             print(f"unknown check name(s): {', '.join(unknown)}", file=sys.stderr)
@@ -321,6 +324,9 @@ def cmd_simulate(args) -> int:
     if horizon < 1:
         print("--horizon must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if seed < 0:
+        print(f"seed must be >= 0, got {seed}", file=sys.stderr)
+        return EXIT_USAGE
     if args.series_horizon is not None and args.series_horizon < 1:
         print("--series-horizon must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -345,18 +351,19 @@ def cmd_simulate(args) -> int:
         kwargs["transient_threshold"] = opts.growth_transient
     tw = tilt(spec.law, exponential, spectral.R)
     rec = build_recurrence_report(tw.tilted, spectral.rho,
-                                  horizon=args.series_horizon, mc=mc, **kwargs)
+                                  horizon=args.series_horizon, **kwargs)
     report["timings"]["series"] = time.perf_counter() - t0
+    series, test = rec.series, rec.test
 
     report["recurrence"] = {
         "rho_series": rec.rho_series, "rho_method": rec.rho_method,
-        "rho_spectral": rec.rho_spectral, "period": rec.period,
-        "horizon": rec.horizon, "growth_ratio": rec.growth_ratio,
-        "verdict": rec.verdict.value,
+        "rho_spectral": rec.rho_spectral, "period": series.period,
+        "horizon": series.horizon, "growth_ratio": test.growth_ratio,
+        "verdict": test.verdict.value,
         "partial_sums": rec.partial_sum_checkpoints,
-        "thresholds": {"recurrent": rec.recurrent_threshold,
-                       "transient": rec.transient_threshold},
-        "max_mass_error": rec.max_mass_error,
+        "thresholds": {"recurrent": test.recurrent_threshold,
+                       "transient": test.transient_threshold},
+        "max_mass_error": series.max_mass_error,
         "warnings": rec.warnings,
         "mc": _mc_json(mc),
     }
@@ -367,10 +374,10 @@ def cmd_simulate(args) -> int:
     if mc.mean_displacement is not None:
         print(f"mean_displacement = {list(mc.mean_displacement)} "
               f"(sem {list(mc.displacement_sem)})")
-    print(f"series: horizon={rec.horizon} period={rec.period} "
+    print(f"series: horizon={series.horizon} period={series.period} "
           f"rho_series={rec.rho_series} rho_spectral={rec.rho_spectral!r}")
-    print(f"verdict = {rec.verdict.value} (growth_ratio={rec.growth_ratio:.4f}, "
-          f"thresholds {rec.recurrent_threshold}/{rec.transient_threshold})")
+    print(f"verdict = {test.verdict.value} (growth_ratio={test.growth_ratio:.4f}, "
+          f"thresholds {test.recurrent_threshold}/{test.transient_threshold})")
     for w in rec.warnings:
         print(f"warning: {w}")
 

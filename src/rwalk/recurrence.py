@@ -49,7 +49,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -400,12 +399,8 @@ def _chunk_lattice(law_elems, cum, targets, horizon, seed, indices):
         ends[:, s:s + len(rngs)] = at[:, :, 0]
     # exact end positions, summed in trajectory order so the float sums
     # do not depend on the block shape
-    disp_sum = np.zeros(dim)
-    disp_sq = np.zeros(dim)
-    for d in _decode_keys(ends, weights, reach).astype(float):
-        disp_sum += d
-        disp_sq += d * d
-    return hits, disp_sum, disp_sq
+    d = _decode_keys(ends, weights, reach).astype(float)
+    return hits, np.cumsum(d, axis=0)[-1], np.cumsum(d * d, axis=0)[-1]
 
 
 def _decode_keys(keys, weights, reach):
@@ -480,6 +475,8 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
         raise ValueError("need at least one trajectory")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     for t in targets:
         law.group.validate_element(t)
 
@@ -500,6 +497,7 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
 
     nworkers = worker_count(workers)
     if nworkers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             parts = list(pool.map(run, chunks))
     else:
@@ -611,23 +609,14 @@ class RecurrenceReport:
     rho_series: float | None
     rho_method: str | None
     rho_spectral: float
-    period: int
-    horizon: int
-    growth_ratio: float
-    verdict: Verdict
     partial_sum_checkpoints: dict  # {"quarter": S_{N/4}, "half": ..., "final": ...}
-    recurrent_threshold: float
-    transient_threshold: float
-    max_mass_error: float
     warnings: list
-    mc: HarrisResult | None
-    series: ReturnSeries
-    test: RecurrenceVerdict
+    series: ReturnSeries       # period, horizon and max_mass_error
+    test: RecurrenceVerdict    # growth ratio, verdict and its thresholds
 
 
 def build_recurrence_report(tilted: Law, rho_spectral: float, *,
                             horizon: int | None = None,
-                            mc: HarrisResult | None = None,
                             recurrent_threshold: float = GROWTH_RECURRENT,
                             transient_threshold: float = GROWTH_TRANSIENT) -> RecurrenceReport:
     """Series + estimator + divergence heuristic of the tilted law, whose
@@ -650,7 +639,5 @@ def build_recurrence_report(tilted: Law, rho_spectral: float, *,
     checkpoints = {"quarter": test.partial_sums[n // 4],
                    "half": test.partial_sums[n // 2],
                    "final": test.partial_sums[n]}
-    return RecurrenceReport(rho_series, rho_method, rho_spectral, series.period,
-                            n, test.growth_ratio, test.verdict, checkpoints,
-                            recurrent_threshold, transient_threshold,
-                            series.max_mass_error, warnings, mc, series, test)
+    return RecurrenceReport(rho_series, rho_method, rho_spectral, checkpoints,
+                            warnings, series, test)

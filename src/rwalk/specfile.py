@@ -174,6 +174,8 @@ def parse_walk_spec(text: str) -> WalkSpec:
             except ValueError:
                 raise SpecFileError(
                     f"options block: bad value {value!r} for {key}", ln) from None
+            if key == "window_radius" and options.window_radius < 0:
+                raise SpecFileError("options block: window_radius must be >= 0", ln)
             pos += 1
     elif tok is not None:
         raise SpecFileError(f"unexpected content {' '.join(tok)!r}", ln)

@@ -44,70 +44,37 @@ def _guarded_exp(arg):
 
 
 class Exponential:
-    """Strictly positive multiplicative function phi on the group.
+    """phi(x) = exp(theta.x), a strictly positive multiplicative function.
 
-    phi and psi also take the coordinate arrays of FunctionTable.tabulate.
+    On Z^d theta has d coordinates; theta = () is the constant 1, the only
+    exponential on a finite group.  phi and psi also take the coordinate
+    arrays of FunctionTable.tabulate.
     """
 
-    def phi(self, x) -> float:
-        raise NotImplementedError
-
-    def psi(self, x) -> float:
-        """Reciprocal value phi(x)^-1 = phi(x^-1)."""
-        raise NotImplementedError
-
-    def exponent(self, x):
-        """log phi(x), unguarded."""
-        raise NotImplementedError
-
-    def reciprocal(self) -> "Exponential":
-        raise NotImplementedError
-
-
-class LatticeExponential(Exponential):
-    """phi(x) = exp(theta.x) on Z^d."""
-
-    def __init__(self, theta):
+    def __init__(self, theta=()):
         self.theta = tuple(float(t) for t in theta)
 
     def phi(self, x):
         return _guarded_exp(self.exponent(x))
 
     def psi(self, x):
+        """Reciprocal value phi(x)^-1 = phi(x^-1)."""
         return _guarded_exp(-self.exponent(x))
 
     def exponent(self, x):
+        """log phi(x) = theta.x, unguarded."""
+        if not self.theta:
+            return 0.0
         if isinstance(x[0], np.ndarray):
             # per-axis open grids: theta.x broadcasts to the whole box
             return sum(t * c for t, c in zip(self.theta, x))
         return math.fsum(t * c for t, c in zip(self.theta, x))
 
-    def reciprocal(self) -> "LatticeExponential":
-        return LatticeExponential(tuple(-t for t in self.theta))
+    def reciprocal(self) -> "Exponential":
+        return Exponential(-t for t in self.theta)
 
     def __repr__(self):
-        return f"LatticeExponential(theta={self.theta})"
-
-
-class TrivialExponential(Exponential):
-    """phi identically 1; the only exponential on a finite group."""
-
-    theta: tuple = ()
-
-    def phi(self, x) -> float:
-        return 1.0
-
-    def psi(self, x) -> float:
-        return 1.0
-
-    def exponent(self, x) -> float:
-        return 0.0
-
-    def reciprocal(self) -> "TrivialExponential":
-        return self
-
-    def __repr__(self):
-        return "TrivialExponential()"
+        return f"Exponential(theta={self.theta})"
 
 
 @dataclass(frozen=True)
@@ -163,7 +130,7 @@ def find_exponential(law: Law, theta0=None):
         raise NotIrreducible(res.witness)
     if isinstance(group, FiniteGroup):
         rho = law.mass()
-        return TrivialExponential(), SpectralResult((), rho, 1.0 / rho, 0.0, 0, res)
+        return Exponential(), SpectralResult((), rho, 1.0 / rho, 0.0, 0, res)
 
     theta = np.zeros(group.dim) if theta0 is None else np.asarray(theta0, dtype=float)
     val, grad, hess = _lambda_pass(law, theta)
@@ -191,7 +158,7 @@ def find_exponential(law: Law, theta0=None):
 
     spectral = SpectralResult(tuple(float(t) for t in theta), val, 1.0 / val,
                               float(np.linalg.norm(grad)), iterations, res)
-    return LatticeExponential(spectral.theta), spectral
+    return Exponential(spectral.theta), spectral
 
 
 @dataclass(frozen=True)

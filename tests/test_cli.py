@@ -170,6 +170,25 @@ def test_verify_unknown_check_name(capsys):
                  "--paper-checks", "eq99"]) == 1
 
 
+def test_verify_empty_check_list_is_a_usage_error(capsys):
+    assert main(["verify", fixture("bernoulli_025.spec"), "--paper-checks", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "--paper-checks names no check\n"
+    assert captured.out == ""
+
+
+def test_verify_negative_window_radius_is_a_spec_error(capsys, tmp_path):
+    spec = tmp_path / "walk.spec"
+    spec.write_text((FIXTURES / "bernoulli_025.spec").read_text()
+                    .replace("options", "options\n  window_radius -3"))
+    assert main(["verify", str(spec)]) == 1
+    captured = capsys.readouterr()
+    line = spec.read_text().splitlines().index("  window_radius -3") + 1
+    assert captured.err == (f"spec error: line {line}: options block: "
+                            "window_radius must be >= 0\n")
+    assert captured.out == ""
+
+
 def test_verify_impossible_tolerance_exits_3(capsys):
     code = main(["verify", fixture("bernoulli_025.spec"),
                  "--paper-checks", "eq1", "--max-residual", "0"])
@@ -370,6 +389,22 @@ def test_simulate_bad_series_horizon_is_a_usage_error(capsys, value):
                  "--horizon", "10", "--series-horizon", value]) == 1
     captured = capsys.readouterr()
     assert captured.err == "--series-horizon must be >= 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_simulate_negative_seed_is_a_usage_error(capsys, tmp_path, where):
+    spec = tmp_path / "walk.spec"
+    text = (FIXTURES / "bernoulli_025.spec").read_text()
+    args = ["--trajectories", "10", "--horizon", "10"]
+    if where == "flag":
+        args += ["--seed", "-5"]
+    else:
+        text = text.replace("seed 42", "seed -5")
+    spec.write_text(text)
+    assert main(["simulate", str(spec), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "seed must be >= 0, got -5\n"
     assert captured.out == ""
 
 

@@ -426,9 +426,9 @@ def test_r_recurrence_2d_inconclusive(symmetric2d):
 def test_recurrence_report_bundle(bernoulli):
     _, sp = find_exponential(bernoulli)
     rep = build_recurrence_report(tilt_from_spectral(bernoulli).tilted, sp.rho)
-    assert rep.verdict is Verdict.R_RECURRENT
+    assert rep.test.verdict is Verdict.R_RECURRENT
     assert abs(rep.rho_series - rep.rho_spectral) <= 5e-3
-    assert rep.period == 2
+    assert rep.series.period == 2
     assert rep.warnings == []
     assert rep.partial_sum_checkpoints["final"] >= rep.partial_sum_checkpoints["half"]
 
@@ -442,7 +442,7 @@ def test_recurrence_report_warns_on_wide_support(z1):
 
 def test_recurrence_report_3d(symmetric3d):
     rep = build_recurrence_report(symmetric3d, 1.0)
-    assert rep.verdict is Verdict.TRANSIENT
+    assert rep.test.verdict is Verdict.TRANSIENT
     # the ratio estimator carries ~3/(4k) bias for n^(-3/2) terms, so it
     # lands visibly below 1 but must stay sane
     assert 0.9 <= rep.rho_series <= 1.0
@@ -454,7 +454,7 @@ def test_recurrence_report_short_series_declines_estimate(symmetric3d):
     rep = build_recurrence_report(symmetric3d, 1.0, horizon=60)
     assert rep.rho_series is None
     assert any("rho estimate" in w for w in rep.warnings)
-    assert rep.verdict in (Verdict.TRANSIENT, Verdict.INCONCLUSIVE)
+    assert rep.test.verdict in (Verdict.TRANSIENT, Verdict.INCONCLUSIVE)
 
 
 # ---------------------------------------------------------------- hitting
@@ -575,6 +575,8 @@ def test_simulate_argument_validation(bernoulli, z6_law):
         for horizon in (0, -3):
             with pytest.raises(ValueError, match="horizon must be >= 1"):
                 simulate_harris(law, target, 10, horizon, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            simulate_harris(law, target, 10, 10, seed=-1)
 
 
 def test_worker_count_rejects_non_positive_counts(monkeypatch):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwalk import (DegenerateSupport, ExponentOverflow, Lattice, Law,
-                   LatticeBox, NotIrreducible, TrivialExponential,
-                   WindowExceeded, check_dual_spectral_radius,
-                   find_exponential, mgf, verify_r_invariance)
-from rwalk.spectral import LatticeExponential, _lambda_pass
+                   LatticeBox, NotIrreducible, WindowExceeded,
+                   check_dual_spectral_radius, find_exponential, mgf,
+                   verify_r_invariance)
+from rwalk.spectral import Exponential, _lambda_pass
 
 BERNOULLI_THETA = 0.5 * math.log(3.0)            # calculus: 0.25 e^t = 0.75 e^-t
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
@@ -68,7 +68,7 @@ def test_mgf_overflow_guard(bernoulli):
 
 
 def test_exponential_multiplicativity(z2):
-    phi = LatticeExponential((0.3, -0.7))
+    phi = Exponential((0.3, -0.7))
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = tuple(int(v) for v in rng.integers(-20, 21, size=2))
@@ -118,7 +118,7 @@ def test_symmetric_laws_sit_at_zero(symmetric_corpus):
 
 def test_finite_group_trivial_exponential(z6_law):
     exponential, sp = find_exponential(z6_law)
-    assert isinstance(exponential, TrivialExponential)
+    assert exponential.theta == ()
     assert sp.rho == pytest.approx(1.0, abs=1e-12)
     assert sp.R == pytest.approx(1.0, abs=1e-12)
     assert exponential.phi(3) == 1.0 and exponential.psi(3) == 1.0
@@ -157,7 +157,7 @@ def test_r_invariance_from_minimizer(asymmetric_corpus):
 
 def test_r_invariance_trivial_exponential(bernoulli):
     # constant exponential satisfies the identity with r = 1, not with r = R
-    flat = LatticeExponential((0.0,))
+    flat = Exponential((0.0,))
     assert verify_r_invariance(bernoulli, flat, 1.0) == 0.0
 
 

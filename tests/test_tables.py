@@ -20,7 +20,7 @@ from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
                    check_translation_invariance, hitting_dp,
                    invariant_measure_table, mgf, verify_r_invariance)
 from rwalk.groups import FiniteGroup, Lattice
-from rwalk.spectral import LatticeExponential, TrivialExponential
+from rwalk.spectral import Exponential
 from rwalk.tables import powers, step, support_span
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -83,7 +83,7 @@ def lattice_laws(draw):
 @given(lattice_laws())
 def test_window_residuals_match_pointwise_reference(case):
     law, theta = case
-    exponential = LatticeExponential(theta)
+    exponential = Exponential(theta)
     r = 1.0 / mgf(law, theta)
     radius = law.support_radius()
     window = LatticeBox.centered(radius + 3, law.group.dim)
@@ -161,11 +161,11 @@ def test_exponent_guard_on_window(bernoulli):
     window = LatticeBox.centered(32, 1)
     # theta.x reaches 30 * 32 = 960 at the window edge
     with pytest.raises(ExponentOverflow):
-        verify_r_invariance(bernoulli, LatticeExponential((30.0,)), 1.0, window)
+        verify_r_invariance(bernoulli, Exponential((30.0,)), 1.0, window)
     with pytest.raises(ExponentOverflow):
-        invariant_measure_table(bernoulli, LatticeExponential((-30.0,)), window)
+        invariant_measure_table(bernoulli, Exponential((-30.0,)), window)
     # 21 * 32 = 672 stays inside the guard
-    assert verify_r_invariance(bernoulli, LatticeExponential((21.0,)),
+    assert verify_r_invariance(bernoulli, Exponential((21.0,)),
                                1.0 / mgf(bernoulli, (21.0,)), window) <= 1e-12
 
 
@@ -200,12 +200,12 @@ def test_finite_residuals_match_pointwise_reference(s3_skew):
     region = list(s3_skew.group.elements())
     one = lambda x: 1.0
     for r in (1.0, 1.25):
-        assert verify_r_invariance(s3_skew, TrivialExponential(), r) == pytest.approx(
+        assert verify_r_invariance(s3_skew, Exponential(), r) == pytest.approx(
             brute_residual(s3_skew, one, r, region), abs=1e-15)
-        dual = check_dual_invariance(s3_skew, TrivialExponential(), r)
+        dual = check_dual_invariance(s3_skew, Exponential(), r)
         assert dual == pytest.approx(
             brute_residual(s3_skew.dual(), one, r, region), abs=1e-15)
-        assert check_measure_invariance(s3_skew, TrivialExponential(), r) == dual
+        assert check_measure_invariance(s3_skew, Exponential(), r) == dual
 
 
 def test_finite_hitting_layers_match_pointwise_reference(s3_skew):

@@ -8,7 +8,7 @@ from rwalk import (ExponentOverflow, Law, NotNormalized, WindowExceeded,
                    check_symmetric_degeneracy, check_tilted_powers,
                    find_exponential, invariant_measure_table, tilt,
                    tilt_from_spectral)
-from rwalk.spectral import LatticeExponential, mgf
+from rwalk.spectral import Exponential, mgf
 from rwalk.tables import DENSE_CELL_LIMIT
 
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
@@ -56,7 +56,7 @@ def test_tilt_rejects_unnormalized_pair(bernoulli):
     with pytest.raises(NotNormalized):
         tilt(bernoulli, exponential, 1.2)
     with pytest.raises(NotNormalized):
-        tilt(bernoulli, LatticeExponential((0.0,)), sp.R)
+        tilt(bernoulli, Exponential((0.0,)), sp.R)
 
 
 def test_tilted_mass_is_one(asymmetric_corpus):
@@ -109,10 +109,10 @@ def test_power_identity_guard_only_where_the_walk_reaches(drift2d, bernoulli):
     # theta.x = 800 at the box corner (10, 10), which 10 nearest-neighbour
     # steps cannot reach; every reachable point stays at or below 400
     theta = (40.0, 40.0)
-    tw = tilt(drift2d, LatticeExponential(theta), 1.0 / mgf(drift2d, theta))
+    tw = tilt(drift2d, Exponential(theta), 1.0 / mgf(drift2d, theta))
     assert check_tilted_powers(tw, 10) <= 1e-12
     # theta.x = 800 at x = 10, where the walk does go
-    tw = tilt(bernoulli, LatticeExponential((80.0,)), 1.0 / mgf(bernoulli, (80.0,)))
+    tw = tilt(bernoulli, Exponential((80.0,)), 1.0 / mgf(bernoulli, (80.0,)))
     assert check_tilted_powers(tw, 8) <= 1e-12
     with pytest.raises(ExponentOverflow):
         check_tilted_powers(tw, 10)
@@ -137,12 +137,12 @@ def test_dual_invariance_symmetric_exact(simple_symmetric):
 def test_dual_invariance_flags_wrong_pairing(bernoulli):
     _, sp = find_exponential(bernoulli)
     # reciprocal pairing: residual |1 - R * Lambda(-theta*)| = 2/3
-    swapped = LatticeExponential((-sp.theta[0],))
+    swapped = Exponential((-sp.theta[0],))
     resid = check_dual_invariance(bernoulli, swapped, sp.R)
     assert resid == pytest.approx(2.0 / 3.0, abs=1e-9)
     # doubled exponent: the weighted mass is p*(q/p) + q*(p/q) = 1,
     # so the residual collapses to R - 1 = 0.1547005
-    doubled = LatticeExponential((2.0 * sp.theta[0],))
+    doubled = Exponential((2.0 * sp.theta[0],))
     resid = check_dual_invariance(bernoulli, doubled, sp.R)
     assert resid == pytest.approx(sp.R - 1.0, abs=1e-9)
     assert resid == pytest.approx(0.1547005384, abs=1e-9)
