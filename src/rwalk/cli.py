@@ -267,6 +267,9 @@ def cmd_verify(args) -> int:
         if unknown:
             print(f"unknown check name(s): {', '.join(unknown)}", file=sys.stderr)
             return EXIT_USAGE
+    if args.max_residual is not None and not math.isfinite(args.max_residual):
+        print(f"--max-residual must be finite, got {args.max_residual}", file=sys.stderr)
+        return EXIT_USAGE
     report = _report_skeleton(args.spec, spec)
     t0 = time.perf_counter()
     exponential, spectral = find_exponential(spec.law)

@@ -9,8 +9,6 @@ safe to share across workers.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .errors import IndexOutOfRange
@@ -71,59 +69,55 @@ class Lattice(Group):
 class FiniteGroup(Group):
     """Finite group given by an order x order Cayley table of element indices.
 
-    The constructor validates that the table is a Latin square, that a
-    two-sided identity index exists and that every element has a two-sided
-    inverse, so any instance that exists is a genuine group... except for
+    The table is kept once, as the read-only int64 array `cayley_array`,
+    validated as a Latin square with a two-sided identity and two-sided
+    inverses, so any instance that exists is a genuine group... except for
     associativity, which is checked exhaustively only for order <= 64 (cost
-    grows as order^3) and sampled otherwise.
+    grows as order^3) and on sampled triples otherwise.  A rejection names
+    the first offender in index order, a row before its column.
     """
 
     def __init__(self, cayley):
-        table = tuple(tuple(int(x) for x in row) for row in cayley)
-        n = len(table)
+        rows = list(cayley)
+        n = len(rows)
         if n == 0:
             raise ValueError("empty Cayley table")
-        idx = range(n)
-        full = frozenset(idx)
-        for i, row in enumerate(table):
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"Cayley row {i} has length {len(row)}, expected {n}")
-        for i in idx:
-            if frozenset(table[i]) != full:
-                raise ValueError(f"Cayley table is not a Latin square: row {i}")
-            if frozenset(table[j][i] for j in idx) != full:
-                raise ValueError(f"Cayley table is not a Latin square: column {i}")
-        ident = None
-        for e in idx:
-            if all(table[e][x] == x and table[x][e] == x for x in idx):
-                ident = e
-                break
-        if ident is None:
+        table = np.array(rows, dtype=np.int64)
+        idx = np.arange(n)
+        # seen[k, i, v]: value v occurs in row (k = 0) or column (k = 1) i;
+        # v = n collects the out-of-range entries
+        seen = np.zeros((2, n, n + 1), dtype=bool)
+        vals = np.where((table >= 0) & (table < n), table, n)
+        seen[0, idx[:, None], vals] = True
+        seen[1, idx, vals] = True
+        bad = ~seen[:, :, :n].all(axis=2)
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            kind = "row" if bad[0, i] else "column"
+            raise ValueError(f"Cayley table is not a Latin square: {kind} {i}")
+        two_sided = (table == idx).all(axis=1) & (table == idx[:, None]).all(axis=0)
+        if not two_sided.any():
             raise ValueError("Cayley table has no two-sided identity")
-        inv = [None] * n
-        for a in idx:
-            for b in idx:
-                if table[a][b] == ident and table[b][a] == ident:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise ValueError(f"element {a} has no two-sided inverse")
-        if n <= 64:
-            triples = product(idx, repeat=3)
-        else:
-            step = max(1, n // 16)
-            sample = range(0, n, step)
-            triples = product(sample, repeat=3)
-        for a, b, c in triples:
-            if table[a][table[b][c]] != table[table[a][b]][c]:
-                raise ValueError(f"Cayley table not associative at ({a},{b},{c})")
-
-        self.cayley = table
-        self.cayley_array = np.array(table, dtype=np.int64)
-        self.cayley_array.flags.writeable = False
+        ident = int(np.argmax(two_sided))
+        # a Latin row holds ident exactly once: inv[a] is its column
+        inv = np.argmax(table == ident, axis=1)
+        lonely = table[inv, idx] != ident
+        if lonely.any():
+            raise ValueError(f"element {int(np.argmax(lonely))} has no two-sided inverse")
+        sample = idx if n <= 64 else idx[::max(1, n // 16)]
+        sub = table[sample[:, None], sample]
+        clash = table[sample[:, None, None], sub] != table[sub[:, :, None], sample]  # a(bc), (ab)c
+        if clash.any():
+            a, b, c = sample[list(np.unravel_index(np.argmax(clash), clash.shape))]
+            raise ValueError(f"Cayley table not associative at ({a},{b},{c})")
+        table.flags.writeable = False
+        self.cayley_array = table
         self.order = n
         self._identity = ident
-        self._inverse = tuple(inv)
+        self._inverse = tuple(inv.tolist())
 
     def identity(self) -> int:
         return self._identity
@@ -131,7 +125,7 @@ class FiniteGroup(Group):
     def multiply(self, a: int, b: int) -> int:
         self.validate_element(a)
         self.validate_element(b)
-        return self.cayley[a][b]
+        return int(self.cayley_array[a, b])
 
     def inverse(self, a: int) -> int:
         self.validate_element(a)
@@ -145,10 +139,11 @@ class FiniteGroup(Group):
             raise IndexOutOfRange(f"index {a!r} not in 0..{self.order - 1}")
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and other.cayley == self.cayley
+        return (isinstance(other, FiniteGroup)
+                and np.array_equal(other.cayley_array, self.cayley_array))
 
     def __hash__(self):
-        return hash(self.cayley)
+        return hash(self.cayley_array.tobytes())
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"

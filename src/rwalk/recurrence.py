@@ -4,7 +4,7 @@ Four independent instruments, each honest about what it can and cannot
 decide from finitely many terms:
 
   * return_series     exact n-step return probabilities p(n) at the identity
-                      (dense convolution on lattices, matrix powers on
+                      (dense convolution on lattices, tables.powers on
                       finite groups)
   * estimate_rho      spectral radius from the series along the period
                       subsequence (ratio estimator, root fallback)
@@ -54,10 +54,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import HorizonTooLarge, InsufficientData, WindowExceeded
+from .errors import HorizonTooLarge, InsufficientData
 from .groups import FiniteGroup, Lattice
 from .laws import Law
-from .tables import FunctionTable, LatticeBox, convolve, step
+from .tables import FunctionTable, LatticeBox, convolve, powers, step
 
 HORIZON_CAP = {1: 5000, 2: 600, 3: 120}
 HORIZON_CAP_FINITE = 10_000
@@ -185,21 +185,12 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
 
 
 def _series_finite(law: Law, horizon: int) -> ReturnSeries:
-    group = law.group
-    n = group.order
-    rows = np.arange(n)
-    trans = np.zeros((n, n))
-    for u, p in law.atoms.items():
-        trans[rows, group.cayley_array[:, u]] += p
-    e = group.identity()
-    row = np.zeros(n)
-    row[e] = 1.0
+    e = law.group.identity()
     probs = [1.0]
     worst_mass = 0.0
-    for _ in range(horizon):
-        row = row @ trans
-        worst_mass = max(worst_mass, abs(float(row.sum()) - 1.0))
-        probs.append(float(row[e]))
+    for f in powers(law, horizon):
+        worst_mass = max(worst_mass, abs(float(f.sum()) - 1.0))
+        probs.append(float(f[e]))
     return _finish_series(probs, horizon, worst_mass)
 
 
@@ -529,20 +520,12 @@ class HittingTable:
     layers: list  # layers[n][x] = P_x(first visit to targets within n steps)
 
 
-def _dp_window(law: Law, targets, steps: int) -> LatticeBox:
-    dim = law.group.dim
-    margin = steps * law.support_radius()
-    lo = tuple(min(t[k] for t in targets) - margin for k in range(dim))
-    hi = tuple(max(t[k] for t in targets) + margin for k in range(dim))
-    return LatticeBox(lo, hi)
-
-
-def hitting_dp(law: Law, targets, steps: int, window: LatticeBox | None = None) -> HittingTable:
+def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
     """Exact finite-horizon hitting probabilities by backward recursion.
 
     Outside the window the probability is taken as 0 (absorbing
     truncation), which makes every layer a certified lower bound on the
-    untruncated value; the default window pushes the boundary steps *
+    untruncated value; the window pushes the boundary steps *
     support_radius away from the targets, where it is unreachable, so the
     bound is exact.
     """
@@ -556,19 +539,11 @@ def hitting_dp(law: Law, targets, steps: int, window: LatticeBox | None = None) 
         raise ValueError("steps must be >= 0")
 
     if isinstance(group, FiniteGroup):
-        window = None
-        margin = 0
+        window, margin = None, 0
     else:
-        needed = _dp_window(law, targets, steps)
-        if window is None:
-            window = needed
-        else:
-            if not (all(a <= b for a, b in zip(window.lo, needed.lo))
-                    and all(a >= b for a, b in zip(needed.hi, window.hi))):
-                raise WindowExceeded(
-                    f"window {window!r} does not cover targets expanded by "
-                    f"{steps} * support radius")
         margin = law.support_radius()
+        pts = np.array(list(targets))
+        window = LatticeBox(pts.min(axis=0) - steps * margin, pts.max(axis=0) + steps * margin)
 
     first = FunctionTable(group, window)
     for t in targets:
@@ -593,13 +568,10 @@ def check_translation_invariance(law: Law, targets, y, steps: int) -> float:
     targets = frozenset(targets)
     base = hitting_dp(law, targets, steps)
     shifted_targets = frozenset(group.multiply(y, b) for b in targets)
-    if isinstance(group, FiniteGroup):
-        shifted_window = None
-        at_yx = group.cayley_array[y]   # shifted layer read at y*x, for every x
-    else:
-        shifted_window = base.window.translate(y)
-        at_yx = Ellipsis                # the translated box puts y+x where x was
-    shifted = hitting_dp(law, shifted_targets, steps, window=shifted_window)
+    shifted = hitting_dp(law, shifted_targets, steps)
+    # the shifted layer read at y*x, for every x; on a lattice the shifted
+    # targets' window is the base window translated by y, so y+x is where x was
+    at_yx = group.cayley_array[y] if isinstance(group, FiniteGroup) else Ellipsis
     return max(float(np.max(np.abs(b.values[at_yx] - a.values)))
                for a, b in zip(base.layers, shifted.layers))
 

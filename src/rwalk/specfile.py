@@ -25,6 +25,7 @@ emit/parse round trips bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import SpecFileError
@@ -176,17 +177,13 @@ def parse_walk_spec(text: str) -> WalkSpec:
                     f"options block: bad value {value!r} for {key}", ln) from None
             if key == "window_radius" and options.window_radius < 0:
                 raise SpecFileError("options block: window_radius must be >= 0", ln)
+            if caster is float and not math.isfinite(getattr(options, key)):
+                raise SpecFileError(f"options block: {key} must be finite, got {value!r}", ln)
             pos += 1
     elif tok is not None:
         raise SpecFileError(f"unexpected content {' '.join(tok)!r}", ln)
 
     return WalkSpec(group, law, options)
-
-
-def _format_element(group: Group, x) -> str:
-    if isinstance(group, Lattice):
-        return " ".join(str(c) for c in x)
-    return str(x)
 
 
 def format_walk_spec(spec: WalkSpec) -> str:
@@ -198,12 +195,13 @@ def format_walk_spec(spec: WalkSpec) -> str:
     else:
         out.append(f"group finite {group.order}")
         out.append("cayley")
-        for row in group.cayley:
+        for row in group.cayley_array.tolist():
             out.append("  " + " ".join(str(v) for v in row))
     out.append("")
     out.append("law")
     for x, p in spec.law.atoms.items():
-        out.append(f"  {_format_element(group, x)} {p!r}")
+        elem = " ".join(str(c) for c in x) if isinstance(x, tuple) else x
+        out.append(f"  {elem} {p!r}")
     opts = [(f.name, getattr(spec.options, f.name)) for f in fields(spec.options)]
     opts = [(k, v) for k, v in opts if v is not None]
     if opts:

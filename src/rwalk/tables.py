@@ -63,10 +63,6 @@ class LatticeBox:
             n *= b - a + 1
         return n
 
-    def translate(self, y: tuple) -> "LatticeBox":
-        return LatticeBox(tuple(a + v for a, v in zip(self.lo, y)),
-                          tuple(b + v for b, v in zip(self.hi, y)))
-
     def __eq__(self, other):
         return isinstance(other, LatticeBox) and (self.lo, self.hi) == (other.lo, other.hi)
 

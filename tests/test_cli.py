@@ -196,6 +196,16 @@ def test_verify_impossible_tolerance_exits_3(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_non_finite_tolerance_is_a_usage_error(capsys, value):
+    # nan fails every comparison and inf passes every one
+    code = main(["verify", fixture("bernoulli_025.spec"), "--max-residual", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"--max-residual must be finite, got {float(value)}\n"
+    assert captured.out == ""
+
+
 def test_verify_check_errors_are_reported_not_fatal(capsys, tmp_path):
     # a window too small to shrink makes eq1 error out; eq12 builds its own
     # window and must still run and pass, with exit 3 overall
@@ -430,6 +440,22 @@ def test_simulate_threshold_options_flow_through(tmp_path):
     rec = report["recurrence"]
     assert rec["thresholds"] == {"recurrent": 1.0001, "transient": 1.00001}
     assert rec["verdict"] == "RRecurrentHeuristic"
+
+
+@pytest.mark.parametrize("key, value", [("growth_recurrent", "nan"),
+                                        ("growth_transient", "inf"),
+                                        ("growth_recurrent", "-inf")])
+def test_simulate_non_finite_threshold_is_a_spec_error(capsys, tmp_path, key, value):
+    # a nan threshold would make a verdict unreachable and the report invalid JSON
+    text = (FIXTURES / "symmetric.spec").read_text() + f"\noptions\n{key} {value}\n"
+    spec = tmp_path / "walk.spec"
+    spec.write_text(text)
+    assert main(["simulate", str(spec), "--trajectories", "5", "--horizon", "5"]) == 1
+    captured = capsys.readouterr()
+    line = len(text.splitlines())
+    assert captured.err == (f"spec error: line {line}: options block: {key} "
+                            f"must be finite, got {value!r}\n")
+    assert captured.out == ""
 
 
 def test_simulate_decides_on_the_tilted_series(tmp_path):

@@ -58,17 +58,44 @@ def test_corrupted_cayley_rejected():
         FiniteGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 
 
+# a quasigroup: Latin, has a two-sided identity, but not associative
+QUASIGROUP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_nonassociative_latin_square_rejected():
-    # a quasigroup: Latin, has a two-sided identity, but not associative
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(ValueError, match="associative"):
+        FiniteGroup(QUASIGROUP)
+
+
+@pytest.mark.parametrize("table, message", [
+    # row 0 and column 0 both repeat a value: the row is named first
+    ([[0, 0], [0, 1]], "Cayley table is not a Latin square: row 0"),
+    ([[0, 1, 2], [1, 2, 0], [1, 2, 0]], "Cayley table is not a Latin square: column 0"),
+    # a loop where 2*3 = 0 but 3*2 = 1
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+      [4, 2, 0, 1, 3]], "element 2 has no two-sided inverse"),
+    ([[0, 1], [1]], "Cayley row 1 has length 1, expected 2"),
+    # order 70 > 64: only the triples of every 4th index are tested
+    ([[QUASIGROUP[a // 14][b // 14] * 14 + (a + b) % 14 for b in range(70)]
+      for a in range(70)], "Cayley table not associative at (16,16,28)"),
+])
+def test_rejection_names_first_offender(table, message):
+    with pytest.raises(ValueError) as info:
         FiniteGroup(table)
+    assert str(info.value) == message
+
+
+def test_equal_tables_give_equal_groups():
+    a, b = FiniteGroup(s3_cayley()), FiniteGroup(s3_cayley())
+    assert a == b and hash(a) == hash(b)
+    assert a != cyclic_group(6)
+    assert type(a.multiply(1, 2)) is int and type(a.inverse(4)) is int
 
 
 @pytest.mark.parametrize("make", [lambda: cyclic_group(6),

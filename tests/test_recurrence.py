@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwalk import (HorizonTooLarge, InsufficientData, Lattice, Law, LatticeBox,
-                   Verdict, WindowExceeded, build_recurrence_report,
-                   check_translation_invariance, cyclic_group, estimate_rho,
-                   find_exponential, hitting_dp, r_recurrence_test,
-                   return_series, simulate_harris, tilt_from_spectral)
+from rwalk import (FiniteGroup, HorizonTooLarge, InsufficientData, Lattice, Law,
+                   Verdict, build_recurrence_report, check_translation_invariance,
+                   cyclic_group, estimate_rho, find_exponential, hitting_dp,
+                   r_recurrence_test, return_series, simulate_harris,
+                   tilt_from_spectral)
 import rwalk.recurrence as recurrence
 from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_finite,
                               _chunk_lattice, _coset_frame, _decode_keys,
                               _key_weights, _trajectory_rng, worker_count)
 from rwalk.tables import convolve, support_span
+
+from conftest import s3_cayley
 
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
@@ -96,6 +98,66 @@ def test_return_series_finite_matches_multiply_table(z6_law, s3_law):
             row = row @ trans
             want.append(float(row[group.identity()]))
         assert return_series(law, 300).probabilities == want
+
+
+def reference_series_finite(law, horizon):
+    """The finite-group series through a dense order x order transition
+    matrix, row-vector times matrix per step: (probabilities, period,
+    max_mass_error)."""
+    group = law.group
+    n = group.order
+    trans = np.zeros((n, n))
+    for u, p in law.atoms.items():
+        trans[np.arange(n), group.cayley_array[:, u]] += p
+    e = group.identity()
+    row = np.zeros(n)
+    row[e] = 1.0
+    probs, worst_mass = [1.0], 0.0
+    for _ in range(horizon):
+        row = row @ trans
+        worst_mass = max(worst_mass, abs(float(row.sum()) - 1.0))
+        probs.append(float(row[e]))
+    period = math.gcd(*[k for k, p in enumerate(probs) if k >= 1 and p > 0.0])
+    return probs, period, worst_mass
+
+
+@st.composite
+def finite_series_cases(draw):
+    if draw(st.booleans()):
+        group = FiniteGroup(s3_cayley())
+    else:
+        group = cyclic_group(draw(st.integers(2, 60)))
+    size = draw(st.integers(2, min(6, group.order)))
+    elems = draw(st.lists(st.integers(0, group.order - 1), min_size=size,
+                          max_size=size, unique=True))
+    weights = draw(st.one_of(st.just([1] * size),
+                             st.lists(st.integers(1, 20), min_size=size, max_size=size)))
+    law = Law(group, {u: w / sum(weights) for u, w in zip(elems, weights)})
+    return law, draw(st.integers(1, 300))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(finite_series_cases())
+def test_series_finite_matches_matrix_reference(case):
+    # the n-step laws come from tables.powers, one gather per atom, where the
+    # reference sums a matrix row: the same products in another order, and
+    # BLAS may fuse a multiply into the add.  Two atoms of mass 1/2 make
+    # every product exact, so the one rounding of each sum is the same.
+    # Otherwise every cell is a sum of nonnegative products, k + 1 roundings
+    # deep per step, so each side is within n (k + 1) u relative of the
+    # exact p(n), and the two within n (k + 1) eps of each other; a mass
+    # sum over the order cells adds order roundings more.
+    law, horizon = case
+    got = return_series(law, horizon)
+    probs, period, worst_mass = reference_series_finite(law, horizon)
+    if list(law.atoms.values()) == [0.5, 0.5]:
+        assert got.probabilities == probs
+    want = np.array(probs)
+    eps = np.finfo(float).eps
+    depth = np.arange(horizon + 1) * (len(law.atoms) + 1)
+    assert np.all(np.abs(np.array(got.probabilities) - want) <= depth * eps * want)
+    assert got.period == period
+    assert abs(got.max_mass_error - worst_mass) <= (depth[-1] + law.group.order) * eps
 
 
 # -------------------------------------------- series on the parity coset
@@ -485,11 +547,6 @@ def test_hitting_dp_monotone(asymmetric_corpus, z6_law):
         table = hitting_dp(law, target, steps)
         for prev, nxt in zip(table.layers, table.layers[1:]):
             assert np.all(nxt.values >= prev.values)
-
-
-def test_hitting_dp_window_too_small(bernoulli):
-    with pytest.raises(WindowExceeded):
-        hitting_dp(bernoulli, {(0,)}, 10, window=LatticeBox.centered(5, 1))
 
 
 def test_translation_invariance_bernoulli(bernoulli):
