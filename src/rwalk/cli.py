@@ -10,6 +10,7 @@ n,p_n,weighted_term,partial_sum.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import platform
@@ -23,9 +24,9 @@ from .errors import (DegenerateSupport, NotIrreducible, NotNormalized,
                      RwalkError, SpecFileError)
 from .groups import FiniteGroup, Lattice
 from .laws import Law, default_window
-from .recurrence import (build_recurrence_report,
-                         check_translation_invariance, simulate_harris,
-                         worker_count)
+from .recurrence import (GROWTH_RECURRENT, GROWTH_TRANSIENT,
+                         build_recurrence_report, check_translation_invariance,
+                         simulate_harris, worker_count)
 from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
                        parse_walk_spec)
 from .spectral import (check_dual_spectral_radius, find_exponential,
@@ -53,6 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rwalk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rwalk {__version__}")
@@ -64,15 +66,18 @@ def _build_parser() -> _Parser:
                         help="write the machine-readable report here ('-' for stdout)")
 
     sub.add_parser("analyze", parents=[common],
-                   help="spectral radius, convergence parameter and minimizer")
+                   help="spectral radius, convergence parameter and minimizer"
+                   ).set_defaults(run=cmd_analyze)
 
     p_tilt = sub.add_parser("tilt", parents=[common],
                             help="emit the zero-drift reweighted walk as a new spec file")
+    p_tilt.set_defaults(run=cmd_tilt)
     p_tilt.add_argument("-o", "--out", required=True,
                         help="output spec path ('-' for stdout)")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the identity checks and report PASS/FAIL")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--paper-checks", default="all", metavar="NAMES",
                           help="'all' or comma list of: " + ",".join(CHECK_NAMES))
     p_verify.add_argument("--max-residual", type=float, default=None,
@@ -81,6 +86,7 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="Monte Carlo return fractions plus the series heuristics")
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--trajectories", type=int, default=None)
     p_sim.add_argument("--horizon", type=int, default=None,
                        help="steps per trajectory (default 10000)")
@@ -152,23 +158,29 @@ def _window_for(spec: WalkSpec):
     return default_window(spec.law)
 
 
-def _report_skeleton(path: str, spec: WalkSpec) -> dict:
-    return {"tool": {"name": "rwalk", "version": __version__,
-                     "workers": worker_count(), "numpy": np.__version__,
-                     "python": platform.python_version()},
-            "spec": {"path": path, "group": _group_json(spec.group),
-                     "law": _law_json(spec.law),
-                     "options": _options_json(spec.options)},
-            "timings": {}}
+def _usage_error(message) -> int:
+    print(message, file=sys.stderr)
+    return EXIT_USAGE
 
 
-def cmd_analyze(args) -> int:
-    spec = _load_spec(args.spec)
-    report = _report_skeleton(args.spec, spec)
+def _solve(args, spec: WalkSpec):
+    """The report skeleton and the timed spectral solve every report starts with."""
+    report = {"tool": {"name": "rwalk", "version": __version__,
+                       "workers": args.workers, "numpy": np.__version__,
+                       "python": platform.python_version()},
+              "spec": {"path": args.spec, "group": _group_json(spec.group),
+                       "law": _law_json(spec.law),
+                       "options": _options_json(spec.options)},
+              "timings": {}}
     t0 = time.perf_counter()
     exponential, spectral = find_exponential(spec.law)
     report["timings"]["spectral"] = time.perf_counter() - t0
     report["spectral"] = _spectral_json(spectral)
+    return report, exponential, spectral
+
+
+def cmd_analyze(args) -> int:
+    report, _, spectral = _solve(args, _load_spec(args.spec))
     report["exit_code"] = EXIT_OK
     print(f"theta*        = {list(spectral.theta)}")
     print(f"rho           = {spectral.rho!r}")
@@ -261,20 +273,15 @@ def cmd_verify(args) -> int:
     else:
         names = [n.strip() for n in args.paper_checks.split(",") if n.strip()]
         if not names:
-            print("--paper-checks names no check", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("--paper-checks names no check")
         unknown = [n for n in names if n not in CHECK_NAMES]
         if unknown:
-            print(f"unknown check name(s): {', '.join(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(f"unknown check name(s): {', '.join(unknown)}")
     if args.max_residual is not None and not math.isfinite(args.max_residual):
-        print(f"--max-residual must be finite, got {args.max_residual}", file=sys.stderr)
-        return EXIT_USAGE
-    report = _report_skeleton(args.spec, spec)
-    t0 = time.perf_counter()
-    exponential, spectral = find_exponential(spec.law)
-    report["timings"]["spectral"] = time.perf_counter() - t0
-    report["spectral"] = _spectral_json(spectral)
+        return _usage_error(f"--max-residual must be finite, got {args.max_residual}")
+    if args.max_residual is not None and args.max_residual < 0:
+        return _usage_error(f"--max-residual must be >= 0, got {args.max_residual}")
+    report, exponential, spectral = _solve(args, spec)
     ctx = {"exponential": exponential, "spectral": spectral,
            "window": _window_for(spec)}
     all_passed = True
@@ -312,49 +319,42 @@ def _write_series_csv(path: str, rec):
             fh.write(f"{n},{p!r},{term!r},{acc!r}\n")
 
 
+def _first(*values):
+    return next(v for v in values if v is not None)
+
+
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     opts = spec.options
-    trajectories = args.trajectories if args.trajectories is not None else \
-        (opts.trajectories if opts.trajectories is not None else 10_000)
-    horizon = args.horizon if args.horizon is not None else \
-        (opts.horizon if opts.horizon is not None else 10_000)
-    seed = args.seed if args.seed is not None else \
-        (opts.seed if opts.seed is not None else 42)
+    trajectories = _first(args.trajectories, opts.trajectories, 10_000)
+    horizon = _first(args.horizon, opts.horizon, 10_000)
+    seed = _first(args.seed, opts.seed, 42)
+    recurrent = _first(opts.growth_recurrent, GROWTH_RECURRENT)
+    transient = _first(opts.growth_transient, GROWTH_TRANSIENT)
     if trajectories < 1:
-        print("--trajectories must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--trajectories must be >= 1")
     if horizon < 1:
-        print("--horizon must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--horizon must be >= 1")
     if seed < 0:
-        print(f"seed must be >= 0, got {seed}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"seed must be >= 0, got {seed}")
     if args.series_horizon is not None and args.series_horizon < 1:
-        print("--series-horizon must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--series-horizon must be >= 1")
+    if recurrent <= transient:
+        return _usage_error(f"growth_recurrent must be > growth_transient, "
+                            f"got {recurrent} <= {transient}")
     target = (parse_element_set(args.target, spec.group) if args.target
               else frozenset({spec.group.identity()}))
-
-    report = _report_skeleton(args.spec, spec)
-    t0 = time.perf_counter()
-    exponential, spectral = find_exponential(spec.law)
-    report["timings"]["spectral"] = time.perf_counter() - t0
-    report["spectral"] = _spectral_json(spectral)
+    report, exponential, spectral = _solve(args, spec)
 
     t0 = time.perf_counter()
     mc = simulate_harris(spec.law, target, trajectories, horizon, seed)
     report["timings"]["monte_carlo"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kwargs = {}
-    if opts.growth_recurrent is not None:
-        kwargs["recurrent_threshold"] = opts.growth_recurrent
-    if opts.growth_transient is not None:
-        kwargs["transient_threshold"] = opts.growth_transient
     tw = tilt(spec.law, exponential, spectral.R)
-    rec = build_recurrence_report(tw.tilted, spectral.rho,
-                                  horizon=args.series_horizon, **kwargs)
+    rec = build_recurrence_report(tw.tilted, spectral.rho, horizon=args.series_horizon,
+                                  recurrent_threshold=recurrent,
+                                  transient_threshold=transient)
     report["timings"]["series"] = time.perf_counter() - t0
     series, test = rec.series, rec.test
 
@@ -362,7 +362,7 @@ def cmd_simulate(args) -> int:
         "rho_series": rec.rho_series, "rho_method": rec.rho_method,
         "rho_spectral": rec.rho_spectral, "period": series.period,
         "horizon": series.horizon, "growth_ratio": test.growth_ratio,
-        "verdict": test.verdict.value,
+        "verdict": test.verdict.value, "verdict_theorem": rec.verdict_theorem,
         "partial_sums": rec.partial_sum_checkpoints,
         "thresholds": {"recurrent": test.recurrent_threshold,
                        "transient": test.transient_threshold},
@@ -391,29 +391,19 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        worker_count()  # a bad RWALK_THREADS is a usage error, before any work
+        # a bad RWALK_THREADS is a usage error, before any work
+        args.workers = worker_count()
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "tilt":
-            return cmd_tilt(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return EXIT_USAGE
+        return args.run(args)
     except (SpecFileError, FileNotFoundError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"spec error: {exc}")
     except (DegenerateSupport, NotIrreducible, NotNormalized) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

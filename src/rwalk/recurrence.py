@@ -275,6 +275,9 @@ def r_recurrence_test(series: ReturnSeries, *,
     convergent tail it tends to 1.  Finitely many terms cannot decide
     divergence, hence the explicit thresholds and the heuristic labels.
     """
+    if recurrent_threshold <= transient_threshold:
+        raise ValueError(f"recurrent_threshold must be > transient_threshold, "
+                         f"got {recurrent_threshold} <= {transient_threshold}")
     sums = list(itertools.accumulate(series.probabilities))
     growth = sums[series.horizon] / sums[series.horizon // 4]
     if growth >= recurrent_threshold:
@@ -585,6 +588,7 @@ class RecurrenceReport:
     warnings: list
     series: ReturnSeries       # period, horizon and max_mass_error
     test: RecurrenceVerdict    # growth ratio, verdict and its thresholds
+    verdict_theorem: str       # "RRecurrent" or "RTransient", from the group alone
 
 
 def build_recurrence_report(tilted: Law, rho_spectral: float, *,
@@ -592,7 +596,12 @@ def build_recurrence_report(tilted: Law, rho_spectral: float, *,
                             recurrent_threshold: float = GROWTH_RECURRENT,
                             transient_threshold: float = GROWTH_TRANSIENT) -> RecurrenceReport:
     """Series + estimator + divergence heuristic of the tilted law, whose
-    series is p~(n) = R^n p(n): rho_series = rho_spectral * rho_hat(p~)."""
+    series is p~(n) = R^n p(n): rho_series = rho_spectral * rho_hat(p~).
+
+    The walk is R-recurrent exactly when its tilted walk, irreducible with
+    zero drift, is recurrent: on every finite group, and on Z^d exactly
+    when d <= 2 (Chung-Fuchs 1951; Spitzer T8.1).  verdict_theorem reports
+    that; the series verdict checks it numerically."""
     series = return_series(tilted, horizon)
     warnings = []
     if isinstance(tilted.group, Lattice) and tilted.support_radius() > WIDE_SUPPORT_RADIUS:
@@ -611,5 +620,7 @@ def build_recurrence_report(tilted: Law, rho_spectral: float, *,
     checkpoints = {"quarter": test.partial_sums[n // 4],
                    "half": test.partial_sums[n // 2],
                    "final": test.partial_sums[n]}
+    transient = isinstance(tilted.group, Lattice) and tilted.group.dim > 2
+    theorem = "RTransient" if transient else "RRecurrent"
     return RecurrenceReport(rho_series, rho_method, rho_spectral, checkpoints,
-                            warnings, series, test)
+                            warnings, series, test, theorem)

@@ -80,59 +80,46 @@ def _prob(tok: str, line: int) -> float:
 
 def parse_walk_spec(text: str) -> WalkSpec:
     lines = list(_tokens(text))
-    pos = 0
-
-    def peek():
-        return lines[pos] if pos < len(lines) else (None, None)
-
-    # --- group header -----------------------------------------------------
-    if pos >= len(lines) or lines[pos][1][0] != "group":
+    if not lines or lines[0][1][0] != "group":
         raise SpecFileError("file must start with a 'group' line",
-                            lines[pos][0] if pos < len(lines) else None)
-    gline, gtok = lines[pos]
-    pos += 1
+                            lines[0][0] if lines else None)
+    (gline, gtok), rest = lines[0], lines[1:]
     if len(gtok) != 3 or gtok[1] not in ("lattice", "finite"):
         raise SpecFileError("group line must be 'group lattice <d>' or "
                             "'group finite <order>'", gline)
+    size = _int(gtok[2], gline, "group")
     if gtok[1] == "lattice":
-        d = _int(gtok[2], gline, "group")
         try:
-            group: Group = Lattice(d)
+            group: Group = Lattice(size)
         except ValueError as exc:
             raise SpecFileError(f"group: {exc}", gline) from None
     else:
-        order = _int(gtok[2], gline, "group")
-        ln, tok = peek()
-        if tok != ["cayley"]:
-            raise SpecFileError("finite group needs a 'cayley' block", ln or gline)
-        pos += 1
-        rows = []
-        for _ in range(order):
-            ln, tok = peek()
-            if tok is None:
-                raise SpecFileError(f"cayley block: expected {order} rows", gline)
-            if len(tok) != order:
+        if not rest or rest[0][1] != ["cayley"]:
+            raise SpecFileError("finite group needs a 'cayley' block",
+                                rest[0][0] if rest else gline)
+        # the next <order> lines are the rows, whatever they hold
+        end = 1 + max(size, 0)
+        rows, rest, table = rest[1:end], rest[end:], []
+        for ln, tok in rows:
+            if len(tok) != size:
                 raise SpecFileError(
-                    f"cayley block: row has {len(tok)} entries, expected {order}", ln)
-            rows.append([_int(t, ln, "cayley") for t in tok])
-            pos += 1
+                    f"cayley block: row has {len(tok)} entries, expected {size}", ln)
+            table.append([_int(t, ln, "cayley") for t in tok])
+        if len(rows) < size:
+            raise SpecFileError(f"cayley block: expected {size} rows", gline)
         try:
-            group = FiniteGroup(rows)
+            group = FiniteGroup(table)
         except ValueError as exc:
             raise SpecFileError(f"cayley block: {exc}", gline) from None
 
-    # --- law block ---------------------------------------------------------
-    ln, tok = peek()
-    if tok != ["law"]:
-        raise SpecFileError("expected a 'law' block after the group", ln or gline)
-    law_line = ln
-    pos += 1
+    if not rest or rest[0][1] != ["law"]:
+        raise SpecFileError("expected a 'law' block after the group",
+                            rest[0][0] if rest else gline)
+    law_line, rest = rest[0][0], rest[1:]
+    cut = next((i for i, (_, tok) in enumerate(rest) if tok == ["options"]), len(rest))
     atoms: dict = {}
     coords = group.dim if isinstance(group, Lattice) else 1
-    while True:
-        ln, tok = peek()
-        if tok is None or tok == ["options"]:
-            break
+    for ln, tok in rest[:cut]:
         if len(tok) != coords + 1:
             raise SpecFileError(
                 f"law block: expected {coords} element coordinate(s) and a "
@@ -147,7 +134,6 @@ def parse_walk_spec(text: str) -> WalkSpec:
         if elem in atoms:
             raise SpecFileError(f"law block: duplicate atom {elem!r}", ln)
         atoms[elem] = _prob(tok[-1], ln)
-        pos += 1
     if not atoms:
         raise SpecFileError("law block: no atoms", law_line)
     try:
@@ -155,34 +141,23 @@ def parse_walk_spec(text: str) -> WalkSpec:
     except ValueError as exc:
         raise SpecFileError(f"law block: {exc}", law_line) from None
 
-    # --- options block -----------------------------------------------------
     options = WalkOptions()
-    ln, tok = peek()
-    if tok == ["options"]:
-        pos += 1
-        while True:
-            ln, tok = peek()
-            if tok is None:
-                break
-            if len(tok) != 2:
-                raise SpecFileError("options block: expected 'key value'", ln)
-            key, value = tok
-            caster = WalkOptions._TYPES.get(key)
-            if caster is None:
-                raise SpecFileError(f"options block: unknown key {key!r}", ln)
-            try:
-                setattr(options, key, caster(value))
-            except ValueError:
-                raise SpecFileError(
-                    f"options block: bad value {value!r} for {key}", ln) from None
-            if key == "window_radius" and options.window_radius < 0:
-                raise SpecFileError("options block: window_radius must be >= 0", ln)
-            if caster is float and not math.isfinite(getattr(options, key)):
-                raise SpecFileError(f"options block: {key} must be finite, got {value!r}", ln)
-            pos += 1
-    elif tok is not None:
-        raise SpecFileError(f"unexpected content {' '.join(tok)!r}", ln)
-
+    for ln, tok in rest[cut + 1:]:
+        if len(tok) != 2:
+            raise SpecFileError("options block: expected 'key value'", ln)
+        key, value = tok
+        caster = WalkOptions._TYPES.get(key)
+        if caster is None:
+            raise SpecFileError(f"options block: unknown key {key!r}", ln)
+        try:
+            setattr(options, key, caster(value))
+        except ValueError:
+            raise SpecFileError(
+                f"options block: bad value {value!r} for {key}", ln) from None
+        if key == "window_radius" and options.window_radius < 0:
+            raise SpecFileError("options block: window_radius must be >= 0", ln)
+        if caster is float and not math.isfinite(getattr(options, key)):
+            raise SpecFileError(f"options block: {key} must be finite, got {value!r}", ln)
     return WalkSpec(group, law, options)
 
 

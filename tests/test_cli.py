@@ -189,6 +189,123 @@ def test_verify_negative_window_radius_is_a_spec_error(capsys, tmp_path):
     assert captured.out == ""
 
 
+ROOT_USAGE = "usage: rwalk [-h] [--version] {analyze,tilt,verify,simulate} ...\n"
+VERIFY_USAGE = ("usage: rwalk verify [-h] [--json PATH] [--paper-checks NAMES]\n"
+                "                    [--max-residual MAX_RESIDUAL]\n"
+                "                    spec\n")
+SIMULATE_USAGE = (
+    "usage: rwalk simulate [-h] [--json PATH] [--trajectories TRAJECTORIES]\n"
+    "                      [--horizon HORIZON] [--seed SEED] [--target TARGET]\n"
+    "                      [--series-horizon SERIES_HORIZON] [--csv PATH]\n"
+    "                      spec\n")
+THREADS_ERROR = "RWALK_THREADS must be a positive integer number of worker threads, got "
+SIM10 = ["--trajectories", "10", "--horizon", "10"]
+
+# (case, argv with {B}/{Z} for the bernoulli/z6 fixtures, RWALK_THREADS,
+# exit code, exact stderr); where two errors meet, the first named wins
+ARGV_ERRORS = [
+    ("empty argv", [], None, 1, ROOT_USAGE),
+    ("unknown command", ["frobnicate"], None, 1, ROOT_USAGE),
+    ("missing spec", ["analyze"], None, 1,
+     "usage: rwalk analyze [-h] [--json PATH] spec\n"),
+    ("unknown flag", ["analyze", "{B}", "--bogus"], None, 1, ROOT_USAGE),
+    ("tilt without out", ["tilt", "{B}"], None, 1,
+     "usage: rwalk tilt [-h] [--json PATH] -o OUT spec\n"),
+    ("unknown check", ["verify", "{B}", "--paper-checks", "eq99"], None, 1,
+     "unknown check name(s): eq99\n"),
+    ("unknown checks", ["verify", "{B}", "--paper-checks", "eq1,foo, bar"], None, 1,
+     "unknown check name(s): foo, bar\n"),
+    ("empty check list", ["verify", "{B}", "--paper-checks", ","], None, 1,
+     "--paper-checks names no check\n"),
+    ("max residual nan", ["verify", "{B}", "--max-residual", "nan"], None, 1,
+     "--max-residual must be finite, got nan\n"),
+    ("max residual inf", ["verify", "{B}", "--max-residual", "inf"], None, 1,
+     "--max-residual must be finite, got inf\n"),
+    ("max residual -inf", ["verify", "{B}", "--max-residual", "-inf"], None, 1,
+     VERIFY_USAGE),
+    ("max residual text", ["verify", "{B}", "--max-residual", "small"], None, 1,
+     VERIFY_USAGE),
+    ("check list before residual",
+     ["verify", "{B}", "--paper-checks", "x", "--max-residual", "nan"], None, 1,
+     "unknown check name(s): x\n"),
+    ("trajectories", ["simulate", "{B}", "--trajectories", "0"], None, 1,
+     "--trajectories must be >= 1\n"),
+    ("trajectories text", ["simulate", "{B}", "--trajectories", "many"], None, 1,
+     SIMULATE_USAGE),
+    ("horizon", ["simulate", "{B}", "--horizon", "-3"], None, 1,
+     "--horizon must be >= 1\n"),
+    ("seed", ["simulate", "{B}", *SIM10, "--seed", "-1"], None, 1,
+     "seed must be >= 0, got -1\n"),
+    ("series horizon", ["simulate", "{B}", *SIM10, "--series-horizon", "0"], None, 1,
+     "--series-horizon must be >= 1\n"),
+    ("trajectories before seed",
+     ["simulate", "{B}", "--trajectories", "0", "--seed", "-1"], None, 1,
+     "--trajectories must be >= 1\n"),
+    ("horizon before series horizon",
+     ["simulate", "{B}", "--horizon", "0", "--series-horizon", "0"], None, 1,
+     "--horizon must be >= 1\n"),
+    ("target text", ["simulate", "{B}", *SIM10, "--target", "a"], None, 1,
+     "spec error: bad element 'a' in target set\n"),
+    ("target empty", ["simulate", "{B}", *SIM10, "--target", ";"], None, 1,
+     "spec error: empty target set\n"),
+    ("target outside group", ["simulate", "{Z}", *SIM10, "--target", "7"], None, 1,
+     "spec error: target element '7': index 7 not in 0..5\n"),
+    ("missing file", ["analyze", "{missing}"], None, 1,
+     "spec error: [Errno 2] No such file or directory: '{missing}'\n"),
+    ("thread env text", ["analyze", "{B}"], "abc", 1, THREADS_ERROR + "'abc'\n"),
+    ("thread env zero", ["simulate", "{B}", *SIM10], "0", 1, THREADS_ERROR + "'0'\n"),
+    ("thread env before check list", ["verify", "{B}", "--paper-checks", "x"], "-2", 1,
+     THREADS_ERROR + "'-2'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, threads, code, err", [c[1:] for c in ARGV_ERRORS],
+                         ids=[c[0] for c in ARGV_ERRORS])
+def test_argv_error_surface(capsys, monkeypatch, tmp_path, argv, threads, code, err):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to the terminal
+    if threads is None:
+        monkeypatch.delenv("RWALK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RWALK_THREADS", threads)
+    paths = {"B": fixture("bernoulli_025.spec"), "Z": fixture("z6.spec"),
+             "missing": str(tmp_path / "nope.spec")}
+
+    def sub(text):
+        for key, path in paths.items():
+            text = text.replace("{%s}" % key, path)
+        return text
+
+    assert main([sub(a) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == sub(err)
+    assert captured.out == ""
+
+
+def test_verify_negative_tolerance_is_a_usage_error(capsys):
+    # a negative tolerance fails every residual check, however exact
+    code = main(["verify", fixture("bernoulli_025.spec"), "--max-residual", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "--max-residual must be >= 0, got -1.0\n"
+    assert captured.out == ""
+
+
+def test_one_parser_and_one_worker_count_per_main(capsys, monkeypatch):
+    import rwalk.cli
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return worker_count()
+
+    monkeypatch.setattr(rwalk.cli, "worker_count", counting)
+    for command in ("analyze", "verify", "simulate"):
+        assert main([command, fixture("z6.spec"), "--json", "-"]) == 0
+    assert len(calls) == 3
+    assert rwalk.cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
 def test_verify_impossible_tolerance_exits_3(capsys):
     code = main(["verify", fixture("bernoulli_025.spec"),
                  "--paper-checks", "eq1", "--max-residual", "0"])
@@ -456,6 +573,51 @@ def test_simulate_non_finite_threshold_is_a_spec_error(capsys, tmp_path, key, va
     assert captured.err == (f"spec error: line {line}: options block: {key} "
                             f"must be finite, got {value!r}\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("options, values", [
+    ("growth_recurrent 0.5\ngrowth_transient 3.0\n", "0.5 <= 3.0"),
+    ("growth_recurrent 1.05\n", "1.05 <= 1.05"),
+    ("growth_transient 2\n", "1.5 <= 2.0")], ids=["both", "recurrent", "transient"])
+def test_simulate_unreachable_thresholds_are_a_usage_error(capsys, tmp_path,
+                                                          options, values):
+    # each threshold is the spec's, else the default; recurrent <= transient
+    # would read RRecurrentHeuristic on the transient 3-D walk
+    spec = tmp_path / "walk.spec"
+    spec.write_text((FIXTURES / "sym3d.spec").read_text() + "\noptions\n" + options)
+    assert main(["simulate", str(spec), "--trajectories", "5", "--horizon", "5",
+                 "--series-horizon", "60"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"growth_recurrent must be > growth_transient, got {values}\n"
+    assert captured.out == ""
+
+
+# R^n p(n) = p~(n): R-recurrent exactly when the zero-drift tilted walk is
+# recurrent, on every finite group and on Z^d for d <= 2 (Chung-Fuchs)
+THEOREM_VERDICTS = {"bad_sum.spec": None, "bernoulli_025.spec": "RRecurrent",
+                    "drift2d.spec": "RRecurrent", "even_steps.spec": None,
+                    "lazy_drift.spec": "RRecurrent", "one_sided.spec": None,
+                    "sym3d.spec": "RTransient", "symmetric.spec": "RRecurrent",
+                    "z6.spec": "RRecurrent"}
+
+
+def test_theorem_verdict_covers_every_fixture():
+    assert sorted(THEOREM_VERDICTS) == sorted(p.name for p in FIXTURES.glob("*.spec"))
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_VERDICTS))
+def test_simulate_reports_the_theorem_verdict(capsys, tmp_path, name):
+    out = tmp_path / "report.json"
+    code = main(["simulate", fixture(name), "--trajectories", "20", "--horizon", "20",
+                 "--series-horizon", "40", "--json", str(out)])
+    expected = THEOREM_VERDICTS[name]
+    if expected is None:   # rejected before any report: no walk to judge
+        assert code in (1, 2) and not out.exists()
+        return
+    assert code == 0
+    report = json.loads(out.read_text())
+    check_schema(report, SCHEMA)
+    assert report["recurrence"]["verdict_theorem"] == expected
 
 
 def test_simulate_decides_on_the_tilted_series(tmp_path):

@@ -485,6 +485,15 @@ def test_r_recurrence_2d_inconclusive(symmetric2d):
     assert res.verdict is Verdict.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("recurrent, transient", [(0.5, 3.0), (1.2, 1.2)])
+def test_r_recurrence_rejects_unreachable_thresholds(symmetric2d, recurrent, transient):
+    # at or below the transient threshold, a verdict could never be reached
+    series = return_series(symmetric2d, 20)
+    with pytest.raises(ValueError, match=f"got {recurrent} <= {transient}"):
+        r_recurrence_test(series, recurrent_threshold=recurrent,
+                          transient_threshold=transient)
+
+
 def test_recurrence_report_bundle(bernoulli):
     _, sp = find_exponential(bernoulli)
     rep = build_recurrence_report(tilt_from_spectral(bernoulli).tilted, sp.rho)
