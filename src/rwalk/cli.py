@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the exit-code contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
@@ -195,7 +195,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_tilt(args) -> int:
     spec = _load_spec(args.spec)
-    exponential, spectral = find_exponential(spec.law)
+    report, exponential, spectral = _solve(args, spec)
+    report["exit_code"] = EXIT_OK
     tw = tilt(spec.law, exponential, spectral.R)
     out_spec = WalkSpec(spec.group, tw.tilted, spec.options)
     text = format_walk_spec(out_spec)
@@ -206,6 +207,7 @@ def cmd_tilt(args) -> int:
             fh.write(text)
         print(f"tilted walk written to {args.out} "
               f"(R = {spectral.R!r}, theta* = {list(spectral.theta)})")
+    _write_report(report, args.json)
     return EXIT_OK
 
 

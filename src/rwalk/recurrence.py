@@ -12,7 +12,7 @@ decide from finitely many terms:
                       tilted walk's series; labeled heuristic, with thresholds
   * simulate_harris   Monte Carlo single-return fractions with deterministic
                       per-trajectory substreams (counter-based Philox keyed
-                      by (seed, trajectory index))
+                      by (seed, trajectory index), one worker by default)
 
 plus the exact hitting-probability dynamic program used for the
 translation-invariance identity h^{yB}(yx) = h^B(x).
@@ -27,9 +27,13 @@ exact zeros and are not computed, and only the pairing sums p(2n) add
 the same nonzero products in another layout, so they can differ from
 an x-coordinate sum in the last few ulps.
 
-The Monte Carlo kernels step dense (trajectories, steps) blocks.  Each
-row is filled from its own trajectory's stream in order, so the draws
-are those of one random(horizon) call per trajectory, and an atom index
+The Monte Carlo kernels step dense (trajectories, steps) blocks.  A
+chunk's Philox keys, those of SeedSequence(entropy=seed, spawn_key=(i,)),
+come from one vectorized pass of numpy's SeedSequence hash, and one
+generator per chunk fills every row slot, re-keyed to the row's stream
+and block offset before each fill.  Each row is filled from its own
+trajectory's stream in order, so the draws are those of one
+random(horizon) call per trajectory, and an atom index
 is a comparison sum over the cumulative probabilities (searchsorted above
 _COMPARE_ATOMS atoms).  On a lattice a position is one int64 mixed-radix
 key, sum_k x_k W_k with radix 2*horizon*r_k + 1 on axis k (r_k the
@@ -57,7 +61,8 @@ import numpy as np
 from .errors import HorizonTooLarge, InsufficientData
 from .groups import FiniteGroup, Lattice
 from .laws import Law
-from .tables import FunctionTable, LatticeBox, convolve, powers, step
+from .tables import (FunctionTable, LatticeBox, convolve, flush_free_steps, powers,
+                     step)
 
 HORIZON_CAP = {1: 5000, 2: 600, 3: 120}
 HORIZON_CAP_FINITE = 10_000
@@ -82,6 +87,12 @@ _FINITE_STEPS = 64
 # grows with log K; measured they cross near 160 atoms.  uint8 indices
 # need K <= 256.
 _COMPARE_ATOMS = 128
+# numpy's SeedSequence hash constants and pool size (bit_generator.pyx)
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
 
 
 class Verdict(str, Enum):
@@ -108,16 +119,16 @@ def default_horizon(law: Law) -> int:
 
 
 def _paired_origin_mass(f, lo_f, g, lo_g):
-    """sum_x f(x) g(-x): the origin mass of the convolution of f and g."""
-    hi_f = lo_f + np.array(f.shape, dtype=np.int64) - 1
-    hi_g = lo_g + np.array(g.shape, dtype=np.int64) - 1
-    a = np.maximum(lo_f, -hi_g)
-    b = np.minimum(hi_f, -lo_g)
-    if np.any(a > b):
-        return 0.0
-    f_sl = tuple(slice(int(x - l), int(y - l + 1)) for x, y, l in zip(a, b, lo_f))
-    g_sl = tuple(slice(int(-y - l), int(-x - l + 1)) for x, y, l in zip(a, b, lo_g))
-    return float(np.sum(f[f_sl] * np.flip(g[g_sl])))
+    """sum_x f(x) g(-x): the origin mass of the convolution of f and g,
+    whose corners lo_f and lo_g are sequences of ints."""
+    f_sl, g_sl = [], []
+    for nf, lf, ng, lg in zip(f.shape, lo_f, g.shape, lo_g):
+        a, b = max(lf, 1 - lg - ng), min(lf + nf - 1, -lg)
+        if a > b:
+            return 0.0
+        f_sl.append(slice(a - lf, b - lf + 1))
+        g_sl.append(slice(-b - lg, -a - lg + 1))
+    return float(np.sum(f[tuple(f_sl)] * np.flip(g[tuple(g_sl)])))
 
 
 def _coset_frame(law: Law):
@@ -163,20 +174,21 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
     shifts, a, j = _coset_frame(law)
     atoms = list(zip(map(tuple, shifts.tolist()), law.atoms.values()))
     span = shifts.min(axis=0), shifts.max(axis=0)
-    pair_offset = np.zeros(dim, dtype=np.int64)   # p(k) moves g's corner by k/2 of it
-    if j is not None:
-        pair_offset[j] = 1
+    safe = flush_free_steps(law.atoms.values())
+    pair_offset = [int(k == j) for k in range(dim)]   # p(k) moves g's corner by k/2 of it
 
     arr = np.ones((1,) * dim)
-    lo = np.zeros(dim, dtype=np.int64)
+    lo = [0] * dim
     probs = [0.0] * (horizon + 1)
     probs[0] = 1.0
     worst_mass = 0.0
     for n in range(horizon // 2 + 1):
         if n >= 1:
-            probs[2 * n] = _paired_origin_mass(arr, lo, arr, lo + n * pair_offset)
+            probs[2 * n] = _paired_origin_mass(arr, lo, arr,
+                                               [c + n * k for c, k in zip(lo, pair_offset)])
         if 2 * n + 1 <= horizon:
-            nxt, nxt_lo = convolve(atoms, arr, span), lo + span[0]
+            nxt = convolve(atoms, arr, span, flush=n + 1 > safe)
+            nxt_lo = [c + int(s) for c, s in zip(lo, span[0])]
             worst_mass = max(worst_mass, abs(float(nxt.sum()) - 1.0))
             if a is None:
                 probs[2 * n + 1] = _paired_origin_mass(arr, lo, nxt, nxt_lo)
@@ -316,12 +328,47 @@ def worker_count(requested: int | None = None) -> int:
             raise ValueError(f"RWALK_THREADS must be a positive integer number of "
                              f"worker threads, got {env!r}")
         return count
-    return os.cpu_count() or 1
+    return 1
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+def _philox_keys(seed: int, indices) -> np.ndarray:
+    """Philox keys of SeedSequence(entropy=seed, spawn_key=(i,)) for every i,
+    as an (n, 2) uint64 array, in one pass over the indices.
+
+    This is numpy's SeedSequence hash (4-word pool) written out: the seed's
+    words and every hash constant do not depend on i, so only the spawn-key
+    word, mixed in last, is an array.  One uint32 word per index: i < 2^32.
+    """
+    idx = np.asarray(indices, dtype=np.uint64)
+    if idx.size and int(idx.max()) >= 1 << 32:
+        raise ValueError(f"trajectory index must be < 2**32, got {int(idx.max())}")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))   # zero-padded, as before a spawn key
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for s in range(_POOL):
+        for d in range(_POOL):
+            if s != d:
+                pool[d] = mix(pool[d], hashmix(pool[s]))
+    for w in words[_POOL:] + [idx]:
+        for d in range(_POOL):
+            pool[d] = mix(pool[d], hashmix(w))
+    # generate_state(2, np.uint64): four output words, paired little-endian
+    hash_const = _INIT_B
+    out = [hashmix(w, _MULT_B) for w in pool]
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
 def _atom_index(cum, u):
@@ -337,14 +384,23 @@ def _atom_index(cum, u):
     return idx
 
 
-def _draw_blocks(rngs, horizon, buf):
-    """Yield each trajectory's next uniforms as rows of (len(rngs), block)
-    views of buf, one time block at a time.  A row is filled from its
-    own stream in order, so the draws are those of one random(horizon).
-    The caller may shrink rngs between blocks to drop finished rows."""
+def _draw_blocks(keys, horizon, buf):
+    """Yield the next uniforms of the trajectories keyed by `keys` (Philox
+    keys as pairs of ints) as rows of (len(keys), block) views of buf, one
+    time block at a time.  One generator fills every row, re-keyed through
+    its public state to the row's stream t0 // 4 counter blocks in, with
+    an empty buffer (a double takes one of the four words a block yields;
+    widths are multiples of 4), so the draws are those of one
+    random(horizon) per trajectory.  The caller may shrink keys between
+    blocks to drop finished rows."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     for t0 in range(0, horizon, buf.shape[1]):
-        block = buf[:len(rngs), :min(buf.shape[1], horizon - t0)]
-        for rng, row in zip(rngs, block):
+        block = buf[:len(keys), :min(buf.shape[1], horizon - t0)]
+        for key, row in zip(keys, block):
+            state["state"] = {"counter": (t0 // 4, 0, 0, 0), "key": key}
+            rng.bit_generator.state = state
             rng.random(out=row)
         yield block
 
@@ -375,22 +431,23 @@ def _chunk_lattice(law_elems, cum, targets, horizon, seed, indices):
     buf = np.empty((_LATTICE_ROWS, _BLOCK_STEPS))
     hits = 0
     ends = np.empty((len(weights), len(indices)), dtype=np.int64)
+    keys = _philox_keys(seed, indices).tolist()
     for s in range(0, len(indices), _LATTICE_ROWS):
-        rngs = [_trajectory_rng(seed, i) for i in indices[s:s + _LATTICE_ROWS]]
-        live = np.full(len(rngs), len(target_keys) > 0)   # not yet hit
-        at = np.zeros((len(weights), len(rngs), 1), dtype=np.int64)
-        for u in _draw_blocks(rngs, horizon, buf):
+        rows = keys[s:s + _LATTICE_ROWS]
+        live = np.full(len(rows), len(target_keys) > 0)   # not yet hit
+        at = np.zeros((len(weights), len(rows), 1), dtype=np.int64)
+        for u in _draw_blocks(rows, horizon, buf):
             path = atom_keys.take(_atom_index(cum, u), axis=1)
             path[:, :, :1] += at
             np.cumsum(path, axis=2, out=path)
             at = path[:, :, -1:]
             if live.any():
-                hit = np.zeros(len(rngs), dtype=bool)
+                hit = np.zeros(len(rows), dtype=bool)
                 for tk in target_keys:
                     hit |= (path == tk[:, None, None]).all(axis=0).any(axis=1)
                 hits += int(np.count_nonzero(hit & live))
                 live &= ~hit
-        ends[:, s:s + len(rngs)] = at[:, :, 0]
+        ends[:, s:s + len(rows)] = at[:, :, 0]
     # exact end positions, summed in trajectory order so the float sums
     # do not depend on the block shape
     d = _decode_keys(ends, weights, reach).astype(float)
@@ -419,19 +476,19 @@ def _chunk_finite(cayley, elems, cum, targets, horizon, seed, start_state, indic
     table[:order] = np.where(is_target[after], order, after)
     table = (table * n_atoms).ravel()
     absorbed = order * n_atoms
-    rngs = [_trajectory_rng(seed, i) for i in indices]
-    state = np.full(len(rngs), start_state * n_atoms)
-    buf = np.empty((len(rngs), _FINITE_STEPS))
+    keys = _philox_keys(seed, indices).tolist()
+    state = np.full(len(keys), start_state * n_atoms)
+    buf = np.empty((len(keys), _FINITE_STEPS))
     hits = 0
-    for u in _draw_blocks(rngs, horizon, buf):
+    for u in _draw_blocks(keys, horizon, buf):
         for col in _atom_index(cum, u).T:
             state = table.take(state + col)
         # only first hits count: drop those rows and their streams
         done = state == absorbed
         hits += int(done.sum())
-        rngs[:] = [rng for rng, d in zip(rngs, done) if not d]
+        keys[:] = [key for key, d in zip(keys, done) if not d]
         state = state[~done]
-        if not rngs:
+        if not keys:
             break
     return hits, None, None
 
@@ -454,7 +511,9 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
         (seed, i), so results are bit-identical for a given seed no
         matter how trajectories are chunked across workers.
     workers : int or None
-        Worker threads; None consults RWALK_THREADS, then CPU count.
+        Worker threads; None consults RWALK_THREADS, then uses 1.  One
+        worker is the default because a second one was measured slower
+        on every benchmark input; results do not depend on the count.
 
     Returns
     -------

@@ -17,7 +17,12 @@ a box it builds the law of X + u, u ~ law, on the box grown by one
 step's span, as shifted scaled adds in the order the caller passes the
 atoms (the law's canonical order; the return series passes the same
 atoms as shifts in its coset coordinates), flushing cells below
-UNDERFLOW_FLOOR to zero as Law.convolve drops such atoms.  (On a finite
+UNDERFLOW_FLOOR to zero as Law.convolve drops such atoms.  The flush
+costs three passes over the box and cannot fire while every positive
+cell of the m-step array, at least pmin^m (1 - 2^-53)^m for the smallest
+atom mass pmin, stays above the floor: both callers (`powers` and the
+return series) skip it while m ln(pmin) >= ln(UNDERFLOW_FLOOR) + 1, and
+never flush when pmin == 1 (flush_free_steps).  (On a finite
 group the same step is `step` with the reversed law.)  `powers` iterates
 either one to give the n-step laws as dense arrays.  Dense n-step boxes
 grow as n^d, so callers check their size against DENSE_CELL_LIMIT
@@ -25,6 +30,8 @@ before allocating.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -165,22 +172,39 @@ def support_span(law) -> tuple:
     return elems.min(axis=0), elems.max(axis=0)
 
 
-def convolve(atoms, values: np.ndarray, span: tuple) -> np.ndarray:
+def flush_free_steps(masses) -> float:
+    """Largest step count m whose m-step array convolve's flush cannot touch.
+
+    Every positive cell of the m-step array is a sum of products of m atom
+    masses, each rounded down by at most a factor 1 - 2^-53, so it is at
+    least pmin^m (1 - 2^-53)^m.  That stays above UNDERFLOW_FLOOR while
+    m ln(pmin) >= ln(UNDERFLOW_FLOOR) + 1; with pmin == 1 it always does.
+    """
+    pmin = min(masses)
+    if pmin >= 1.0:
+        return math.inf
+    return (math.log(UNDERFLOW_FLOOR) + 1.0) / math.log(pmin)
+
+
+def convolve(atoms, values: np.ndarray, span: tuple, flush: bool = True) -> np.ndarray:
     """One exact convolution step on a dense lattice box.
 
     `values` is the law of X on a box; the result is the law of X + u on
     the box grown by span = (off_lo, off_hi), where `atoms` yields the
     (shift, mass) pairs of u in the order they are added and
     off_lo <= every shift <= off_hi per axis, so the corner moves by off_lo.
+    flush=False skips the underflow flush, for callers that know from
+    flush_free_steps that it cannot fire.
     """
     lo = [int(l) for l in span[0]]
     shape = values.shape
     new = np.zeros(tuple(n + int(h) - l for n, l, h in zip(shape, lo, span[1])))
     for e, p in atoms:
         new[tuple(slice(c - l, c - l + n) for c, l, n in zip(e, lo, shape))] += p * values
-    tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
-    if tiny.any():
-        new[tiny] = 0.0
+    if flush:
+        tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
+        if tiny.any():
+            new[tiny] = 0.0
     return new
 
 
@@ -202,7 +226,8 @@ def powers(law, n_max: int, span: tuple | None = None):
             yield f
         return
     span = span if span is not None else support_span(law)
+    safe = flush_free_steps(law.atoms.values())
     f = np.ones((1,) * group.dim)
-    for _ in range(n_max):
-        f = convolve(law.atoms.items(), f, span)
+    for m in range(1, n_max + 1):
+        f = convolve(law.atoms.items(), f, span, flush=m > safe)
         yield f

@@ -123,6 +123,28 @@ def test_tilt_bernoulli_roundtrip(capsys, tmp_path):
     assert again["spectral"]["R"] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_tilt_writes_its_report(capsys, tmp_path):
+    out, rep = tmp_path / "tilted.spec", tmp_path / "tilt.json"
+    assert main(["tilt", fixture("bernoulli_025.spec"), "-o", str(out),
+                 "--json", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    check_schema(report, SCHEMA)
+    assert report["exit_code"] == 0
+    assert report["spec"]["path"] == fixture("bernoulli_025.spec")
+    assert report["tool"]["workers"] == worker_count()
+    assert report["spectral"]["R"] == pytest.approx(1.1547005384, abs=1e-9)
+    assert "spectral" in report["timings"]
+    # the spec and the report can share stdout: spec text first
+    capsys.readouterr()
+    assert main(["tilt", fixture("bernoulli_025.spec"), "-o", "-", "--json", "-"]) == 0
+    text = capsys.readouterr().out
+    spec_text = out.read_text()
+    assert text.startswith(spec_text)
+    again = json.loads(text[len(spec_text):])
+    assert again.pop("timings").keys() == report.pop("timings").keys()
+    assert again == report
+
+
 def test_tilt_symmetric_unchanged(tmp_path):
     out = tmp_path / "tilted.spec"
     assert main(["tilt", fixture("symmetric.spec"), "-o", str(out)]) == 0
@@ -204,13 +226,19 @@ SIM10 = ["--trajectories", "10", "--horizon", "10"]
 # (case, argv with {B}/{Z} for the bernoulli/z6 fixtures, RWALK_THREADS,
 # exit code, exact stderr); where two errors meet, the first named wins
 ARGV_ERRORS = [
-    ("empty argv", [], None, 1, ROOT_USAGE),
-    ("unknown command", ["frobnicate"], None, 1, ROOT_USAGE),
+    ("empty argv", [], None, 1,
+     ROOT_USAGE + "rwalk: error: the following arguments are required: command\n"),
+    ("unknown command", ["frobnicate"], None, 1,
+     ROOT_USAGE + "rwalk: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'analyze', 'tilt', 'verify', 'simulate')\n"),
     ("missing spec", ["analyze"], None, 1,
-     "usage: rwalk analyze [-h] [--json PATH] spec\n"),
-    ("unknown flag", ["analyze", "{B}", "--bogus"], None, 1, ROOT_USAGE),
+     "usage: rwalk analyze [-h] [--json PATH] spec\n"
+     "rwalk analyze: error: the following arguments are required: spec\n"),
+    ("unknown flag", ["analyze", "{B}", "--bogus"], None, 1,
+     ROOT_USAGE + "rwalk: error: unrecognized arguments: --bogus\n"),
     ("tilt without out", ["tilt", "{B}"], None, 1,
-     "usage: rwalk tilt [-h] [--json PATH] -o OUT spec\n"),
+     "usage: rwalk tilt [-h] [--json PATH] -o OUT spec\n"
+     "rwalk tilt: error: the following arguments are required: -o/--out\n"),
     ("unknown check", ["verify", "{B}", "--paper-checks", "eq99"], None, 1,
      "unknown check name(s): eq99\n"),
     ("unknown checks", ["verify", "{B}", "--paper-checks", "eq1,foo, bar"], None, 1,
@@ -222,16 +250,18 @@ ARGV_ERRORS = [
     ("max residual inf", ["verify", "{B}", "--max-residual", "inf"], None, 1,
      "--max-residual must be finite, got inf\n"),
     ("max residual -inf", ["verify", "{B}", "--max-residual", "-inf"], None, 1,
-     VERIFY_USAGE),
+     VERIFY_USAGE + "rwalk verify: error: argument --max-residual: expected one argument\n"),
     ("max residual text", ["verify", "{B}", "--max-residual", "small"], None, 1,
-     VERIFY_USAGE),
+     VERIFY_USAGE + "rwalk verify: error: argument --max-residual: "
+     "invalid float value: 'small'\n"),
     ("check list before residual",
      ["verify", "{B}", "--paper-checks", "x", "--max-residual", "nan"], None, 1,
      "unknown check name(s): x\n"),
     ("trajectories", ["simulate", "{B}", "--trajectories", "0"], None, 1,
      "--trajectories must be >= 1\n"),
     ("trajectories text", ["simulate", "{B}", "--trajectories", "many"], None, 1,
-     SIMULATE_USAGE),
+     SIMULATE_USAGE + "rwalk simulate: error: argument --trajectories: "
+     "invalid int value: 'many'\n"),
     ("horizon", ["simulate", "{B}", "--horizon", "-3"], None, 1,
      "--horizon must be >= 1\n"),
     ("seed", ["simulate", "{B}", *SIM10, "--seed", "-1"], None, 1,

@@ -12,10 +12,12 @@ from rwalk import (FiniteGroup, HorizonTooLarge, InsufficientData, Lattice, Law,
                    r_recurrence_test, return_series, simulate_harris,
                    tilt_from_spectral)
 import rwalk.recurrence as recurrence
+import rwalk.tables as tables
 from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_finite,
                               _chunk_lattice, _coset_frame, _decode_keys,
-                              _key_weights, _trajectory_rng, worker_count)
-from rwalk.tables import convolve, support_span
+                              _key_weights, _philox_keys, worker_count)
+from rwalk.tables import (UNDERFLOW_FLOOR, convolve, flush_free_steps, powers,
+                          support_span)
 
 from conftest import s3_cayley
 
@@ -298,8 +300,8 @@ def assert_coset_cells_equal_dense(law, n_max, monkeypatch):
     it leaves out is zero there."""
     seen = []
 
-    def recording_convolve(atoms, values, span):
-        out = convolve(atoms, values, span)
+    def recording_convolve(atoms, values, span, **kwargs):
+        out = convolve(atoms, values, span, **kwargs)
         seen.append((out, span[0]))
         return out
 
@@ -338,6 +340,60 @@ def test_coset_cells_equal_dense_on_the_fixtures(bernoulli, drift2d, symmetric3d
 def test_coset_cells_equal_dense(law):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_coset_cells_equal_dense(law, 12, monkeypatch)
+
+
+def always_flush(atoms, values, span, flush=True):
+    return convolve(atoms, values, span)
+
+
+def flush_laws():
+    # the 1D walk's extreme cells pass below the floor from about m = 997;
+    # in 3D a 1e-3 atom never does by step 61, a 1e-6 atom from step 50
+    sym1d = Law(Lattice(1), {(1,): .5, (-1,): .5})
+    units = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    rare = [Law(Lattice(3), dict(zip(units, (.3, .2, .2, .2 - q, q, .1))))
+            for q in (1e-3, 1e-6)]
+    return [(sym1d, 4000)] + [(law, 120) for law in rare]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_flush_skip_matches_always_flush_series(case, monkeypatch):
+    law, horizon = flush_laws()[case]
+    runs = []
+    for kernel in (convolve, always_flush):
+        arrays = []
+
+        def recording(atoms, values, span, **kwargs):
+            arrays.append(kernel(atoms, values, span, **kwargs))
+            return arrays[-1]
+
+        monkeypatch.setattr(recurrence, "convolve", recording)
+        runs.append((return_series(law, horizon), arrays))
+    (got, got_arrays), (want, want_arrays) = runs
+    assert got.probabilities == want.probabilities
+    assert got.max_mass_error == want.max_mass_error
+    # the n-step arrays too: tiny cells hardly move the sums above
+    assert all(np.array_equal(a, b) for a, b in zip(got_arrays, want_arrays))
+
+
+def test_flush_skip_matches_always_flush_powers(monkeypatch):
+    law, _ = flush_laws()[0]
+    safe = flush_free_steps(law.atoms.values())
+    assert 995 < safe < 996
+    got = list(powers(law, 1100))
+    monkeypatch.setattr(tables, "convolve", always_flush)
+    want = list(powers(law, 1100))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # the bound holds where it skips, and the flush does fire later
+    assert all(a[a > 0].min() >= UNDERFLOW_FLOOR for a in got[:995])
+    assert np.count_nonzero(got[-1]) < got[-1].size // 2 + 1
+
+
+def test_flush_free_steps_bounds():
+    assert flush_free_steps([1.0]) == math.inf
+    assert flush_free_steps([.5, .5]) == pytest.approx(
+        (math.log(UNDERFLOW_FLOOR) + 1) / math.log(.5))
+    assert flush_free_steps([.3, 1e-3, .699]) < 100
 
 
 # ------------------------------------------------------------- estimator
@@ -664,10 +720,16 @@ def test_worker_count_rejects_non_positive_counts(monkeypatch):
 
 # ----------------------------------------------- Monte Carlo block kernels
 #
-# The references below step one trajectory at a time: one searchsorted
-# over the whole horizon, then an (H, d) cumsum of positions and a
-# per-target all-axes test on a lattice, or one Cayley lookup per step on
-# a finite group.  The block kernels must agree with them bit for bit.
+# The references below step one trajectory at a time on its own generator,
+# built from numpy's SeedSequence: one searchsorted over the whole horizon,
+# then an (H, d) cumsum of positions and a per-target all-axes test on a
+# lattice, or one Cayley lookup per step on a finite group.  The block
+# kernels must agree with them bit for bit.
+
+def _trajectory_rng(seed, index):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.Philox(ss))
+
 
 def reference_chunk_lattice(law_elems, cum, targets, horizon, seed, indices):
     dim = law_elems.shape[1]
@@ -703,6 +765,32 @@ def reference_chunk_finite(cayley, elems, cum, targets, horizon, seed, start, in
                 hits += 1
                 break
     return hits, None, None
+
+
+def test_philox_keys_equal_seed_sequence_keys():
+    rng = np.random.default_rng(11)
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 96, 2 ** 128 - 1,
+             2 ** 130 + 17] + [int(rng.integers(0, 2 ** 63)) >> int(rng.integers(0, 63))
+                               for _ in range(16)]
+    pairs = 0
+    for seed in seeds:
+        indices = [0, 1, 2 ** 32 - 1] + rng.integers(0, 2 ** 32, 40).tolist()
+        keys = _philox_keys(seed, indices)
+        assert keys.shape == (len(indices), 2) and keys.dtype == np.uint64
+        for i, key in zip(indices, keys):
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(
+                2, np.uint64)
+            assert np.array_equal(key, want), (seed, i)
+            pairs += 1
+    assert pairs >= 1000
+    assert _philox_keys(7, range(5, 5)).shape == (0, 2)
+
+
+def test_philox_keys_reject_indices_past_one_word():
+    with pytest.raises(ValueError, match="trajectory index must be < 2\\*\\*32"):
+        _philox_keys(3, [0, 2 ** 32])
+    with pytest.raises(ValueError, match="trajectory index"):
+        _philox_keys(2 ** 70, range(2 ** 32 - 1, 2 ** 32 + 1))
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 6, _COMPARE_ATOMS, _COMPARE_ATOMS + 1, 300])
