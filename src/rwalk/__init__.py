@@ -21,5 +21,4 @@ from .spectral import (Exponential, SpectralResult, check_dual_spectral_radius,
 from .tables import FunctionTable, LatticeBox
 from .tilting import (SymmetricDegeneracy, TiltedWalk, check_dual_invariance,
                       check_measure_invariance, check_symmetric_degeneracy,
-                      check_tilted_powers, invariant_measure_table, tilt,
-                      tilt_from_spectral)
+                      check_tilted_powers, tilt)

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import platform
+import re
 import sys
 import time
 
@@ -32,8 +33,7 @@ from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
 from .spectral import (check_dual_spectral_radius, find_exponential,
                        verify_r_invariance)
 from .tables import LatticeBox
-from .tilting import (DEGENERACY_R_TOL, DEGENERACY_THETA_TOL,
-                      check_dual_invariance, check_measure_invariance,
+from .tilting import (DEGENERACY_R_TOL, DEGENERACY_THETA_TOL, check_dual_invariance,
                       check_symmetric_degeneracy, check_tilted_powers, tilt)
 
 CHECK_NAMES = ("eq1", "eq17", "dual", "measure", "eq12", "corollary2")
@@ -48,6 +48,12 @@ EXIT_CHECK_FAILED = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # '-1,0', '-1e-3' and '-inf' are values, not options: no rwalk
+        # option starts with a digit, a '.', 'inf' or 'nan'
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf$|nan$)")
+
     # argparse exits with 2 on usage errors; the exit-code contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -92,7 +98,8 @@ def _build_parser() -> _Parser:
                        help="steps per trajectory (default 10000)")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--target", default=None,
-                       help="element set, e.g. '0' or '1,2;3,4' (default: identity)")
+                       help="element set, e.g. --target -1,0 or "
+                            "--target '1,2;-3,4' (default: identity)")
     p_sim.add_argument("--series-horizon", type=int, default=None,
                        help="horizon for the exact return series (default per dimension)")
     p_sim.add_argument("--csv", metavar="PATH",
@@ -215,31 +222,37 @@ def _tol_text(tol: float) -> str:
     return f"{tol:.0e}".replace("e-0", "e-")   # '1e-8', not '1e-08'
 
 
-def _run_check(name: str, spec: WalkSpec, ctx: dict, tol_override: float | None):
+def _run_check(name: str, law: Law, ctx: dict, tol_override: float | None):
     """Returns (residual, tolerance, passed, detail)."""
-    law = spec.law
-    exponential, spectral = ctx["exponential"], ctx["spectral"]
-    window = ctx["window"]
-    tol = tol_override if tol_override is not None else RESIDUAL_TOL
-
+    exponential, spectral, window = ctx["exponential"], ctx["spectral"], ctx["window"]
+    if name == "corollary2":   # the one check with its own pass rule
+        deg = check_symmetric_degeneracy(law, spectral)
+        if not deg.is_symmetric:
+            return 0.0, RESIDUAL_TOL, True, "law not symmetric; degeneracy vacuous"
+        tilted = ctx["tilted"]().tilted
+        atom_diff = max(abs(tilted.atoms[x] - p) for x, p in law.atoms.items())
+        passed = deg.phi_trivial and deg.r_equals_one and atom_diff <= 1e-14
+        detail = (f"|theta*|={deg.theta_norm:.2e} (tol {_tol_text(DEGENERACY_THETA_TOL)}), "
+                  f"|R-1|={deg.r_diff:.2e} (tol {_tol_text(DEGENERACY_R_TOL)}), "
+                  f"atom diff={atom_diff:.2e} (tol 1e-14)")
+        return (max(deg.theta_norm, deg.r_diff, atom_diff), DEGENERACY_THETA_TOL,
+                passed, detail)
     if name == "eq1":
         closure = abs(spectral.R * spectral.rho - 1.0)
         resid = max(closure, verify_r_invariance(law, exponential, spectral.R, window))
-        return resid, tol, resid <= tol, "fixed point R*Lambda(theta*) = 1 and phi = R*P(phi)"
-    if name == "eq17":
-        tw = tilt(law, exponential, spectral.R)
-        resid = check_tilted_powers(tw, 10)
-        return resid, tol, resid <= tol, "tilted^n = R^n * phi * original^n, n <= 10"
-    if name == "dual":
-        resid_inv = check_dual_invariance(law, exponential, spectral.R, window)
+        detail = "fixed point R*Lambda(theta*) = 1 and phi = R*P(phi)"
+    elif name == "eq17":
+        resid = check_tilted_powers(ctx["tilted"](), 10)
+        detail = "tilted^n = R^n * phi * original^n, n <= 10"
+    elif name == "dual":
+        resid_inv = ctx["psi_residual"]()
         dual_res = check_dual_spectral_radius(law, spectral=spectral)
         resid = max(resid_inv, abs(dual_res.rho - dual_res.rho_dual))
-        return resid, tol, resid <= tol, "psi = R*Phat(psi) and rho(v) = rho(dual v)"
-    if name == "measure":
-        resid = check_measure_invariance(law, exponential, spectral.R, window)
-        return resid, tol, resid <= tol, "psi-weighted counting measure is R-invariant"
-    if name == "eq12":
-        ttol = tol_override if tol_override is not None else TRANSLATION_TOL
+        detail = "psi = R*Phat(psi) and rho(v) = rho(dual v)"
+    elif name == "measure":
+        resid = ctx["psi_residual"]()
+        detail = "psi-weighted counting measure is R-invariant"
+    else:   # eq12
         group = law.group
         e = group.identity()
         first = next(iter(law.atoms))
@@ -250,22 +263,9 @@ def _run_check(name: str, spec: WalkSpec, ctx: dict, tol_override: float | None)
             y = tuple(5 * c for c in first)
             steps = TRANSLATION_STEPS[group.dim]
         resid = check_translation_invariance(law, {e}, y, steps)
-        return resid, ttol, resid <= ttol, f"h^(yB)(yx) = h^B(x) with y={y}, T={steps}"
-    if name == "corollary2":
-        deg = check_symmetric_degeneracy(law, spectral)
-        if not deg.is_symmetric:
-            return 0.0, RESIDUAL_TOL, True, "law not symmetric; degeneracy vacuous"
-        tw = tilt(law, exponential, spectral.R)
-        atom_diff = max(abs(tw.tilted.atoms[x] - p) for x, p in law.atoms.items())
-        theta_norm = max((abs(t) for t in spectral.theta), default=0.0)
-        r_diff = abs(spectral.R - 1.0)
-        passed = deg.phi_trivial and deg.r_equals_one and atom_diff <= 1e-14
-        resid = max(theta_norm, r_diff, atom_diff)
-        detail = (f"|theta*|={theta_norm:.2e} (tol {_tol_text(DEGENERACY_THETA_TOL)}), "
-                  f"|R-1|={r_diff:.2e} (tol {_tol_text(DEGENERACY_R_TOL)}), "
-                  f"atom diff={atom_diff:.2e} (tol 1e-14)")
-        return resid, DEGENERACY_THETA_TOL, passed, detail
-    raise ValueError(f"unknown check {name!r}")
+        detail = f"h^(yB)(yx) = h^B(x) with y={y}, T={steps}"
+    tol = _first(tol_override, TRANSLATION_TOL if name == "eq12" else RESIDUAL_TOL)
+    return resid, tol, resid <= tol, detail
 
 
 def cmd_verify(args) -> int:
@@ -284,14 +284,19 @@ def cmd_verify(args) -> int:
     if args.max_residual is not None and args.max_residual < 0:
         return _usage_error(f"--max-residual must be >= 0, got {args.max_residual}")
     report, exponential, spectral = _solve(args, spec)
-    ctx = {"exponential": exponential, "spectral": spectral,
-           "window": _window_for(spec)}
+    law, window = spec.law, _window_for(spec)
+    # the tilted walk (eq17, corollary2) and the psi residual (dual, measure)
+    # are built at most once, on first use; a raised error is not cached
+    ctx = {"exponential": exponential, "spectral": spectral, "window": window,
+           "tilted": functools.cache(lambda: tilt(law, exponential, spectral.R)),
+           "psi_residual": functools.cache(
+               lambda: check_dual_invariance(law, exponential, spectral.R, window))}
     all_passed = True
     report["checks"] = []
     for name in names:
         t0 = time.perf_counter()
         try:
-            resid, tol, passed, detail = _run_check(name, spec, ctx, args.max_residual)
+            resid, tol, passed, detail = _run_check(name, law, ctx, args.max_residual)
             entry = {"name": name, "residual": resid, "tolerance": tol,
                      "passed": passed, "detail": detail}
             print(f"{name:<12} residual={resid:.3e} tol={tol:.0e} "

@@ -25,10 +25,8 @@ from .tables import FunctionTable, LatticeBox, invariance_residual
 
 EXP_GUARD = 700.0
 MAX_ITERATIONS = 10_000
-# Newton stops once g.H^-1 g <= DECREMENT_TOL * Lambda: far below the
-# decrement one iteration before convergence, far above its rounding
-# floor of about eps^2 = 5e-32.
-DECREMENT_TOL = 1e-24
+# Newton stops once no coordinate of its step exceeds STEP_TOL * max(1, |theta|_inf)
+STEP_TOL = 1e-13
 
 
 def _guarded_exp(arg):
@@ -115,11 +113,12 @@ def find_exponential(law: Law, theta0=None):
     minimizer and DegenerateSupport is raised).  Damped Newton with the
     analytic Hessian: the step H^-1 g is halved until Lambda does not rise
     beyond rounding, and the accepted point's gradient and Hessian serve the
-    next iteration.  The loop stops when the Newton decrement g.H^-1 g is at
-    most DECREMENT_TOL * Lambda; the decrement is affine-invariant, unlike
-    |g|, so a skewed law whose curvature is tiny along one axis is still
-    minimized along it (Boyd & Vandenberghe, Convex Optimization, 9.5.1).
-    It also stops when no halving keeps Lambda from rising.
+    next iteration.  The loop stops when the step H^-1 g is below STEP_TOL
+    relative to theta in every coordinate.  The rule reads theta, not
+    Lambda: where Lambda is nearly flat along one axis (a skewed law), |g|
+    and the decrement g.H^-1 g drop below any fixed tolerance while theta
+    is still far off along it.  It also stops when no halving keeps Lambda
+    from rising.
     """
     group = law.group
     res = check_irreducible(law)
@@ -137,7 +136,7 @@ def find_exponential(law: Law, theta0=None):
     iterations = 0
     while iterations < MAX_ITERATIONS:
         step = np.linalg.solve(hess, grad)
-        if grad @ step <= DECREMENT_TOL * val:
+        if np.max(np.abs(step)) <= STEP_TOL * max(1.0, np.max(np.abs(theta))):
             break
         iterations += 1
         lam = 1.0

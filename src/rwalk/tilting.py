@@ -14,9 +14,10 @@ Residuals are relative wherever the reference value spans orders of
 magnitude; counting measure turns every "almost everywhere" statement
 into "at every point of the check region".  The invariance checks tabulate
 phi or psi once as a dense array and apply the one transition kernel,
-tables.step, through tables.invariance_residual; the reversed-walk
-identity and the measure identity are the same sum, so they share one
-implementation under their two check names.
+tables.step, through tables.invariance_residual.  The reversed-walk
+identity and the measure identity are the same sum: check_dual_invariance
+computes it, and `rwalk verify` reports that one computation under both
+the `dual` and the `measure` check names.
 """
 
 from __future__ import annotations
@@ -63,12 +64,6 @@ def tilt(law: Law, exponential: Exponential, R: float) -> TiltedWalk:
     tilted = Law(law.group, {x: R * w for x, w in weighted.items()},
                  sum_tol=TILT_NORMALIZATION_TOL)
     return TiltedWalk(law, exponential, float(R), tilted)
-
-
-def tilt_from_spectral(law: Law) -> TiltedWalk:
-    """Convenience pipeline: minimize, then tilt at the computed (phi, R)."""
-    exponential, spectral = find_exponential(law)
-    return tilt(law, exponential, spectral.R)
 
 
 def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
@@ -119,18 +114,12 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
     return worst
 
 
-def invariant_measure_table(law: Law, exponential: Exponential,
-                            window: LatticeBox | None = None) -> FunctionTable:
-    """Density psi of the invariant measure (relative to counting measure),
-    normalized to 1 at the identity, tabulated on the window."""
-    window = window if window is not None else default_window(law)
-    return FunctionTable.tabulate(law.group, exponential.psi, window)
-
-
 def check_dual_invariance(law: Law, exponential: Exponential, R: float,
                           window: LatticeBox | None = None) -> float:
-    """Max relative residual of psi = R * (reversed-walk one-step average of psi)."""
-    table = invariant_measure_table(law, exponential, window)
+    """Max relative residual of psi = R * (reversed-walk one-step average of psi),
+    psi = 1/phi being the invariant measure's density, tabulated on the window."""
+    window = window if window is not None else default_window(law)
+    table = FunctionTable.tabulate(law.group, exponential.psi, window)
     return invariance_residual(law.dual(), table, R)
 
 
@@ -151,6 +140,8 @@ class SymmetricDegeneracy:
     is_symmetric: bool
     r_equals_one: bool | None
     phi_trivial: bool | None
+    theta_norm: float | None = None   # max_k |theta*_k|
+    r_diff: float | None = None       # |R - 1|
 
 
 def check_symmetric_degeneracy(law: Law, spectral: SpectralResult | None = None
@@ -163,6 +154,7 @@ def check_symmetric_degeneracy(law: Law, spectral: SpectralResult | None = None
         return SymmetricDegeneracy(False, None, None)
     if spectral is None:
         _, spectral = find_exponential(law)
-    phi_trivial = all(abs(t) <= DEGENERACY_THETA_TOL for t in spectral.theta)
-    r_equals_one = abs(spectral.R - 1.0) <= DEGENERACY_R_TOL
-    return SymmetricDegeneracy(True, r_equals_one, phi_trivial)
+    theta_norm = max((abs(t) for t in spectral.theta), default=0.0)
+    r_diff = abs(spectral.R - 1.0)
+    return SymmetricDegeneracy(True, r_diff <= DEGENERACY_R_TOL,
+                               theta_norm <= DEGENERACY_THETA_TOL, theta_norm, r_diff)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rwalk import FiniteGroup, Lattice, Law, cyclic_group
+from rwalk import FiniteGroup, Lattice, Law, cyclic_group, find_exponential, tilt
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -21,6 +21,12 @@ def _compose(p, q):
 def s3_cayley():
     idx = {p: i for i, p in enumerate(_S3_PERMS)}
     return [[idx[_compose(p, q)] for q in _S3_PERMS] for p in _S3_PERMS]
+
+
+def tilt_from_spectral(law):
+    """Minimize, then tilt at the computed (phi, R)."""
+    exponential, spectral = find_exponential(law)
+    return tilt(law, exponential, spectral.R)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from rwalk import parse_walk_spec
+import rwalk.cli as cli
+import rwalk.tilting as tilting
 from rwalk.cli import main
 from rwalk.recurrence import worker_count
 
@@ -223,8 +225,9 @@ SIMULATE_USAGE = (
 THREADS_ERROR = "RWALK_THREADS must be a positive integer number of worker threads, got "
 SIM10 = ["--trajectories", "10", "--horizon", "10"]
 
-# (case, argv with {B}/{Z} for the bernoulli/z6 fixtures, RWALK_THREADS,
-# exit code, exact stderr); where two errors meet, the first named wins
+# (case, argv with {B}/{D}/{Z} for the bernoulli/drift2d/z6 fixtures,
+# RWALK_THREADS, exit code, exact stderr); where two errors meet, the first
+# named wins; a value that starts with '-' is a value, not an option
 ARGV_ERRORS = [
     ("empty argv", [], None, 1,
      ROOT_USAGE + "rwalk: error: the following arguments are required: command\n"),
@@ -250,7 +253,9 @@ ARGV_ERRORS = [
     ("max residual inf", ["verify", "{B}", "--max-residual", "inf"], None, 1,
      "--max-residual must be finite, got inf\n"),
     ("max residual -inf", ["verify", "{B}", "--max-residual", "-inf"], None, 1,
-     VERIFY_USAGE + "rwalk verify: error: argument --max-residual: expected one argument\n"),
+     "--max-residual must be finite, got -inf\n"),
+    ("max residual -1e-3", ["verify", "{B}", "--max-residual", "-1e-3"], None, 1,
+     "--max-residual must be >= 0, got -0.001\n"),
     ("max residual text", ["verify", "{B}", "--max-residual", "small"], None, 1,
      VERIFY_USAGE + "rwalk verify: error: argument --max-residual: "
      "invalid float value: 'small'\n"),
@@ -280,6 +285,8 @@ ARGV_ERRORS = [
      "spec error: empty target set\n"),
     ("target outside group", ["simulate", "{Z}", *SIM10, "--target", "7"], None, 1,
      "spec error: target element '7': index 7 not in 0..5\n"),
+    ("target negative", ["simulate", "{D}", *SIM10, "--series-horizon", "20",
+                         "--target", "-1,0"], None, 0, ""),
     ("missing file", ["analyze", "{missing}"], None, 1,
      "spec error: [Errno 2] No such file or directory: '{missing}'\n"),
     ("thread env text", ["analyze", "{B}"], "abc", 1, THREADS_ERROR + "'abc'\n"),
@@ -297,8 +304,8 @@ def test_argv_error_surface(capsys, monkeypatch, tmp_path, argv, threads, code, 
         monkeypatch.delenv("RWALK_THREADS", raising=False)
     else:
         monkeypatch.setenv("RWALK_THREADS", threads)
-    paths = {"B": fixture("bernoulli_025.spec"), "Z": fixture("z6.spec"),
-             "missing": str(tmp_path / "nope.spec")}
+    paths = {"B": fixture("bernoulli_025.spec"), "D": fixture("drift2d.spec"),
+             "Z": fixture("z6.spec"), "missing": str(tmp_path / "nope.spec")}
 
     def sub(text):
         for key, path in paths.items():
@@ -308,7 +315,7 @@ def test_argv_error_surface(capsys, monkeypatch, tmp_path, argv, threads, code, 
     assert main([sub(a) for a in argv]) == code
     captured = capsys.readouterr()
     assert captured.err == sub(err)
-    assert captured.out == ""
+    assert (captured.out == "") == (code != 0)   # errors print nothing on stdout
 
 
 def test_verify_negative_tolerance_is_a_usage_error(capsys):
@@ -423,17 +430,18 @@ def test_analyze_json_to_stdout(capsys):
 
 
 def test_analyze_skewed_law_closed_form(capsys, tmp_path):
-    py = 1e-26
-    spec = tmp_path / "skewed.spec"
-    spec.write_text(f"group lattice 2\n\nlaw\n  1 0 0.3\n  -1 0 0.2\n"
-                    f"  0 1 {py!r}\n  0 -1 {0.5 - py!r}\n")
-    assert main(["analyze", str(spec), "--json", "-"]) == 0
-    out = capsys.readouterr().out
-    s = json.loads(out[out.index("{"):])["spectral"]
-    theta = (0.5 * math.log(0.2 / 0.3), 0.5 * math.log((0.5 - py) / py))
-    rho = 2 * math.sqrt(0.06) + 2 * math.sqrt(py * (0.5 - py))
-    assert max(abs(a - b) for a, b in zip(s["theta"], theta)) <= 1e-9
-    assert s["rho"] == pytest.approx(rho, rel=1e-12, abs=0)
+    # theta_y is 29.6, 114.8 and 229.9 at these py
+    for py in (1e-26, 1e-100, 1e-200):
+        spec = tmp_path / "skewed.spec"
+        spec.write_text(f"group lattice 2\n\nlaw\n  1 0 0.3\n  -1 0 0.2\n"
+                        f"  0 1 {py!r}\n  0 -1 {0.5 - py!r}\n")
+        assert main(["analyze", str(spec), "--json", "-"]) == 0
+        out = capsys.readouterr().out
+        s = json.loads(out[out.index("{"):])["spectral"]
+        theta = (0.5 * math.log(0.2 / 0.3), 0.5 * math.log((0.5 - py) / py))
+        rho = 2 * math.sqrt(0.06) + 2 * math.sqrt(py * (0.5 - py))
+        assert max(abs(a - b) for a, b in zip(s["theta"], theta)) <= 1e-9
+        assert s["rho"] == pytest.approx(rho, rel=1e-12, abs=0)
 
 
 def test_verify_symmetric_corollary(capsys):
@@ -442,6 +450,29 @@ def test_verify_symmetric_corollary(capsys):
     text = capsys.readouterr().out
     assert code == 0
     assert "PASS" in text and "|R-1|" in text
+
+
+@pytest.mark.parametrize("name", ["symmetric.spec", "z6.spec"])
+def test_verify_computes_each_shared_quantity_once(capsys, monkeypatch, tmp_path, name):
+    # eq17 and corollary2 share one tilted walk; dual and measure share one
+    # psi residual and report it as the same number
+    calls = {}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (tilting.tilt, tilting.check_dual_invariance):
+        for module in (cli, tilting):
+            monkeypatch.setattr(module, fn.__name__, counted(fn))
+    path = tmp_path / "report.json"
+    assert main(["verify", fixture(name), "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == {"tilt": 1, "check_dual_invariance": 1}
+    residual = {c["name"]: c["residual"] for c in json.loads(path.read_text())["checks"]}
+    assert residual["dual"] == residual["measure"]
 
 
 def test_verify_finite_group(capsys):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from rwalk import (FiniteGroup, HorizonTooLarge, InsufficientData, Lattice, Law,
                    Verdict, build_recurrence_report, check_translation_invariance,
                    cyclic_group, estimate_rho, find_exponential, hitting_dp,
-                   r_recurrence_test, return_series, simulate_harris,
-                   tilt_from_spectral)
+                   r_recurrence_test, return_series, simulate_harris)
 import rwalk.recurrence as recurrence
 import rwalk.tables as tables
 from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_finite,
@@ -19,7 +18,7 @@ from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_fin
 from rwalk.tables import (UNDERFLOW_FLOOR, convolve, flush_free_steps, powers,
                           support_span)
 
-from conftest import s3_cayley
+from conftest import s3_cayley, tilt_from_spectral
 
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)

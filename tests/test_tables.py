@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
                    check_dual_invariance, check_measure_invariance,
-                   check_translation_invariance, hitting_dp,
-                   invariant_measure_table, mgf, verify_r_invariance)
+                   check_translation_invariance, hitting_dp, mgf,
+                   verify_r_invariance)
 from rwalk.groups import FiniteGroup, Lattice
 from rwalk.spectral import Exponential
 from rwalk.tables import powers, step, support_span
@@ -163,7 +163,7 @@ def test_exponent_guard_on_window(bernoulli):
     with pytest.raises(ExponentOverflow):
         verify_r_invariance(bernoulli, Exponential((30.0,)), 1.0, window)
     with pytest.raises(ExponentOverflow):
-        invariant_measure_table(bernoulli, Exponential((-30.0,)), window)
+        check_dual_invariance(bernoulli, Exponential((-30.0,)), 1.0, window)
     # 21 * 32 = 672 stays inside the guard
     assert verify_r_invariance(bernoulli, Exponential((21.0,)),
                                1.0 / mgf(bernoulli, (21.0,)), window) <= 1e-12

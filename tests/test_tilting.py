@@ -6,10 +6,11 @@ import pytest
 from rwalk import (ExponentOverflow, Law, NotNormalized, WindowExceeded,
                    check_dual_invariance, check_measure_invariance,
                    check_symmetric_degeneracy, check_tilted_powers,
-                   find_exponential, invariant_measure_table, tilt,
-                   tilt_from_spectral)
+                   default_window, find_exponential, tilt)
 from rwalk.spectral import Exponential, mgf
-from rwalk.tables import DENSE_CELL_LIMIT
+from rwalk.tables import DENSE_CELL_LIMIT, FunctionTable
+
+from conftest import tilt_from_spectral
 
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
 LAZY_R = 1.0 / LAZY_RHO
@@ -205,8 +206,10 @@ def test_tilt_commutes_with_dual(bernoulli, lazy_drift):
 
 
 def test_invariant_measure_table(bernoulli):
+    # the density psi that check_dual_invariance tabulates
     exponential, sp = find_exponential(bernoulli)
-    table = invariant_measure_table(bernoulli, exponential)
+    table = FunctionTable.tabulate(bernoulli.group, exponential.psi,
+                                   default_window(bernoulli))
     assert table[bernoulli.group.identity()] == 1.0
     assert np.all(table.values > 0.0)
     assert table[(1,)] == pytest.approx(math.exp(-sp.theta[0]), rel=1e-12)
