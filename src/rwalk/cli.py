@@ -246,7 +246,7 @@ def _run_check(name: str, law: Law, ctx: dict, tol_override: float | None):
         detail = "tilted^n = R^n * phi * original^n, n <= 10"
     elif name == "dual":
         resid_inv = ctx["psi_residual"]()
-        dual_res = check_dual_spectral_radius(law, spectral=spectral)
+        dual_res = check_dual_spectral_radius(law, spectral)
         resid = max(resid_inv, abs(dual_res.rho - dual_res.rho_dual))
         detail = "psi = R*Phat(psi) and rho(v) = rho(dual v)"
     elif name == "measure":
@@ -353,10 +353,7 @@ def cmd_simulate(args) -> int:
               else frozenset({spec.group.identity()}))
     report, exponential, spectral = _solve(args, spec)
 
-    t0 = time.perf_counter()
-    mc = simulate_harris(spec.law, target, trajectories, horizon, seed)
-    report["timings"]["monte_carlo"] = time.perf_counter() - t0
-
+    # the series first: an oversized one is refused before the Monte Carlo runs
     t0 = time.perf_counter()
     tw = tilt(spec.law, exponential, spectral.R)
     rec = build_recurrence_report(tw.tilted, spectral.rho, horizon=args.series_horizon,
@@ -364,6 +361,10 @@ def cmd_simulate(args) -> int:
                                   transient_threshold=transient)
     report["timings"]["series"] = time.perf_counter() - t0
     series, test = rec.series, rec.test
+
+    t0 = time.perf_counter()
+    mc = simulate_harris(spec.law, target, trajectories, horizon, seed)
+    report["timings"]["monte_carlo"] = time.perf_counter() - t0
 
     report["recurrence"] = {
         "rho_series": rec.rho_series, "rho_method": rec.rho_method,

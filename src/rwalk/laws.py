@@ -112,6 +112,7 @@ class Law:
 class IrreducibilityResult:
     irreducible: bool
     witness: str
+    degenerate: bool   # lattice support in a closed half-space: no interior minimizer
 
 
 def _sublattice_index(vectors, dim: int) -> int:
@@ -220,24 +221,23 @@ def check_irreducible(law: Law) -> IrreducibilityResult:
                         reached.add(c)
                         new.append(c)
             frontier = new
-        if len(reached) == group.order:
-            return IrreducibilityResult(True, "support closure generates every element")
-        return IrreducibilityResult(
-            False, f"support closure reaches {len(reached)} of {group.order} elements")
+        full = len(reached) == group.order
+        witness = ("support closure generates every element" if full else
+                   f"support closure reaches {len(reached)} of {group.order} elements")
+        return IrreducibilityResult(full, witness, False)
 
     vectors = list(law.atoms)
     dim = group.dim
     index = _sublattice_index(vectors, dim)
-    if index == 0:
-        return IrreducibilityResult(
-            False, f"support spans a sublattice of rank < {dim}")
-    if index != 1:
-        return IrreducibilityResult(
-            False, f"support generates a sublattice of index {index}")
     u = _separating_direction(vectors, dim)
-    if u is not None:
-        return IrreducibilityResult(
-            False, "semigroup generated stays in the half-space with outward normal "
+    if index == 0:
+        witness = f"support spans a sublattice of rank < {dim}"
+    elif index != 1:
+        witness = f"support generates a sublattice of index {index}"
+    elif u is not None:
+        witness = ("semigroup generated stays in the half-space with outward normal "
                    f"{u} (origin not interior to support hull)")
-    return IrreducibilityResult(
-        True, "support lattice is Z^d and origin is interior to the support hull")
+    else:
+        return IrreducibilityResult(
+            True, "support lattice is Z^d and origin is interior to the support hull", False)
+    return IrreducibilityResult(False, witness, u is not None)

@@ -4,8 +4,8 @@ Four independent instruments, each honest about what it can and cannot
 decide from finitely many terms:
 
   * return_series     exact n-step return probabilities p(n) at the identity
-                      (dense convolution on lattices, tables.powers on
-                      finite groups)
+                      (the dense n-step laws of tables.powers, on a lattice
+                      paired around the midpoint)
   * estimate_rho      spectral radius from the series along the period
                       subsequence (ratio estimator, root fallback)
   * r_recurrence_test divergence heuristic for sum p~(n) = sum R^n p(n), the
@@ -17,15 +17,15 @@ decide from finitely many terms:
 plus the exact hitting-probability dynamic program used for the
 translation-invariance identity h^{yB}(yx) = h^B(x).
 
-On a lattice the series convolves on the walk's parity coset when it has
-one: if a.u is odd for every atom u and some a in {0,1}^d, X_n lies in
-a.x = n (mod 2), and the coordinates c_j = (a.x - n)/2 (other axes
-unchanged) turn each atom into a fixed shift while the box along axis j
-shrinks to about half.  Every cell equals the x-coordinate convolution
-bit for bit (the cells left out held exact zeros), odd-n returns are
-exact zeros and are not computed, and only the pairing sums p(2n) add
-the same nonzero products in another layout, so they can differ from
-an x-coordinate sum in the last few ulps.
+On a lattice the series steps tables.powers, whose size limit bounds it
+too, on the walk's parity coset when it has one: if a.u is odd for every
+atom u and some a in {0,1}^d, X_n lies in a.x = n (mod 2), and the
+coordinates c_j = (a.x - n)/2 (other axes unchanged) turn each atom into
+a fixed shift while the box along axis j shrinks to about half.  Every
+cell equals the x-coordinate convolution bit for bit (the cells left out
+held exact zeros), odd-n returns are exact zeros and are not computed,
+and only the pairing sums p(2n) add the same nonzero products in another
+layout, so they can differ from an x-coordinate sum in the last few ulps.
 
 The Monte Carlo kernels step dense (trajectories, steps) blocks.  A
 chunk's Philox keys, those of SeedSequence(entropy=seed, spawn_key=(i,)),
@@ -58,11 +58,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import HorizonTooLarge, InsufficientData
+from .errors import HorizonTooLarge, InsufficientData, WindowExceeded
 from .groups import FiniteGroup, Lattice
 from .laws import Law
-from .tables import (FunctionTable, LatticeBox, convolve, flush_free_steps, powers,
-                     step)
+from .tables import FunctionTable, LatticeBox, check_cells, powers, step, step_span
 
 HORIZON_CAP = {1: 5000, 2: 600, 3: 120}
 HORIZON_CAP_FINITE = 10_000
@@ -74,6 +73,7 @@ GROWTH_TRANSIENT = 1.05
 # what a finite horizon leaves unsettled: Z13 with law {5: .1, 8: .9}
 # reads rho_hat = 1 + 2.8e-10 at horizon 2000 (and 10.6 at horizon 60)
 RHO_SLACK = 1e-6
+MIN_TERMS = 50  # nonzero series terms estimate_rho needs
 WIDE_SUPPORT_RADIUS = 8
 
 _MC_CHUNK = 256  # fixed chunk size so results never depend on worker count
@@ -161,7 +161,7 @@ def _coset_frame(law: Law):
 
 
 def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
-    """Exact convolution powers, paired around the midpoint.
+    """Convolution powers from tables.powers, paired around the midpoint.
 
     Since increments are i.i.d., p(m + n) = sum_x P(X_m = x) P(X_n = -x);
     reading p(2n) and p(2n+1) off consecutive half-way distributions keeps
@@ -170,29 +170,25 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
     coordinates, where -x at step n pairs with c at step m as
     -c - ((m + n)/2) e_j, and p(odd) = 0 is not computed on a period-2 walk.
     """
-    dim = law.group.dim
     shifts, a, j = _coset_frame(law)
-    atoms = list(zip(map(tuple, shifts.tolist()), law.atoms.values()))
-    span = shifts.min(axis=0), shifts.max(axis=0)
-    safe = flush_free_steps(law.atoms.values())
-    pair_offset = [int(k == j) for k in range(dim)]   # p(k) moves g's corner by k/2 of it
-
-    arr = np.ones((1,) * dim)
-    lo = [0] * dim
-    probs = [0.0] * (horizon + 1)
-    probs[0] = 1.0
+    half = (horizon + 1) // 2
+    lo = step_span(shifts, half)[0].tolist()
+    # corner of the n-step array, moved by k along e_j where it pairs for p(2k)
+    corner = lambda n, k=0: [n * c + k * (axis == j) for axis, c in enumerate(lo)]
+    arrays = powers(law, half, shifts)
+    arr = np.ones((1,) * law.group.dim)
+    probs = [1.0] + [0.0] * horizon
     worst_mass = 0.0
     for n in range(horizon // 2 + 1):
+        # p(2n) before the (n+1)-step array exists: one array less at the peak
         if n >= 1:
-            probs[2 * n] = _paired_origin_mass(arr, lo, arr,
-                                               [c + n * k for c, k in zip(lo, pair_offset)])
+            probs[2 * n] = _paired_origin_mass(arr, corner(n), arr, corner(n, n))
         if 2 * n + 1 <= horizon:
-            nxt = convolve(atoms, arr, span, flush=n + 1 > safe)
-            nxt_lo = [c + int(s) for c, s in zip(lo, span[0])]
+            nxt = next(arrays)
             worst_mass = max(worst_mass, abs(float(nxt.sum()) - 1.0))
             if a is None:
-                probs[2 * n + 1] = _paired_origin_mass(arr, lo, nxt, nxt_lo)
-            arr, lo = nxt, nxt_lo
+                probs[2 * n + 1] = _paired_origin_mass(arr, corner(n), nxt, corner(n + 1))
+            arr = nxt
     return _finish_series(probs, horizon, worst_mass)
 
 
@@ -215,7 +211,8 @@ def _finish_series(probs, horizon, worst_mass) -> ReturnSeries:
 
 
 def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
-    """Exact p(n, e, {e}) for n = 0..horizon."""
+    """Exact p(n, e, {e}) for n = 0..horizon; HorizonTooLarge beyond the
+    per-dimension cap, or when the half-horizon box passes the dense limit."""
     if horizon is None:
         horizon = default_horizon(law)
     if isinstance(law.group, FiniteGroup):
@@ -228,7 +225,10 @@ def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
         raise ValueError("horizon must be >= 0")
     if isinstance(law.group, FiniteGroup):
         return _series_finite(law, horizon)
-    return _series_lattice(law, horizon)
+    try:
+        return _series_lattice(law, horizon)
+    except WindowExceeded as exc:
+        raise HorizonTooLarge(f"series horizon {horizon}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -237,16 +237,16 @@ class RhoEstimate:
     method: str  # "ratio" or "root"
 
 
-def estimate_rho(series: ReturnSeries, min_terms: int = 50) -> RhoEstimate:
+def estimate_rho(series: ReturnSeries) -> RhoEstimate:
     """Spectral radius from the series along the period subsequence.
 
     Primary: geometric ratio (p(n+g)/p(n))^(1/g) averaged over the last 10
     available n.  Secondary: p(n)^(1/n) at the largest n with p(n) > 0.
     No return series has a radius above 1: InsufficientData beyond 1 + RHO_SLACK.
     """
-    if series.nonzero_count() < min_terms:
+    if series.nonzero_count() < MIN_TERMS:
         raise InsufficientData(
-            f"{series.nonzero_count()} nonzero terms < required {min_terms}")
+            f"{series.nonzero_count()} nonzero terms < required {MIN_TERMS}")
     g = series.period
     if g == 0:
         raise InsufficientData("no returns observed; period undefined")
@@ -589,7 +589,8 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
     truncation), which makes every layer a certified lower bound on the
     untruncated value; the window pushes the boundary steps *
     support_radius away from the targets, where it is unreachable, so the
-    bound is exact.
+    bound is exact.  The steps + 1 layers are refused (tables.check_cells)
+    before any is allocated.
     """
     targets = frozenset(targets)
     if not targets:
@@ -601,12 +602,13 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
         raise ValueError("steps must be >= 0")
 
     if isinstance(group, FiniteGroup):
-        window, margin = None, 0
+        window, margin, shape = None, 0, (group.order,)
     else:
         margin = law.support_radius()
         pts = np.array(list(targets))
         window = LatticeBox(pts.min(axis=0) - steps * margin, pts.max(axis=0) + steps * margin)
-
+        shape = window.shape
+    check_cells((steps + 1, *shape), f"the {steps}-step hitting table")
     first = FunctionTable(group, window)
     for t in targets:
         first.values[first.index(t)] = 1.0

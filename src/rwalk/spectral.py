@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DegenerateSupport, ExponentOverflow, NotIrreducible
 from .groups import FiniteGroup, Lattice
-from .laws import (IrreducibilityResult, Law, _separating_direction,
-                   check_irreducible, default_window)
+from .laws import IrreducibilityResult, Law, check_irreducible, default_window
 from .tables import FunctionTable, LatticeBox, invariance_residual
 
 EXP_GUARD = 700.0
@@ -122,10 +121,9 @@ def find_exponential(law: Law, theta0=None):
     """
     group = law.group
     res = check_irreducible(law)
+    if res.degenerate:
+        raise DegenerateSupport(res.witness)
     if not res.irreducible:
-        if (isinstance(group, Lattice)
-                and _separating_direction(list(law.atoms), group.dim) is not None):
-            raise DegenerateSupport(res.witness)
         raise NotIrreducible(res.witness)
     if isinstance(group, FiniteGroup):
         rho = law.mass()
@@ -164,24 +162,19 @@ def find_exponential(law: Law, theta0=None):
 class DualSpectralResult:
     rho: float
     rho_dual: float
-    equal: bool
     theta: tuple
     theta_dual: tuple
 
 
-def check_dual_spectral_radius(law: Law, atol: float = 1e-10,
-                               spectral: SpectralResult | None = None) -> DualSpectralResult:
+def check_dual_spectral_radius(law: Law, spectral: SpectralResult) -> DualSpectralResult:
     """Spectral radius of the walk versus its reversed walk.
 
     Analytically Lambda_dual(theta) = Lambda(-theta), so the minima agree
     and the dual minimizer is -theta*; this computes the reversed side from
-    scratch and compares it with `spectral`, the walk's own minimization
-    (computed here when not given).
+    scratch and sets it beside `spectral`, the walk's own minimization.
     """
-    fwd = spectral if spectral is not None else find_exponential(law)[1]
-    _, bwd = find_exponential(law.dual())
-    return DualSpectralResult(fwd.rho, bwd.rho, abs(fwd.rho - bwd.rho) <= atol,
-                              fwd.theta, bwd.theta)
+    _, dual = find_exponential(law.dual())
+    return DualSpectralResult(spectral.rho, dual.rho, spectral.theta, dual.theta)
 
 
 def verify_r_invariance(law: Law, exponential: Exponential, r: float,

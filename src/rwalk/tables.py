@@ -12,21 +12,19 @@ extrapolated; the hitting recursion pads with zeros first, which is its
 absorbing boundary.  Equal arrays give bit-identical outputs wherever the
 box sits, which keeps translated computations exactly comparable.
 
-`convolve` is the forward counterpart on a lattice: from the law of X on
-a box it builds the law of X + u, u ~ law, on the box grown by one
-step's span, as shifted scaled adds in the order the caller passes the
-atoms (the law's canonical order; the return series passes the same
-atoms as shifts in its coset coordinates), flushing cells below
-UNDERFLOW_FLOOR to zero as Law.convolve drops such atoms.  The flush
-costs three passes over the box and cannot fire while every positive
-cell of the m-step array, at least pmin^m (1 - 2^-53)^m for the smallest
-atom mass pmin, stays above the floor: both callers (`powers` and the
-return series) skip it while m ln(pmin) >= ln(UNDERFLOW_FLOOR) + 1, and
-never flush when pmin == 1 (flush_free_steps).  (On a finite
-group the same step is `step` with the reversed law.)  `powers` iterates
-either one to give the n-step laws as dense arrays.  Dense n-step boxes
-grow as n^d, so callers check their size against DENSE_CELL_LIMIT
-before allocating.
+`powers`, the forward counterpart, is the one n-step kernel: on a
+lattice it builds the law of X + u, u ~ law, from that of X on the box
+grown by one step's span (step_span, which holds the origin, so every
+n-step box nests in the next), as shifted scaled adds in the law's atom
+order; the return series passes the atoms as shifts in its coset
+coordinates.  Dense n-step boxes grow as n^d, so the last one is checked
+against DENSE_CELL_LIMIT before anything is allocated (check_cells, which
+bounds the hitting DP's table too).  Cells below UNDERFLOW_FLOOR are
+flushed to zero, as Law.convolve drops such atoms, but the three passes
+this costs are skipped while they cannot fire: every positive cell of the
+m-step array is at least pmin^m (1 - 2^-53)^m for the smallest atom mass
+pmin (flush_free_steps).  On a finite group the step is `step` with the
+reversed law.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .errors import WindowExceeded
 from .groups import FiniteGroup, Group
 
 UNDERFLOW_FLOOR = 1e-300
-DENSE_CELL_LIMIT = 1 << 22  # cells of one dense n-step box: 32 MiB of float64
+DENSE_CELL_LIMIT = 1 << 22  # cells of one dense box or table: 32 MiB of float64
 
 
 class LatticeBox:
@@ -166,14 +164,31 @@ def invariance_residual(law, table: FunctionTable, r: float) -> float:
     return float(np.max(np.abs(ref - r * image) / ref))
 
 
-def support_span(law) -> tuple:
-    """Per-axis (lowest, highest) atom coordinates of a lattice law, as int64 arrays."""
-    elems = np.array(list(law.atoms), dtype=np.int64)
-    return elems.min(axis=0), elems.max(axis=0)
+def check_cells(shape, what: str) -> None:
+    """WindowExceeded if a dense array of this shape would pass
+    DENSE_CELL_LIMIT cells; `what` names the array in the message."""
+    cells = math.prod(int(n) for n in shape)
+    if cells > DENSE_CELL_LIMIT:
+        raise WindowExceeded(f"{what} has {cells} cells, beyond the dense-array "
+                             f"limit of {DENSE_CELL_LIMIT}")
+
+
+def step_span(points, n: int) -> tuple:
+    """Per-axis (lo, hi) of the lattice points and the origin, as int64 arrays.
+
+    Steps within that span carry the origin onto the box n*lo .. n*hi in
+    n steps, and each such box nests in the next.  check_cells refuses an
+    n-step box beyond the limit, before anything is allocated.
+    """
+    pts = np.array(list(points), dtype=np.int64)
+    lo = np.minimum(pts.min(axis=0), 0)
+    hi = np.maximum(pts.max(axis=0), 0)
+    check_cells(n * (hi - lo) + 1, f"the {n}-step box")
+    return lo, hi
 
 
 def flush_free_steps(masses) -> float:
-    """Largest step count m whose m-step array convolve's flush cannot touch.
+    """Largest step count m whose m-step array the powers flush cannot touch.
 
     Every positive cell of the m-step array is a sum of products of m atom
     masses, each rounded down by at most a factor 1 - 2^-53, so it is at
@@ -186,33 +201,16 @@ def flush_free_steps(masses) -> float:
     return (math.log(UNDERFLOW_FLOOR) + 1.0) / math.log(pmin)
 
 
-def convolve(atoms, values: np.ndarray, span: tuple, flush: bool = True) -> np.ndarray:
-    """One exact convolution step on a dense lattice box.
-
-    `values` is the law of X on a box; the result is the law of X + u on
-    the box grown by span = (off_lo, off_hi), where `atoms` yields the
-    (shift, mass) pairs of u in the order they are added and
-    off_lo <= every shift <= off_hi per axis, so the corner moves by off_lo.
-    flush=False skips the underflow flush, for callers that know from
-    flush_free_steps that it cannot fire.
-    """
-    lo = [int(l) for l in span[0]]
-    shape = values.shape
-    new = np.zeros(tuple(n + int(h) - l for n, l, h in zip(shape, lo, span[1])))
-    for e, p in atoms:
-        new[tuple(slice(c - l, c - l + n) for c, l, n in zip(e, lo, shape))] += p * values
-    if flush:
-        tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
-        if tiny.any():
-            new[tiny] = 0.0
-    return new
-
-
-def powers(law, n_max: int, span: tuple | None = None):
+def powers(law, n_max: int, shifts=None):
     """Yield the law of X_n = u_1 ... u_n, n = 1..n_max, as dense arrays.
 
-    On a lattice the n-th array is anchored at n * span[0] and grows by
-    `span` (default: the support's own) per step; on a finite group it is
+    On a lattice the n-th array is the box n*lo .. n*hi of
+    step_span(shifts, n_max), where `shifts` gives each atom, in the law's
+    canonical order, as a shift in the caller's coordinates (default: the
+    atoms themselves); the (n+1)-th adds mass(u) times the n-th at each
+    shift u and flushes cells below UNDERFLOW_FLOOR beyond the
+    flush_free_steps bound; the first step refuses an n_max-step box past
+    the limit before building any array.  On a finite group the arrays are
     indexed by the elements, and each step gathers f(z u^-1) through the
     reversed law, the law of X_n u (right multiplication, as Law.convolve).
     """
@@ -225,9 +223,17 @@ def powers(law, n_max: int, span: tuple | None = None):
             f = step(reversed_law, f, 0)
             yield f
         return
-    span = span if span is not None else support_span(law)
+    shifts = list(law.atoms) if shifts is None else shifts.tolist()
+    lo, hi = (v.tolist() for v in step_span(shifts, n_max))
     safe = flush_free_steps(law.atoms.values())
     f = np.ones((1,) * group.dim)
     for m in range(1, n_max + 1):
-        f = convolve(law.atoms.items(), f, span, flush=m > safe)
+        new = np.zeros(tuple(n + b - a for n, a, b in zip(f.shape, lo, hi)))
+        for u, p in zip(shifts, law.atoms.values()):
+            new[tuple(slice(c - a, c - a + n) for c, a, n in zip(u, lo, f.shape))] += p * f
+        if m > safe:
+            tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
+            if tiny.any():
+                new[tiny] = 0.0
+        f = new
         yield f

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOverflow, NotNormalized, WindowExceeded
+from .errors import ExponentOverflow, NotNormalized
 from .groups import FiniteGroup
 from .laws import Law, default_window
-from .spectral import EXP_GUARD, Exponential, SpectralResult, find_exponential
-from .tables import (DENSE_CELL_LIMIT, FunctionTable, LatticeBox, invariance_residual,
-                     powers)
+from .spectral import EXP_GUARD, Exponential, SpectralResult
+from .tables import FunctionTable, LatticeBox, invariance_residual, powers, step_span
 
 TILT_NORMALIZATION_TOL = 1e-10
 # Corollary 2: how close to theta* = 0 and R = 1 a symmetric law must land
@@ -71,45 +70,35 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
 
     Both n-step laws are dense arrays on one shared box, zero where an atom
     is absent (tables.powers).  theta.x is tabulated once on the n_max-step
-    box and sliced per n; a point beyond the exponent guard only raises
-    ExponentOverflow where the original walk has mass.
+    box and sliced per n.  The residual is absolute, so theta.x below the
+    exponent guard only underflows phi toward 0, the right product there;
+    a point above it raises ExponentOverflow where the original walk has mass.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     group = tw.original.group
     if isinstance(group, FiniteGroup):
-        span, shape = None, (group.order,)
-        coords = np.arange(group.order)
+        shape, coords = (group.order,), np.arange(group.order)
         boxes = [slice(None)] * n_max
     else:
-        # the span keeps the origin, so every n-step box nests in the last one
-        points = np.array([group.identity(), *tw.tilted.atoms, *tw.original.atoms])
-        lo, hi = points.min(axis=0), points.max(axis=0)
-        span = (lo, hi)
-        shape = tuple(int(n_max * (b - a)) + 1 for a, b in zip(lo, hi))
-        cells = math.prod(shape)
-        if cells > DENSE_CELL_LIMIT:
-            raise WindowExceeded(
-                f"the {n_max}-step box has {cells} cells, beyond the dense-array "
-                f"limit of {DENSE_CELL_LIMIT}")
-        coords = np.ogrid[tuple(slice(int(n_max * a), int(n_max * b) + 1)
-                                for a, b in zip(lo, hi))]
-        boxes = [tuple(slice(int((n - n_max) * a), int((n - n_max) * a + n * (b - a)) + 1)
+        lo, hi = step_span(tw.original.atoms, n_max)
+        shape = tuple(n_max * (hi - lo) + 1)
+        coords = np.ogrid[tuple(slice(n_max * a, n_max * b + 1) for a, b in zip(lo, hi))]
+        boxes = [tuple(slice((n - n_max) * a, (n - n_max) * a + n * (b - a) + 1)
                        for a, b in zip(lo, hi)) for n in range(1, n_max + 1)]
     phi = np.empty(shape)
     phi[...] = tw.exponential.exponent(coords)  # theta.x, exponentiated in place
-    over = np.abs(phi) > EXP_GUARD
+    over = phi > EXP_GUARD
     any_over = bool(over.any())
     phi[over] = 0.0
     np.exp(phi, out=phi)
     worst = 0.0
     scale = 1.0
-    for box, left, right in zip(boxes, powers(tw.tilted, n_max, span),
-                                powers(tw.original, n_max, span)):
+    for box, left, right in zip(boxes, powers(tw.tilted, n_max), powers(tw.original, n_max)):
         scale *= tw.R
         if any_over and over[box][right > 0].any():
             raise ExponentOverflow(
-                f"theta.x beyond the +/-{EXP_GUARD} guard at a point the walk reaches")
+                f"theta.x above the {EXP_GUARD} guard at a point the walk reaches")
         worst = max(worst, float(np.max(np.abs(left - scale * phi[box] * right))))
     return worst
 
@@ -144,16 +133,11 @@ class SymmetricDegeneracy:
     r_diff: float | None = None       # |R - 1|
 
 
-def check_symmetric_degeneracy(law: Law, spectral: SpectralResult | None = None
-                               ) -> SymmetricDegeneracy:
-    """A symmetric law (equal to its reversal) must sit at theta* = 0, R = 1.
-
-    `spectral` is the law's minimization, computed here when not given.
-    """
+def check_symmetric_degeneracy(law: Law, spectral: SpectralResult) -> SymmetricDegeneracy:
+    """A symmetric law (equal to its reversal) must sit at theta* = 0, R = 1;
+    `spectral` is the law's minimization."""
     if not law.is_symmetric(atol=1e-14):
         return SymmetricDegeneracy(False, None, None)
-    if spectral is None:
-        _, spectral = find_exponential(law)
     theta_norm = max((abs(t) for t in spectral.theta), default=0.0)
     r_diff = abs(spectral.R - 1.0)
     return SymmetricDegeneracy(True, r_diff <= DEGENERACY_R_TOL,

@@ -105,7 +105,7 @@ def test_criterion_5_translation_invariance(bernoulli, z6_law):
 def test_criterion_6_dual_spectral_radius(asymmetric_corpus):
     worst_rho = worst_theta = 0.0
     for law in asymmetric_corpus:
-        res = check_dual_spectral_radius(law)
+        res = check_dual_spectral_radius(law, find_exponential(law)[1])
         worst_rho = max(worst_rho, abs(res.rho - res.rho_dual))
         worst_theta = max(worst_theta, max(abs(a + b) for a, b in
                                            zip(res.theta, res.theta_dual)))

@@ -9,6 +9,7 @@ import pytest
 
 from rwalk import parse_walk_spec
 import rwalk.cli as cli
+import rwalk.tables as tables
 import rwalk.tilting as tilting
 from rwalk.cli import main
 from rwalk.recurrence import worker_count
@@ -397,6 +398,43 @@ def test_verify_eq17_box_too_large_fails_fast(capsys, tmp_path):
     assert "eq17" in captured.out and "ERROR" in captured.out
     assert str(801 ** 3) in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_eq12_table_too_large_fails_fast(capsys, monkeypatch):
+    # bernoulli's 50-step hitting table is 51 layers of 101 cells
+    monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", 51 * 101 - 1)
+    code = main(["verify", fixture("bernoulli_025.spec"), "--paper-checks", "eq12"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ("eq12         ERROR (the 50-step hitting table has 5151 cells, "
+                            "beyond the dense-array limit of 5150)\n")
+
+
+def test_simulate_refuses_an_oversized_series_before_the_monte_carlo(capsys, tmp_path,
+                                                                      monkeypatch):
+    # the 120-step series needs the 60-step box: 7201 x 121 x 121 cells
+    spec = tmp_path / "wide.spec"
+    spec.write_text(WIDE_3D.replace("40 40 40", "60 0 0").replace("-40 -40 -40", "-60 0 0"))
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran before the series was refused")
+
+    monkeypatch.setattr(cli, "simulate_harris", no_monte_carlo)
+    code = main(["simulate", str(spec), "--trajectories", "100", "--horizon", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: series horizon 120: the 60-step box has 105429841 "
+                            "cells, beyond the dense-array limit of 4194304\n")
+
+
+def test_verify_eq17_below_the_guard_passes(capsys, tmp_path):
+    # the skewed law's theta.x reaches -1148 on the 10-step box
+    spec = tmp_path / "skewed.spec"
+    spec.write_text("group lattice 2\n\nlaw\n  1 0 0.3\n  -1 0 0.2\n"
+                    "  0 1 1e-100\n  0 -1 0.5\n")
+    assert main(["verify", str(spec), "--paper-checks", "eq17"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", ["drift2d.spec", "symmetric.spec"])

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwalk import (FiniteGroup, HorizonTooLarge, InsufficientData, Lattice, Law,
-                   Verdict, build_recurrence_report, check_translation_invariance,
-                   cyclic_group, estimate_rho, find_exponential, hitting_dp,
-                   r_recurrence_test, return_series, simulate_harris)
+                   Verdict, WindowExceeded, build_recurrence_report,
+                   check_translation_invariance, cyclic_group, estimate_rho,
+                   find_exponential, hitting_dp, r_recurrence_test, return_series,
+                   simulate_harris)
 import rwalk.recurrence as recurrence
 import rwalk.tables as tables
 from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_finite,
                               _chunk_lattice, _coset_frame, _decode_keys,
                               _key_weights, _philox_keys, worker_count)
-from rwalk.tables import (UNDERFLOW_FLOOR, convolve, flush_free_steps, powers,
-                          support_span)
+from rwalk.tables import UNDERFLOW_FLOOR, flush_free_steps, powers, step_span
 
 from conftest import s3_cayley, tilt_from_spectral
 
@@ -70,6 +70,20 @@ def test_return_series_mass_conservation(asymmetric_corpus, z6_law):
         horizon = 200 if law.group == z6_law.group else 100
         series = return_series(law, horizon)
         assert series.max_mass_error <= 1e-10
+
+
+def test_series_refuses_an_oversized_box_before_allocating(symmetric3d, monkeypatch):
+    # in the coset frame the 60-step box of the 120-step series is 61 x 121 x 121
+    cells = 61 * 121 * 121
+    seen = []
+    monkeypatch.setattr(recurrence, "powers", recording_powers(seen))
+    monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells - 1)
+    with pytest.raises(HorizonTooLarge,
+                       match=f"^series horizon 120: the 60-step box has {cells} cells"):
+        return_series(symmetric3d, 120)
+    assert seen == []
+    monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells)
+    assert return_series(symmetric3d, 120).period == 2 and len(seen) == 60
 
 
 def test_horizon_caps(bernoulli, symmetric2d, symmetric3d, z6_law):
@@ -165,7 +179,38 @@ def test_series_finite_matches_matrix_reference(case):
 #
 # The reference is the lattice series as it was before the coset frame:
 # every n-step law on its full bounding box in x coordinates, and every
-# p(k) paired, odd k included.
+# p(k) paired, odd k included, stepped by the convolution kernel as it was
+# before tables.powers took it in.
+
+def support_span(law):
+    """Per-axis (lowest, highest) atom coordinates of a lattice law, as int64 arrays."""
+    elems = np.array(list(law.atoms), dtype=np.int64)
+    return elems.min(axis=0), elems.max(axis=0)
+
+
+def convolve(atoms, values, span):
+    """The law of X + u on the box grown by span = (off_lo, off_hi), from the
+    law of X on a box; `atoms` yields the (shift, mass) pairs of u.  Cells
+    below UNDERFLOW_FLOOR are flushed at every step."""
+    lo = [int(l) for l in span[0]]
+    shape = values.shape
+    new = np.zeros(tuple(n + int(h) - l for n, l, h in zip(shape, lo, span[1])))
+    for e, p in atoms:
+        new[tuple(slice(c - l, c - l + n) for c, l, n in zip(e, lo, shape))] += p * values
+    tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
+    if tiny.any():
+        new[tiny] = 0.0
+    return new
+
+
+def recording_powers(seen):
+    """recurrence.powers, appending every array it yields to `seen`."""
+    def record(law, n_max, shifts=None):
+        for f in powers(law, n_max, shifts):
+            seen.append(f)
+            yield f
+    return record
+
 
 def reference_paired_origin_mass(f, lo_f, g, lo_g):
     hi_f = lo_f + np.array(f.shape, dtype=np.int64) - 1
@@ -298,21 +343,16 @@ def assert_coset_cells_equal_dense(law, n_max, monkeypatch):
     coordinates, equals the dense x-box law cell for cell, and every cell
     it leaves out is zero there."""
     seen = []
-
-    def recording_convolve(atoms, values, span, **kwargs):
-        out = convolve(atoms, values, span, **kwargs)
-        seen.append((out, span[0]))
-        return out
-
-    monkeypatch.setattr(recurrence, "convolve", recording_convolve)
+    monkeypatch.setattr(recurrence, "powers", recording_powers(seen))
     return_series(law, 2 * n_max)
     monkeypatch.undo()
     assert len(seen) == n_max
     dim = law.group.dim
-    _, a, j = _coset_frame(law)
+    shifts, a, j = _coset_frame(law)
+    g_lo = step_span(shifts, n_max)[0]
     dense_span = support_span(law)
     f = np.ones((1,) * dim)
-    for n, (g, g_lo) in enumerate(seen, start=1):
+    for n, g in enumerate(seen, start=1):
         f = convolve(law.atoms.items(), f, dense_span)
         c = [axis + int(lo) for axis, lo in zip(np.indices(g.shape), n * g_lo)]
         x = list(c)
@@ -341,8 +381,8 @@ def test_coset_cells_equal_dense(law):
         assert_coset_cells_equal_dense(law, 12, monkeypatch)
 
 
-def always_flush(atoms, values, span, flush=True):
-    return convolve(atoms, values, span)
+def always_flush(masses):
+    return 0   # flush after every step
 
 
 def flush_laws():
@@ -359,14 +399,10 @@ def flush_laws():
 def test_flush_skip_matches_always_flush_series(case, monkeypatch):
     law, horizon = flush_laws()[case]
     runs = []
-    for kernel in (convolve, always_flush):
+    for bound in (flush_free_steps, always_flush):
         arrays = []
-
-        def recording(atoms, values, span, **kwargs):
-            arrays.append(kernel(atoms, values, span, **kwargs))
-            return arrays[-1]
-
-        monkeypatch.setattr(recurrence, "convolve", recording)
+        monkeypatch.setattr(tables, "flush_free_steps", bound)
+        monkeypatch.setattr(recurrence, "powers", recording_powers(arrays))
         runs.append((return_series(law, horizon), arrays))
     (got, got_arrays), (want, want_arrays) = runs
     assert got.probabilities == want.probabilities
@@ -380,11 +416,16 @@ def test_flush_skip_matches_always_flush_powers(monkeypatch):
     safe = flush_free_steps(law.atoms.values())
     assert 995 < safe < 996
     got = list(powers(law, 1100))
-    monkeypatch.setattr(tables, "convolve", always_flush)
+    monkeypatch.setattr(tables, "flush_free_steps", always_flush)
     want = list(powers(law, 1100))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # and the reference kernel, which flushes at every step on its own
+    ref = np.ones(1)
+    for a in got:
+        ref = convolve(law.atoms.items(), ref, support_span(law))
+        assert np.array_equal(a, ref)
     # the bound holds where it skips, and the flush does fire later
-    assert all(a[a > 0].min() >= UNDERFLOW_FLOOR for a in got[:995])
+    assert all(a[a > 0].min() >= UNDERFLOW_FLOOR for a in got)
     assert np.count_nonzero(got[-1]) < got[-1].size // 2 + 1
 
 
@@ -602,6 +643,28 @@ def test_hitting_dp_zero_steps_is_indicator(bernoulli):
     table = hitting_dp(bernoulli, {(0,)}, 0)
     assert table.layers[0][(0,)] == 1.0
     assert np.count_nonzero(table.layers[0].values) == 1
+
+
+def test_hitting_dp_refuses_a_wide_table_before_allocating(bernoulli, z6_law,
+                                                           monkeypatch):
+    # 51 layers of the 101-cell window, and of the 6 elements of Z6
+    allocated = []
+    table = recurrence.FunctionTable
+
+    def recording_table(*args):
+        allocated.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(recurrence, "FunctionTable", recording_table)
+    for law, cells in ((bernoulli, 51 * 101), (z6_law, 51 * 6)):
+        monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells - 1)
+        with pytest.raises(WindowExceeded,
+                           match=f"^the 50-step hitting table has {cells} cells"):
+            hitting_dp(law, {law.group.identity()}, 50)
+        assert allocated == []
+        monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells)
+        assert len(hitting_dp(law, {law.group.identity()}, 50).layers) == 51
+        allocated.clear()
 
 
 def test_hitting_dp_monotone(asymmetric_corpus, z6_law):

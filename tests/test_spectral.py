@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rwalk import (DegenerateSupport, ExponentOverflow, Lattice, Law,
                    LatticeBox, NotIrreducible, WindowExceeded,
-                   check_dual_spectral_radius, find_exponential, mgf,
+                   check_dual_spectral_radius, check_irreducible, find_exponential, mgf,
                    verify_r_invariance)
 from rwalk.spectral import Exponential, _lambda_pass
 
@@ -134,17 +134,31 @@ def test_not_irreducible_rejected(z1):
         find_exponential(Law(z1, {(2,): 0.5, (-2,): 0.5}))
 
 
+def test_irreducibility_decides_the_exception(z1, z2, bernoulli):
+    # a support in a closed half-space is degenerate whatever else fails
+    cases = [(Law(z1, {(1,): 1.0}), DegenerateSupport, "half-space"),
+             (Law(z1, {(2,): 0.5, (-2,): 0.5}), NotIrreducible, "index 2"),
+             (Law(z1, {(2,): 0.5, (4,): 0.5}), DegenerateSupport, "index 2"),
+             (Law(z2, {(1, 0): 0.5, (-1, 0): 0.5}), DegenerateSupport, "rank")]
+    for law, error, witness in cases:
+        res = check_irreducible(law)
+        assert not res.irreducible and witness in res.witness
+        assert res.degenerate == (error is DegenerateSupport)
+        with pytest.raises(error, match=witness):
+            find_exponential(law)
+    assert not check_irreducible(bernoulli).degenerate
+
+
 def test_dual_spectral_radius(asymmetric_corpus):
     for law in asymmetric_corpus:
-        res = check_dual_spectral_radius(law)
-        assert res.equal
+        res = check_dual_spectral_radius(law, find_exponential(law)[1])
         assert abs(res.rho - res.rho_dual) <= 1e-10
         for t, td in zip(res.theta, res.theta_dual):
             assert t == pytest.approx(-td, abs=1e-8)
 
 
 def test_dual_spectral_radius_lazy_closed_form(lazy_drift):
-    res = check_dual_spectral_radius(lazy_drift)
+    res = check_dual_spectral_radius(lazy_drift, find_exponential(lazy_drift)[1])
     assert res.rho == pytest.approx(LAZY_RHO, abs=1e-12)
     assert res.rho_dual == pytest.approx(LAZY_RHO, abs=1e-12)
 

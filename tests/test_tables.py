@@ -21,7 +21,7 @@ from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
                    verify_r_invariance)
 from rwalk.groups import FiniteGroup, Lattice
 from rwalk.spectral import Exponential
-from rwalk.tables import powers, step, support_span
+from rwalk.tables import powers, step, step_span
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                            database=None)
@@ -117,7 +117,7 @@ def assert_powers_match(law, n_max):
     if isinstance(law.group, FiniteGroup):
         index = lambda x, n: x
     else:
-        lo, _ = support_span(law)
+        lo, _ = step_span(law.atoms, n_max)
         index = lambda x, n: tuple(c - n * l for c, l in zip(x, lo))
     for n, dense in enumerate(powers(law, n_max), start=1):
         expected = np.zeros(dense.shape)

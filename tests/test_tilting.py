@@ -7,7 +7,7 @@ from rwalk import (ExponentOverflow, Law, NotNormalized, WindowExceeded,
                    check_dual_invariance, check_measure_invariance,
                    check_symmetric_degeneracy, check_tilted_powers,
                    default_window, find_exponential, tilt)
-from rwalk.spectral import Exponential, mgf
+from rwalk.spectral import EXP_GUARD, Exponential, mgf
 from rwalk.tables import DENSE_CELL_LIMIT, FunctionTable
 
 from conftest import tilt_from_spectral
@@ -119,6 +119,15 @@ def test_power_identity_guard_only_where_the_walk_reaches(drift2d, bernoulli):
         check_tilted_powers(tw, 10)
 
 
+def test_power_identity_below_the_guard(z2):
+    # theta_y = 114.8, so theta.x reaches -1148 at y = -10, where the walk
+    # goes: phi underflows to 0 there, which the absolute residual allows
+    law = Law(z2, {(1, 0): .3, (-1, 0): .2, (0, 1): 1e-100, (0, -1): .5})
+    tw = tilt_from_spectral(law)
+    assert tw.exponential.theta[1] * -10 < -EXP_GUARD
+    assert check_tilted_powers(tw, 10) <= 1e-15
+
+
 def test_dual_invariance_corpus(asymmetric_corpus):
     for law in asymmetric_corpus:
         exponential, sp = find_exponential(law)
@@ -178,9 +187,9 @@ def test_measure_invariance_finite_doubly_stochastic(z6_law, s3_law):
 
 def test_symmetric_degeneracy(symmetric_corpus, bernoulli, wide_symmetric):
     for law in symmetric_corpus:
-        deg = check_symmetric_degeneracy(law)
+        deg = check_symmetric_degeneracy(law, find_exponential(law)[1])
         assert (deg.is_symmetric, deg.r_equals_one, deg.phi_trivial) == (True, True, True)
-    deg = check_symmetric_degeneracy(bernoulli)
+    deg = check_symmetric_degeneracy(bernoulli, find_exponential(bernoulli)[1])
     assert not deg.is_symmetric
     assert deg.r_equals_one is None and deg.phi_trivial is None
 
