@@ -32,7 +32,7 @@ from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
                        parse_walk_spec)
 from .spectral import (check_dual_spectral_radius, find_exponential,
                        verify_r_invariance)
-from .tables import LatticeBox
+from .tables import LatticeBox, check_cells
 from .tilting import (DEGENERACY_R_TOL, DEGENERACY_THETA_TOL, check_dual_invariance,
                       check_symmetric_degeneracy, check_tilted_powers, tilt)
 
@@ -158,11 +158,14 @@ def _load_spec(path: str) -> WalkSpec:
 
 
 def _window_for(spec: WalkSpec):
-    if isinstance(spec.group, FiniteGroup):
-        return None
-    if spec.options.window_radius is not None:
-        return LatticeBox.centered(spec.options.window_radius, spec.group.dim)
-    return default_window(spec.law)
+    """The check window: window_radius if the spec sets it, refused past the
+    dense-array limit before anything is allocated, else the default."""
+    radius = spec.options.window_radius
+    if isinstance(spec.group, FiniteGroup) or radius is None:
+        return default_window(spec.law)
+    window = LatticeBox.centered(radius, spec.group.dim)
+    check_cells(window.shape, f"the check window of window_radius {radius}")
+    return window
 
 
 def _usage_error(message) -> int:
@@ -224,7 +227,7 @@ def _tol_text(tol: float) -> str:
 
 def _run_check(name: str, law: Law, ctx: dict, tol_override: float | None):
     """Returns (residual, tolerance, passed, detail)."""
-    exponential, spectral, window = ctx["exponential"], ctx["spectral"], ctx["window"]
+    exponential, spectral = ctx["exponential"], ctx["spectral"]
     if name == "corollary2":   # the one check with its own pass rule
         deg = check_symmetric_degeneracy(law, spectral)
         if not deg.is_symmetric:
@@ -239,7 +242,7 @@ def _run_check(name: str, law: Law, ctx: dict, tol_override: float | None):
                 passed, detail)
     if name == "eq1":
         closure = abs(spectral.R * spectral.rho - 1.0)
-        resid = max(closure, verify_r_invariance(law, exponential, spectral.R, window))
+        resid = max(closure, verify_r_invariance(law, exponential, spectral.R, ctx["window"]()))
         detail = "fixed point R*Lambda(theta*) = 1 and phi = R*P(phi)"
     elif name == "eq17":
         resid = check_tilted_powers(ctx["tilted"](), 10)
@@ -284,13 +287,15 @@ def cmd_verify(args) -> int:
     if args.max_residual is not None and args.max_residual < 0:
         return _usage_error(f"--max-residual must be >= 0, got {args.max_residual}")
     report, exponential, spectral = _solve(args, spec)
-    law, window = spec.law, _window_for(spec)
+    law = spec.law
     # the tilted walk (eq17, corollary2) and the psi residual (dual, measure)
-    # are built at most once, on first use; a raised error is not cached
-    ctx = {"exponential": exponential, "spectral": spectral, "window": window,
+    # are built at most once, on first use; a raised error is not cached, so
+    # a refused window fails each check that tabulates on it (eq1, dual, measure)
+    ctx = {"exponential": exponential, "spectral": spectral,
+           "window": functools.partial(_window_for, spec),
            "tilted": functools.cache(lambda: tilt(law, exponential, spectral.R)),
-           "psi_residual": functools.cache(
-               lambda: check_dual_invariance(law, exponential, spectral.R, window))}
+           "psi_residual": functools.cache(lambda: check_dual_invariance(
+               law, exponential, spectral.R, _window_for(spec)))}
     all_passed = True
     report["checks"] = []
     for name in names:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import GroupMismatch
 from .groups import FiniteGroup, Group, Lattice
+from . import tables
 from .tables import UNDERFLOW_FLOOR, LatticeBox
 
 STRICT_SUM_TOL = 1e-12
@@ -157,11 +158,16 @@ def _separating_direction(vectors, dim: int):
     blocks of rows; the first passing row in enumeration order is returned.
     Every u.s is at most 6 c^3 for coordinates up to c; below 2^53 float64
     holds every candidate and product exactly, larger supports are tested
-    in Python integers.
+    in Python integers.  The search is skipped when the vectors v with -v
+    also among them span R^d (integer rank, _sublattice_index != 0): then
+    u.v <= 0 and u.(-v) <= 0 force u.v = 0 on a spanning set, so u = 0.
     """
     nz = [s for s in vectors if any(s)]
     if not nz:
         return (1,) + (0,) * (dim - 1)
+    present = set(nz)
+    if _sublattice_index([s for s in nz if tuple(-x for x in s) in present], dim):
+        return None
     c = max(abs(x) for s in nz for x in s)
     nz = np.array(nz, dtype=float if 6 * c ** 3 < 2 ** 53 else object)
     if dim == 1:
@@ -190,11 +196,17 @@ WINDOW_MULTIPLIER = {1: 32, 2: 16, 3: 8}
 
 def default_window(law: Law):
     """Default lattice check window: a centered box of WINDOW_MULTIPLIER[d]
-    times the support radius.  Finite groups need no window (returns None)."""
+    times the support radius, cut to the widest centered box within
+    tables.DENSE_CELL_LIMIT cells (the checks read only the interior cells
+    that one step cannot carry outside the box, so a narrower box is as
+    sound).  Finite groups need no window (returns None)."""
     if isinstance(law.group, FiniteGroup):
         return None
     dim = law.group.dim
-    radius = WINDOW_MULTIPLIER[dim] * max(1, law.support_radius())
+    side = round(tables.DENSE_CELL_LIMIT ** (1 / dim))
+    while side ** dim > tables.DENSE_CELL_LIMIT:
+        side -= 1
+    radius = min(WINDOW_MULTIPLIER[dim] * max(1, law.support_radius()), (side - 1) // 2)
     return LatticeBox.centered(radius, dim)
 
 

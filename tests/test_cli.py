@@ -410,6 +410,40 @@ def test_verify_eq12_table_too_large_fails_fast(capsys, monkeypatch):
                             "beyond the dense-array limit of 5150)\n")
 
 
+def test_verify_check_windows_too_large_fail_fast(capsys, monkeypatch, tmp_path):
+    # window_radius 32 makes a 65-cell check window; eq17's 10-step box is 21
+    monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", 64)
+    checks = ["--paper-checks", "eq1,dual,measure,eq17"]
+    spec = tmp_path / "wide.spec"
+    spec.write_text(Path(fixture("bernoulli_025.spec")).read_text() + "  window_radius 32\n")
+    code = main(["verify", str(spec), *checks])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    refusal = ("ERROR (the check window of window_radius 32 has 65 cells, "
+               "beyond the dense-array limit of 64)")
+    assert lines[:3] == [f"{name:<12} {refusal}" for name in ("eq1", "dual", "measure")]
+    assert lines[3].startswith("eq17") and lines[3].endswith(
+        "PASS  (tilted^n = R^n * phi * original^n, n <= 10)")
+    # without the option the default window (radius 32) is cut to radius 31
+    assert main(["verify", fixture("bernoulli_025.spec"), *checks]) == 0
+    assert "ERROR" not in capsys.readouterr().out
+
+
+def test_verify_default_window_of_a_wide_3d_law_fits_the_limit(capsys, tmp_path):
+    # support radius 11: 8 x 11 = 88 would be 177^3 cells; the default window
+    # is cut to radius 80, 161^3 cells, and eq1, dual and measure still pass
+    spec = tmp_path / "wide3d.spec"
+    spec.write_text("group lattice 3\n\nlaw\n  1 0 0 0.2\n  -1 0 0 0.1\n"
+                    "  0 1 0 0.15\n  0 -1 0 0.15\n  0 0 1 0.15\n  0 0 -1 0.15\n"
+                    "  11 0 0 0.05\n  -11 0 0 0.05\n")
+    assert 177 ** 3 > tables.DENSE_CELL_LIMIT >= 161 ** 3
+    code = main(["verify", str(spec), "--paper-checks", "eq1,dual,measure"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert [line.split()[0] for line in out.splitlines() if " PASS " in line] == [
+        "eq1", "dual", "measure"]
+
+
 def test_simulate_refuses_an_oversized_series_before_the_monte_carlo(capsys, tmp_path,
                                                                       monkeypatch):
     # the 120-step series needs the 60-step box: 7201 x 121 x 121 cells

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwalk import (FunctionTable, GroupMismatch, Law, LatticeBox,
+from rwalk import (FunctionTable, GroupMismatch, Lattice, Law, LatticeBox,
                    WindowExceeded, check_irreducible, cyclic_group,
                    default_window)
-from rwalk.laws import _separating_direction, _sublattice_index
-from rwalk.tables import step
+from rwalk.laws import WINDOW_MULTIPLIER, _separating_direction, _sublattice_index
+from rwalk.tables import DENSE_CELL_LIMIT, step
 
 
 def brute_convolution(a, b):
@@ -213,6 +213,29 @@ def test_separating_direction_matches_reference(case):
     assert _separating_direction(vectors, dim) == reference_separating_direction(vectors, dim)
 
 
+@st.composite
+def symmetric_supports(draw):
+    """Random 1-3D supports closed under v -> -v, drawn from up to d
+    generators (fewer leaves them short of spanning), plus a few vectors
+    whose negations may be missing."""
+    dim = draw(st.integers(1, 3))
+    small = st.integers(-4, 4)
+    gens = draw(st.lists(st.tuples(*[small] * dim), min_size=1, max_size=dim))
+    combos = draw(st.lists(st.tuples(*[small] * len(gens)), min_size=1, max_size=15))
+    half = {tuple(sum(c * g[k] for c, g in zip(co, gens)) for k in range(dim))
+            for co in combos}
+    extra = draw(st.lists(st.tuples(*[small] * dim), max_size=3))
+    vectors = sorted(half | {tuple(-c for c in v) for v in half} | set(extra))
+    return vectors, dim
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(symmetric_supports())
+def test_separating_direction_symmetric_supports_match_reference(case):
+    vectors, dim = case
+    assert _separating_direction(vectors, dim) == reference_separating_direction(vectors, dim)
+
+
 def test_separating_direction_blocks_keep_enumeration_order():
     # 60 atoms in 3D give about 3900 candidates; folded into the half-space
     # below, the first passing one is candidate 3032, in the sixth block
@@ -351,3 +374,14 @@ def test_default_window_scales_with_dimension(bernoulli, drift2d, symmetric3d,
     assert default_window(drift2d) == LatticeBox.centered(16, 2)
     assert default_window(symmetric3d) == LatticeBox.centered(8, 3)
     assert default_window(z6_law) is None
+
+
+def test_default_window_is_cut_to_the_dense_limit():
+    # the widest centered boxes within 2^22 cells have radius 2097151, 1023, 80
+    def window(dim, radius):
+        atom = (radius,) + (0,) * (dim - 1)
+        return default_window(Law(Lattice(dim), {atom: .5, tuple(-c for c in atom): .5}))
+    for dim, cut, radius in ((1, 2097151, 65535), (2, 1023, 63), (3, 80, 10)):
+        assert (2 * cut + 1) ** dim <= DENSE_CELL_LIMIT < (2 * cut + 3) ** dim
+        assert window(dim, radius) == LatticeBox.centered(WINDOW_MULTIPLIER[dim] * radius, dim)
+        assert window(dim, radius + 1) == LatticeBox.centered(cut, dim)

@@ -429,6 +429,60 @@ def test_flush_skip_matches_always_flush_powers(monkeypatch):
     assert np.count_nonzero(got[-1]) < got[-1].size // 2 + 1
 
 
+def assert_powers_equal_reference(law, n_max, shifts=None):
+    """Every array powers(law, n_max, shifts) yields equals the reference
+    convolve stepped with the same shifts on the same box, cell for cell."""
+    moves = list(law.atoms) if shifts is None else shifts.tolist()
+    span = step_span(moves, n_max)
+    ref = np.ones((1,) * law.group.dim)
+    count = 0
+    for got in powers(law, n_max, shifts):
+        ref = convolve(zip(moves, law.atoms.values()), ref, span)
+        assert np.array_equal(got, ref)
+        count += 1
+    assert count == n_max
+
+
+TILED_STEPS = {1: 60, 2: 14, 3: 7}   # boxes of many few-dozen-cell tiles
+
+
+def zero_slab_laws():
+    """Laws whose n-step arrays have all-zero rows along axis 0: atoms at
+    0 and +-2 there leave every odd row empty, and atoms with x_0 >= 1 leave
+    the rows below n empty, so whole tiles have no nonzero source cell."""
+    return [Law(Lattice(1), {(-2,): .3, (0,): .2, (2,): .5}),
+            Law(Lattice(2), {(-2, 1): .25, (0, -1): .25, (2, 0): .3, (2, 2): .2}),
+            Law(Lattice(3), {(-2, 0, 1): .2, (0, 1, -1): .3, (2, -1, 0): .3, (0, 0, 2): .2}),
+            Law(Lattice(1), {(2,): .6, (3,): .4}),
+            Law(Lattice(2), {(1, -1): .5, (3, 2): .5}),
+            Law(Lattice(3), {(1, 0, 0): .4, (2, 1, -1): .3, (1, -2, 1): .3})]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(lattice_laws(), st.sampled_from(zero_slab_laws())), st.integers(12, 48))
+def test_tiled_powers_equal_reference(law, tile):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tables, "_TILE_CELLS", tile)
+        for shifts in (None, _coset_frame(law)[0]):
+            assert_powers_equal_reference(law, TILED_STEPS[law.group.dim], shifts)
+
+
+def test_tiled_powers_equal_reference_past_the_flush(monkeypatch):
+    # the flush may fire from step 50 on, where the 1e-6 atom's cells fall
+    law = flush_laws()[2][0]
+    assert 49 < flush_free_steps(law.atoms.values()) < 50
+    monkeypatch.setattr(tables, "_TILE_CELLS", 40)
+    assert_powers_equal_reference(law, 56, _coset_frame(law)[0])
+
+
+def test_tiled_powers_equal_reference_on_the_tilted_sym3d_series(symmetric3d):
+    # the series' 60-step arrays for horizon 120, at the real tile size
+    law = tilt_from_spectral(symmetric3d).tilted
+    shifts = _coset_frame(law)[0]
+    assert math.prod(60 * np.ptp(shifts, axis=0) + 1) > 4 * tables._TILE_CELLS
+    assert_powers_equal_reference(law, 60, shifts)
+
+
 def test_flush_free_steps_bounds():
     assert flush_free_steps([1.0]) == math.inf
     assert flush_free_steps([.5, .5]) == pytest.approx(
