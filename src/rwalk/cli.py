@@ -21,8 +21,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (DegenerateSupport, NotIrreducible, NotNormalized,
-                     RwalkError, SpecFileError)
+from .errors import (DegenerateSupport, ExponentOverflow, NotIrreducible,
+                     NotNormalized, RwalkError, SpecFileError)
 from .groups import FiniteGroup, Lattice
 from .laws import Law, default_window
 from .recurrence import (GROWTH_RECURRENT, GROWTH_TRANSIENT,
@@ -30,7 +30,7 @@ from .recurrence import (GROWTH_RECURRENT, GROWTH_TRANSIENT,
                          simulate_harris, worker_count)
 from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
                        parse_walk_spec)
-from .spectral import (check_dual_spectral_radius, find_exponential,
+from .spectral import (EXP_GUARD, check_dual_spectral_radius, find_exponential,
                        verify_r_invariance)
 from .tables import LatticeBox, check_cells
 from .tilting import (DEGENERACY_R_TOL, DEGENERACY_THETA_TOL, check_dual_invariance,
@@ -157,14 +157,22 @@ def _load_spec(path: str) -> WalkSpec:
         return parse_walk_spec(fh.read())
 
 
-def _window_for(spec: WalkSpec):
-    """The check window: window_radius if the spec sets it, refused past the
-    dense-array limit before anything is allocated, else the default."""
+def _window_for(spec: WalkSpec, theta):
+    """The check window: window_radius if the spec sets it, else the default.
+    Refused before anything is tabulated on it if it passes the dense-array
+    limit, or if |theta.x| on it, up to radius * sum_k |theta_k|, passes EXP_GUARD."""
     radius = spec.options.window_radius
     if isinstance(spec.group, FiniteGroup) or radius is None:
-        return default_window(spec.law)
-    window = LatticeBox.centered(radius, spec.group.dim)
-    check_cells(window.shape, f"the check window of window_radius {radius}")
+        window = default_window(spec.law)
+    else:
+        window = LatticeBox.centered(radius, spec.group.dim)
+        check_cells(window.shape, f"the check window of window_radius {radius}")
+    slope = sum(abs(t) for t in theta)
+    if window is not None and window.hi[0] * slope > EXP_GUARD:
+        raise ExponentOverflow(
+            f"exponent {window.hi[0] * slope:.2f} on the check window of radius "
+            f"{window.hi[0]} is beyond the +/-{EXP_GUARD} guard; set window_radius "
+            f"{math.floor(EXP_GUARD / slope)} or less in the spec's options")
     return window
 
 
@@ -276,7 +284,8 @@ def cmd_verify(args) -> int:
     if args.paper_checks == "all":
         names = list(CHECK_NAMES)
     else:
-        names = [n.strip() for n in args.paper_checks.split(",") if n.strip()]
+        # each named check runs once, in the order first named
+        names = [n for n in dict.fromkeys(map(str.strip, args.paper_checks.split(","))) if n]
         if not names:
             return _usage_error("--paper-checks names no check")
         unknown = [n for n in names if n not in CHECK_NAMES]
@@ -291,11 +300,11 @@ def cmd_verify(args) -> int:
     # the tilted walk (eq17, corollary2) and the psi residual (dual, measure)
     # are built at most once, on first use; a raised error is not cached, so
     # a refused window fails each check that tabulates on it (eq1, dual, measure)
-    ctx = {"exponential": exponential, "spectral": spectral,
-           "window": functools.partial(_window_for, spec),
+    window = functools.partial(_window_for, spec, exponential.theta)
+    ctx = {"exponential": exponential, "spectral": spectral, "window": window,
            "tilted": functools.cache(lambda: tilt(law, exponential, spectral.R)),
            "psi_residual": functools.cache(lambda: check_dual_invariance(
-               law, exponential, spectral.R, _window_for(spec)))}
+               law, exponential, spectral.R, window()))}
     all_passed = True
     report["checks"] = []
     for name in names:

@@ -15,23 +15,11 @@ from .errors import IndexOutOfRange
 
 
 class Group:
-    """Common interface: identity(), multiply(a, b), inverse(a)."""
+    """Common base: identity(), multiply(a, b), inverse(a), validate_element(a)."""
 
     # Counting Haar measure makes the group unimodular; kept as a documented
     # constant rather than a configurable field.
     modular_delta = 1.0
-
-    def identity(self):
-        raise NotImplementedError
-
-    def multiply(self, a, b):
-        raise NotImplementedError
-
-    def inverse(self, a):
-        raise NotImplementedError
-
-    def validate_element(self, a) -> None:
-        raise NotImplementedError
 
 
 class Lattice(Group):

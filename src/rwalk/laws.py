@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatch
-from .groups import FiniteGroup, Group, Lattice
+from .groups import FiniteGroup, Group
 from . import tables
 from .tables import UNDERFLOW_FLOOR, LatticeBox
 
@@ -55,10 +55,10 @@ class Law:
         return math.fsum(self.atoms.values())
 
     def support_radius(self) -> int:
-        """Chebyshev radius of the support (lattice groups only)."""
-        if not isinstance(self.group, Lattice):
-            raise TypeError("support_radius is a lattice notion")
-        return max((max(abs(c) for c in x) for x in self.atoms), default=0)
+        """Reach of one step: the support's Chebyshev radius, 0 on a finite group."""
+        if isinstance(self.group, FiniteGroup):
+            return 0
+        return max(max(abs(c) for c in x) for x in self.atoms)
 
     def convolve(self, other: "Law") -> "Law":
         """Law of X+increment: mass(z) = sum over xy=z of self(x)*other(y)."""

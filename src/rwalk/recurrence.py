@@ -63,10 +63,9 @@ from .groups import FiniteGroup, Lattice
 from .laws import Law
 from .tables import FunctionTable, LatticeBox, check_cells, powers, step, step_span
 
-HORIZON_CAP = {1: 5000, 2: 600, 3: 120}
-HORIZON_CAP_FINITE = 10_000
-DEFAULT_HORIZON = {1: 4000, 2: 600, 3: 120}
-DEFAULT_HORIZON_FINITE = 2000
+# (default, cap) of the return-series horizon per lattice dimension, and finite
+SERIES_HORIZON = {1: (4000, 5000), 2: (600, 600), 3: (120, 120)}
+SERIES_HORIZON_FINITE = (2000, 10_000)
 
 GROWTH_RECURRENT = 1.5
 GROWTH_TRANSIENT = 1.05
@@ -110,12 +109,6 @@ class ReturnSeries:
 
     def nonzero_count(self) -> int:
         return sum(1 for p in self.probabilities if p > 0.0)
-
-
-def default_horizon(law: Law) -> int:
-    if isinstance(law.group, FiniteGroup):
-        return DEFAULT_HORIZON_FINITE
-    return DEFAULT_HORIZON[law.group.dim]
 
 
 def _paired_origin_mass(f, lo_f, g, lo_g):
@@ -213,17 +206,14 @@ def _finish_series(probs, horizon, worst_mass) -> ReturnSeries:
 def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
     """Exact p(n, e, {e}) for n = 0..horizon; HorizonTooLarge beyond the
     per-dimension cap, or when the half-horizon box passes the dense limit."""
-    if horizon is None:
-        horizon = default_horizon(law)
-    if isinstance(law.group, FiniteGroup):
-        cap = HORIZON_CAP_FINITE
-    else:
-        cap = HORIZON_CAP[law.group.dim]
+    finite = isinstance(law.group, FiniteGroup)
+    default, cap = SERIES_HORIZON_FINITE if finite else SERIES_HORIZON[law.group.dim]
+    horizon = default if horizon is None else horizon
     if horizon > cap:
         raise HorizonTooLarge(f"horizon {horizon} exceeds cap {cap} for {law.group}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if isinstance(law.group, FiniteGroup):
+    if finite:
         return _series_finite(law, horizon)
     try:
         return _series_lattice(law, horizon)
@@ -493,6 +483,16 @@ def _chunk_finite(cayley, elems, cum, targets, horizon, seed, start_state, indic
     return hits, None, None
 
 
+def _target_set(group, target) -> frozenset:
+    """B as a frozenset, refused if it is empty or holds a non-element."""
+    targets = frozenset(target)
+    if not targets:
+        raise ValueError("target set must be nonempty")
+    for t in targets:
+        group.validate_element(t)
+    return targets
+
+
 def simulate_harris(law: Law, target, trajectories: int, horizon: int,
                     seed: int, workers: int | None = None) -> HarrisResult:
     """Fraction of walks from the identity that hit the target within horizon.
@@ -521,32 +521,26 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
     half-width, and (on lattices) the mean end displacement with its
     standard error, the zero-drift diagnostic.
     """
-    targets = frozenset(target)
-    if not targets:
-        raise ValueError("target set must be nonempty")
+    targets = _target_set(law.group, target)
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
-    for t in targets:
-        law.group.validate_element(t)
 
-    elems = list(law.atoms)
-    cum = np.cumsum([law.atoms[x] for x in elems])
+    elems = np.array(list(law.atoms), dtype=np.int64)
+    cum = np.cumsum(list(law.atoms.values()))
     chunks = [range(s, min(s + _MC_CHUNK, trajectories))
               for s in range(0, trajectories, _MC_CHUNK)]
 
-    if isinstance(law.group, Lattice):
-        evecs = np.array(elems, dtype=np.int64)
-        run = lambda ix: _chunk_lattice(evecs, cum, targets, horizon, seed, ix)
+    lattice = isinstance(law.group, Lattice)
+    if lattice:
+        run = lambda ix: _chunk_lattice(elems, cum, targets, horizon, seed, ix)
     else:
-        cay = law.group.cayley_array
-        earr = np.array(elems, dtype=np.int64)
-        start = law.group.identity()
-        run = lambda ix: _chunk_finite(cay, earr, cum, targets, horizon, seed,
-                                       start, ix)
+        group = law.group
+        run = lambda ix: _chunk_finite(group.cayley_array, elems, cum, targets, horizon,
+                                       seed, group.identity(), ix)
 
     nworkers = worker_count(workers)
     if nworkers > 1 and len(chunks) > 1:
@@ -560,13 +554,10 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
     frac = hits / trajectories
     ci = 1.96 * math.sqrt(frac * (1.0 - frac) / trajectories)
     mean_disp = sem = None
-    if isinstance(law.group, Lattice):
+    if lattice:
         # merge in fixed chunk order so float sums are reproducible
-        dsum = np.zeros(law.group.dim)
-        dsq = np.zeros(law.group.dim)
-        for _, s, q in parts:
-            dsum += s
-            dsq += q
+        dsum = sum(s for _, s, _ in parts)
+        dsq = sum(q for _, _, q in parts)
         mean = dsum / trajectories
         var = np.maximum(dsq / trajectories - mean * mean, 0.0)
         mean_disp = tuple(float(m) for m in mean)
@@ -586,25 +577,21 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
     """Exact finite-horizon hitting probabilities by backward recursion.
 
     Outside the window the probability is taken as 0 (absorbing
-    truncation), which makes every layer a certified lower bound on the
-    untruncated value; the window pushes the boundary steps *
-    support_radius away from the targets, where it is unreachable, so the
-    bound is exact.  The steps + 1 layers are refused (tables.check_cells)
-    before any is allocated.
+    truncation), so every layer is a certified lower bound on the
+    untruncated value; the window pushes the boundary steps * support_radius
+    away from the targets, out of reach, so the bound is exact (a finite
+    group's window is the whole group, its support_radius 0).  The steps + 1
+    layers are refused (tables.check_cells) before any is allocated.
     """
-    targets = frozenset(targets)
-    if not targets:
-        raise ValueError("target set must be nonempty")
     group = law.group
-    for t in targets:
-        group.validate_element(t)
+    targets = _target_set(group, targets)
     if steps < 0:
         raise ValueError("steps must be >= 0")
 
+    margin = law.support_radius()
     if isinstance(group, FiniteGroup):
-        window, margin, shape = None, 0, (group.order,)
+        window, shape = None, (group.order,)
     else:
-        margin = law.support_radius()
         pts = np.array(list(targets))
         window = LatticeBox(pts.min(axis=0) - steps * margin, pts.max(axis=0) + steps * margin)
         shape = window.shape
@@ -665,7 +652,7 @@ def build_recurrence_report(tilted: Law, rho_spectral: float, *,
     that; the series verdict checks it numerically."""
     series = return_series(tilted, horizon)
     warnings = []
-    if isinstance(tilted.group, Lattice) and tilted.support_radius() > WIDE_SUPPORT_RADIUS:
+    if tilted.support_radius() > WIDE_SUPPORT_RADIUS:
         warnings.append(
             f"support radius {tilted.support_radius()} > {WIDE_SUPPORT_RADIUS}: "
             "heuristic verdict thresholds are uncalibrated for wide supports")

@@ -67,9 +67,6 @@ class Exponential:
             return sum(t * c for t, c in zip(self.theta, x))
         return math.fsum(t * c for t, c in zip(self.theta, x))
 
-    def reciprocal(self) -> "Exponential":
-        return Exponential(-t for t in self.theta)
-
     def __repr__(self):
         return f"Exponential(theta={self.theta})"
 

@@ -71,10 +71,7 @@ class LatticeBox:
         return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
 
     def size(self) -> int:
-        n = 1
-        for a, b in zip(self.lo, self.hi):
-            n *= b - a + 1
-        return n
+        return math.prod(self.shape)
 
     def __eq__(self, other):
         return isinstance(other, LatticeBox) and (self.lo, self.hi) == (other.lo, other.hi)
@@ -166,7 +163,7 @@ def step(law, values: np.ndarray, margin: int) -> np.ndarray:
 def invariance_residual(law, table: FunctionTable, r: float) -> float:
     """Max relative residual of f = r * P f over the points of the table's
     window that one step cannot carry outside it."""
-    margin = 0 if table.window is None else law.support_radius()
+    margin = law.support_radius()
     image = step(law, table.values, margin)
     ref = table.values[tuple(slice(margin, n - margin) for n in table.values.shape)]
     return float(np.max(np.abs(ref - r * image) / ref))

@@ -247,6 +247,8 @@ ARGV_ERRORS = [
      "unknown check name(s): eq99\n"),
     ("unknown checks", ["verify", "{B}", "--paper-checks", "eq1,foo, bar"], None, 1,
      "unknown check name(s): foo, bar\n"),
+    ("repeated unknown check", ["verify", "{B}", "--paper-checks", "foo,eq1,foo"], None, 1,
+     "unknown check name(s): foo\n"),
     ("empty check list", ["verify", "{B}", "--paper-checks", ","], None, 1,
      "--paper-checks names no check\n"),
     ("max residual nan", ["verify", "{B}", "--max-residual", "nan"], None, 1,
@@ -460,6 +462,41 @@ def test_simulate_refuses_an_oversized_series_before_the_monte_carlo(capsys, tmp
     assert captured.out == ""
     assert captured.err == ("error: series horizon 120: the 60-step box has 105429841 "
                             "cells, beyond the dense-array limit of 4194304\n")
+
+
+def test_verify_runs_each_named_check_once(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", fixture("z6.spec"), "--paper-checks", "eq1,dual,eq1",
+                 "--json", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["eq1", "dual"]
+    report = json.loads(out.read_text())
+    assert [c["name"] for c in report["checks"]] == ["eq1", "dual"]
+    assert sorted(k for k in report["timings"] if k.startswith("check:")) == [
+        "check:dual", "check:eq1"]
+
+
+SKEWED = "group lattice 2\n\nlaw\n  1 0 0.3\n  -1 0 0.2\n  0 1 1e-100\n  0 -1 0.5\n"
+
+
+@pytest.mark.parametrize("options, code, refusal", [
+    ("", 3, "exponent 1839.77 on the check window of radius 16"),
+    ("\noptions\n  window_radius 7\n", 3, "exponent 804.90 on the check window of radius 7"),
+    ("\noptions\n  window_radius 6\n", 0, None)], ids=["default", "7", "6"])
+def test_verify_window_past_the_exp_guard_names_the_radius(capsys, tmp_path, options,
+                                                         code, refusal):
+    # at the skewed law's theta* = (-0.20, 114.78), |theta.x| <= 114.98 r on a
+    # window of radius r: r = 6 is the widest inside the 700 guard
+    spec = tmp_path / "skewed.spec"
+    spec.write_text(SKEWED + options)
+    assert main(["verify", str(spec), "--paper-checks", "eq1,dual,measure"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    if refusal is None:
+        assert [line.split()[3] for line in lines] == ["PASS"] * 3
+        return
+    error = (f"ERROR ({refusal} is beyond the +/-700.0 guard; set window_radius 6 "
+             "or less in the spec's options)")
+    assert lines == [f"{name:<12} {error}" for name in ("eq1", "dual", "measure")]
 
 
 def test_verify_eq17_below_the_guard_passes(capsys, tmp_path):

@@ -94,6 +94,15 @@ def test_dual_of_point_mass(z3_group):
     assert d.atoms == {2: 1.0}
 
 
+def test_support_radius_is_the_reach_of_one_step(wide_symmetric, symmetric3d, z6_law,
+                                                 s3_law):
+    assert wide_symmetric.support_radius() == 2
+    assert symmetric3d.support_radius() == 1
+    # a finite step gathers through the Cayley table and never leaves it
+    assert z6_law.support_radius() == 0
+    assert s3_law.support_radius() == 0
+
+
 def test_convolve_rejects_group_mismatch(bernoulli, z6_law):
     with pytest.raises(GroupMismatch):
         bernoulli.convolve(z6_law)

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwalk import (FiniteGroup, HorizonTooLarge, InsufficientData, Lattice, Law,
-                   Verdict, WindowExceeded, build_recurrence_report,
+from rwalk import (FiniteGroup, HorizonTooLarge, IndexOutOfRange, InsufficientData,
+                   Lattice, Law, Verdict, WindowExceeded, build_recurrence_report,
                    check_translation_invariance, cyclic_group, estimate_rho,
                    find_exponential, hitting_dp, r_recurrence_test, return_series,
                    simulate_harris)
@@ -87,14 +88,26 @@ def test_series_refuses_an_oversized_box_before_allocating(symmetric3d, monkeypa
 
 
 def test_horizon_caps(bernoulli, symmetric2d, symmetric3d, z6_law):
-    with pytest.raises(HorizonTooLarge):
+    with pytest.raises(HorizonTooLarge, match=r"^horizon 5001 exceeds cap 5000 "
+                       r"for Lattice\(dim=1\)$"):
         return_series(bernoulli, 5001)
-    with pytest.raises(HorizonTooLarge):
+    with pytest.raises(HorizonTooLarge, match=r"^horizon 601 exceeds cap 600 "
+                       r"for Lattice\(dim=2\)$"):
         return_series(symmetric2d, 601)
-    with pytest.raises(HorizonTooLarge):
+    with pytest.raises(HorizonTooLarge, match=r"^horizon 121 exceeds cap 120 "
+                       r"for Lattice\(dim=3\)$"):
         return_series(symmetric3d, 121)
-    with pytest.raises(HorizonTooLarge):
+    with pytest.raises(HorizonTooLarge, match=r"^horizon 10001 exceeds cap 10000 "
+                       r"for FiniteGroup\(order=6\)$"):
         return_series(z6_law, 10_001)
+
+
+def test_return_series_default_horizons(bernoulli, drift2d, symmetric3d, z6_law):
+    for law, default in ((bernoulli, 4000), (drift2d, 600), (symmetric3d, 120),
+                         (z6_law, 2000)):
+        series = return_series(law)
+        assert series.horizon == default
+        assert len(series.probabilities) == default + 1
 
 
 def test_return_series_finite_matches_multiply_table(z6_law, s3_law):
@@ -719,6 +732,19 @@ def test_hitting_dp_refuses_a_wide_table_before_allocating(bernoulli, z6_law,
         monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells)
         assert len(hitting_dp(law, {law.group.identity()}, 50).layers) == 51
         allocated.clear()
+
+
+@pytest.mark.parametrize("target, error, message", [
+    (set(), ValueError, "target set must be nonempty"),
+    ({(0, 0)}, ValueError, "not a Z^1 element: (0, 0)"),
+    ({6}, IndexOutOfRange, "index 6 not in 0..5")], ids=["empty", "lattice", "finite"])
+def test_target_set_errors_agree(bernoulli, z6_law, target, error, message):
+    # hitting_dp and simulate_harris check the target set B alike
+    law = z6_law if error is IndexOutOfRange else bernoulli
+    for run in (lambda: hitting_dp(law, target, 3),
+                lambda: simulate_harris(law, target, 10, 10, 0)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run()
 
 
 def test_hitting_dp_monotone(asymmetric_corpus, z6_law):

@@ -208,7 +208,7 @@ def test_tilting_twice_is_stationary(asymmetric_corpus):
 def test_tilt_commutes_with_dual(bernoulli, lazy_drift):
     for law in (bernoulli, lazy_drift):
         exponential, sp = find_exponential(law)
-        tilted_dual = tilt(law.dual(), exponential.reciprocal(), sp.R).tilted
+        tilted_dual = tilt(law.dual(), Exponential(-t for t in exponential.theta), sp.R).tilted
         dual_tilted = tilt(law, exponential, sp.R).tilted.dual()
         for x, p in dual_tilted.atoms.items():
             assert abs(tilted_dual.atoms[x] - p) <= 1e-15

@@ -15,8 +15,11 @@ once on each side, one run at a time, with the side that runs first
 alternating from pair to pair, so that drift in the machine's speed falls
 on both sides alike.  The output is BENCH_11.json's format: {about, runs},
 a run being {side, workload, seed, pair, trace, result} with `result` the
-last stdout line of perfbench/run.py.  A table of the per-metric medians
-is printed at the end.  Only the standard library is used.
+last stdout line of perfbench/run.py; `about` also gives each side's
+src/rwalk line count.  At the end a table gives, per workload and metric,
+the medians, the pairs the change won and lost (by the metric's `better`
+in BENCHMARK.json; ties count for neither) and the interquartile range of
+the parent's runs.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -82,22 +85,36 @@ def parse_plan(items) -> list:
     return plan
 
 
-def summary(runs) -> str:
-    """Median of each metric per workload and side, parent -> change."""
+def source_lines(side_dir: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (side_dir / "src/rwalk").glob("*.py"))
+
+
+def summary(runs, better) -> str:
+    """Per workload and metric: the medians, parent -> change, the pairs the
+    change won and lost (`better` maps a metric to "lower" or "higher",
+    default "lower"; ties count for neither) and the parent's IQR."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        sides = {side: [r["result"] for r in runs
-                        if r["workload"] == workload and r["side"] == side]
+        sides = {side: {r["pair"]: r["result"] for r in runs
+                        if r["workload"] == workload and r["side"] == side}
                  for side in ("parent", "change")}
-        pairs = len(sides["change"])
-        correct = all(r["correct"] and not r["failed"] for rs in sides.values() for r in rs)
-        lines.append(f"{workload}: {pairs} pairs, all correct: {correct}")
-        for metric in sides["parent"][0]["metrics"]:
-            med = {side: statistics.median(r["metrics"][metric]["value"] for r in rs)
-                   for side, rs in sides.items()}
+        pairs = sorted(sides["parent"].keys() & sides["change"].keys())
+        correct = all(r["correct"] and not r["failed"]
+                      for rs in sides.values() for r in rs.values())
+        lines.append(f"{workload}: {len(pairs)} pairs, all correct: {correct}")
+        for metric in sides["parent"][pairs[0]]["metrics"]:
+            value = {side: {k: r["metrics"][metric]["value"] for k, r in rs.items()}
+                     for side, rs in sides.items()}
+            med = {side: statistics.median(v.values()) for side, v in value.items()}
             change = (med["change"] / med["parent"] - 1.0) * 100 if med["parent"] else 0.0
+            sign = -1.0 if better.get(metric, "lower") == "lower" else 1.0
+            gain = [sign * (value["change"][k] - value["parent"][k]) for k in pairs]
+            parent = list(value["parent"].values())
+            q = (statistics.quantiles(parent, n=4) if len(parent) > 1
+                 else [parent[0]] * 3)
             lines.append(f"  {metric:<14} {med['parent']:.4g} -> {med['change']:.4g} "
-                         f"({change:+.1f}%)")
+                         f"({change:+.1f}%)  won {sum(g > 0 for g in gain)}, "
+                         f"lost {sum(g < 0 for g in gain)}, parent IQR {q[2] - q[0]:.3g}")
     return "\n".join(lines)
 
 
@@ -118,6 +135,7 @@ def main(argv=None) -> int:
             d.mkdir()
         parent_sha = extract_ref(root, args.parent, dirs["parent"])
         copy_working_tree(root, dirs["change"])
+        lines = {side: source_lines(d) for side, d in dirs.items()}
         head = git("rev-parse", "HEAD", cwd=root).strip()
         numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                                capture_output=True, text=True).stdout.strip()
@@ -141,9 +159,11 @@ def main(argv=None) -> int:
              "--trace 0, run from the root of a fresh copy of each side, one run at a time, "
              f"on a {os.cpu_count()}-core machine (numpy {numpy}, Python "
              f"{platform.python_version()}). Pair k uses seed {args.seed} + k. Pairs: "
-             + ", ".join(f"{w} {n}" for w, n in plan) + ".")
+             + ", ".join(f"{w} {n}" for w, n in plan) + ". Lines in src/rwalk: "
+             + ", ".join(f"{side} {n}" for side, n in lines.items()) + ".")
     Path(args.out).write_text(json.dumps({"about": about, "runs": runs}, indent=1) + "\n")
-    print(summary(runs))
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    print(summary(runs, {m["name"]: m["better"] for m in metrics}))
     return 0
 
 
