@@ -21,8 +21,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (DegenerateSupport, ExponentOverflow, NotIrreducible,
-                     NotNormalized, RwalkError, SpecFileError)
+from .errors import (DegenerateSupport, ExponentOverflow, HorizonTooLarge,
+                     NotIrreducible, NotNormalized, RwalkError, SpecFileError)
 from .groups import FiniteGroup, Lattice
 from .laws import Law, default_window
 from .recurrence import (GROWTH_RECURRENT, GROWTH_TRANSIENT,
@@ -158,11 +158,11 @@ def _load_spec(path: str) -> WalkSpec:
 
 
 def _window_for(spec: WalkSpec, theta):
-    """The check window: window_radius if the spec sets it, else the default.
+    """The check window: a lattice spec's window_radius if set, else the default.
     Refused before anything is tabulated on it if it passes the dense-array
     limit, or if |theta.x| on it, up to radius * sum_k |theta_k|, passes EXP_GUARD."""
     radius = spec.options.window_radius
-    if isinstance(spec.group, FiniteGroup) or radius is None:
+    if radius is None:
         window = default_window(spec.law)
     else:
         window = LatticeBox.centered(radius, spec.group.dim)
@@ -370,9 +370,12 @@ def cmd_simulate(args) -> int:
     # the series first: an oversized one is refused before the Monte Carlo runs
     t0 = time.perf_counter()
     tw = tilt(spec.law, exponential, spectral.R)
-    rec = build_recurrence_report(tw.tilted, spectral.rho, horizon=args.series_horizon,
-                                  recurrent_threshold=recurrent,
-                                  transient_threshold=transient)
+    try:
+        rec = build_recurrence_report(tw.tilted, spectral.rho, horizon=args.series_horizon,
+                                      recurrent_threshold=recurrent,
+                                      transient_threshold=transient)
+    except HorizonTooLarge as exc:
+        raise HorizonTooLarge(f"{exc}; set a smaller --series-horizon") from None
     report["timings"]["series"] = time.perf_counter() - t0
     series, test = rec.series, rec.test
 

@@ -581,7 +581,10 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
     untruncated value; the window pushes the boundary steps * support_radius
     away from the targets, out of reach, so the bound is exact (a finite
     group's window is the whole group, its support_radius 0).  The steps + 1
-    layers are refused (tables.check_cells) before any is allocated.
+    layers are refused (tables.check_cells) before any is allocated.  Every
+    step reads one buffer whose zero border is never written: it holds the
+    previous layer as np.pad would, and setting the targets to 1.0 after the
+    step equals np.where, so the layers are bit-identical to padding anew.
     """
     group = law.group
     targets = _target_set(group, targets)
@@ -601,11 +604,13 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
         first.values[first.index(t)] = 1.0
     target = first.values == 1.0
     layers = [first]
+    buf = np.pad(first.values, margin)  # the zero border is the absorbing truncation
+    inner = tuple(slice(margin, margin + n) for n in shape)
     for _ in range(steps):
-        # zero padding is the absorbing truncation outside the window
-        prev = np.pad(layers[-1].values, margin)
-        layers.append(FunctionTable(group, window,
-                                    np.where(target, 1.0, step(law, prev, margin))))
+        new = step(law, buf, margin)
+        new[target] = 1.0
+        buf[inner] = new
+        layers.append(FunctionTable(group, window, new))
     return HittingTable(targets, steps, window, layers)
 
 

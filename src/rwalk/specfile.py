@@ -15,7 +15,7 @@ emit/parse round trips bit-for-bit.
       -1 0.75
 
     options                  # optional overrides, one "key value" per line
-      window_radius 32
+      window_radius 32       # lattice groups only
       horizon 4000
       trajectories 10000
       seed 42
@@ -149,6 +149,8 @@ def parse_walk_spec(text: str) -> WalkSpec:
         caster = WalkOptions._TYPES.get(key)
         if caster is None:
             raise SpecFileError(f"options block: unknown key {key!r}", ln)
+        if key == "window_radius" and isinstance(group, FiniteGroup):
+            raise SpecFileError("options block: window_radius applies only to lattice groups", ln)
         try:
             setattr(options, key, caster(value))
         except ValueError:

@@ -8,9 +8,9 @@ array: on a lattice as one shifted slice per atom, on a finite group as
 one gather through the Cayley table per atom, always in the law's
 canonical atom order.  A lattice input loses `margin` cells on every side,
 the points one step could carry out of the box, so truncation is never
-extrapolated; the hitting recursion pads with zeros first, which is its
-absorbing boundary.  Equal arrays give bit-identical outputs wherever the
-box sits, which keeps translated computations exactly comparable.
+extrapolated; the hitting recursion steps one zero-bordered buffer, whose
+border is its absorbing boundary.  Equal arrays give bit-identical outputs
+wherever the box sits, which keeps translated computations exactly comparable.
 
 `powers`, the forward counterpart, is the one n-step kernel: on a
 lattice it builds the law of X + u, u ~ law, from that of X on the box

@@ -461,7 +461,8 @@ def test_simulate_refuses_an_oversized_series_before_the_monte_carlo(capsys, tmp
     assert code == 2
     assert captured.out == ""
     assert captured.err == ("error: series horizon 120: the 60-step box has 105429841 "
-                            "cells, beyond the dense-array limit of 4194304\n")
+                            "cells, beyond the dense-array limit of 4194304; set a smaller "
+                            "--series-horizon\n")
 
 
 def test_verify_runs_each_named_check_once(capsys, tmp_path):
@@ -593,6 +594,16 @@ def test_verify_3d_translation_invariance(capsys):
     code = main(["verify", fixture("sym3d.spec"), "--paper-checks", "eq12"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["bernoulli_025", "lazy_drift", "symmetric", "drift2d",
+                                  "sym3d", "z6"])
+def test_verify_eq12_residual_is_exactly_zero(name, capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", fixture(f"{name}.spec"), "--paper-checks", "eq12",
+                 "--json", str(out)]) == 0
+    [check] = json.loads(out.read_text())["checks"]
+    assert check["name"] == "eq12" and check["residual"] == 0.0
 
 
 def test_simulate_report_and_determinism(capsys, tmp_path):

@@ -192,6 +192,8 @@ SPEC_ERRORS = [
      "line 6: options block: bad value 'big' for growth_recurrent", 6),
     ("options negative window", L1_LAW + "options\n  window_radius -1\n",
      "line 6: options block: window_radius must be >= 0", 6),
+    ("options window on finite group", Z2 + "law\n  1 1.0\noptions\n  seed 1\n  window_radius 3\n",
+     "line 9: options block: window_radius applies only to lattice groups", 9),
     ("options nan threshold", L1_LAW + "options\n  growth_recurrent nan\n",
      "line 6: options block: growth_recurrent must be finite, got 'nan'", 6),
     ("options inf threshold", L1_LAW + "options\n  growth_transient -inf\n",

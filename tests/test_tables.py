@@ -5,10 +5,13 @@ point over the law's atoms, written independently of rwalk.tables.  The
 kernel sums the same terms in atom order instead, so the two agree to a
 few ulps of values that are O(1): residuals and hitting probabilities
 are compared with abs 1e-15.  The dense n-step laws are compared with
-Law.power, the dictionary convolution, to the same tolerance.
+Law.power, the dictionary convolution, to the same tolerance.  The
+hitting DP is also held bit for bit (np.array_equal) to the recursion
+that pads each layer anew, which eq12's exact zero rests on.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
                    check_dual_invariance, check_measure_invariance,
                    check_translation_invariance, hitting_dp, mgf,
-                   verify_r_invariance)
+                   parse_walk_spec, verify_r_invariance)
+from rwalk.cli import TRANSLATION_STEPS
 from rwalk.groups import FiniteGroup, Lattice
 from rwalk.spectral import Exponential
 from rwalk.tables import powers, step, step_span
@@ -27,6 +31,9 @@ KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                            database=None)
 DP_STEPS = {1: 10, 2: 5, 3: 3}  # keeps the pure-Python reference DP small
 POWER_STEPS = {1: 6, 2: 4, 3: 3}  # keeps the dictionary Law.power small
+FIXTURES = Path(__file__).parent / "fixtures"
+LATTICE_FIXTURES = ["bernoulli_025", "drift2d", "even_steps", "lazy_drift", "one_sided",
+                    "sym3d", "symmetric"]
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +43,21 @@ def s3_skew(s3_group):
 
 
 # ---------------------------------------------------------------- reference
+
+def padded_hitting_layers(law, targets, steps, window):
+    """The hitting recursion that pads each layer anew: np.pad of the
+    previous layer, one step, then np.where over the targets."""
+    first = FunctionTable(law.group, window)
+    for t in targets:
+        first.values[first.index(t)] = 1.0
+    target = first.values == 1.0
+    margin = law.support_radius()
+    layers = [first.values]
+    for _ in range(steps):
+        stepped = step(law, np.pad(layers[-1], margin), margin)
+        layers.append(np.where(target, 1.0, stepped))
+    return layers
+
 
 def box_points(window):
     grids = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(window.lo, window.hi)),
@@ -220,3 +242,33 @@ def test_translation_invariance_nonabelian_exact(s3_skew):
     for y in s3_skew.group.elements():
         assert check_translation_invariance(s3_skew, {0}, y, 40) == 0.0
         assert check_translation_invariance(s3_skew, {1, 3}, y, 15) == 0.0
+
+
+def assert_layers_match_padded_recursion(law, targets, steps):
+    table = hitting_dp(law, targets, steps)
+    expected = padded_hitting_layers(law, targets, steps, table.window)
+    assert len(table.layers) == steps + 1
+    for layer, ref in zip(table.layers, expected):
+        assert layer.values.shape == ref.shape
+        assert np.array_equal(layer.values, ref)
+
+
+@pytest.mark.parametrize("name", LATTICE_FIXTURES)
+def test_hitting_layers_bit_identical_to_padded_recursion(name):
+    # the two target sets eq12 compares: the origin and its translate by y
+    law = parse_walk_spec((FIXTURES / f"{name}.spec").read_text()).law
+    steps = TRANSLATION_STEPS[law.group.dim]
+    e = law.group.identity()
+    y = tuple(5 * c for c in next(iter(law.atoms)))
+    for targets in ({e}, {y}):
+        assert_layers_match_padded_recursion(law, targets, steps)
+
+
+def test_hitting_layers_bit_identical_two_point_targets(bernoulli, drift2d):
+    assert_layers_match_padded_recursion(bernoulli, {(0,), (4,)}, 50)
+    assert_layers_match_padded_recursion(drift2d, {(0, 0), (3, -1)}, 24)
+
+
+def test_finite_hitting_layers_bit_identical_to_padded_recursion(z6_law, s3_skew):
+    assert_layers_match_padded_recursion(z6_law, {0}, 100)
+    assert_layers_match_padded_recursion(s3_skew, {1, 3}, 40)
