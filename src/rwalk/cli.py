@@ -120,7 +120,7 @@ def _law_json(law: Law):
 
 
 def _options_json(options):
-    return {k: v for k, v in vars(options).items() if v is not None}
+    return {k: v for k, v in options._asdict().items() if v is not None}
 
 
 def _spectral_json(spectral):
@@ -158,16 +158,19 @@ def _load_spec(path: str) -> WalkSpec:
 
 
 def _window_for(spec: WalkSpec, theta):
-    """The check window: a lattice spec's window_radius if set, else the default.
-    Refused before anything is tabulated on it if it passes the dense-array
-    limit, or if |theta.x| on it, up to radius * sum_k |theta_k|, passes EXP_GUARD."""
+    """The check window: a lattice spec's window_radius if set, else the default
+    cut to the widest radius on which |theta.x| <= radius * sum_k |theta_k| stays
+    within EXP_GUARD.  A set radius past the dense-array limit or the guard is refused."""
     radius = spec.options.window_radius
+    slope = sum(abs(t) for t in theta)
     if radius is None:
         window = default_window(spec.law)
+        if slope:   # a lattice walk off theta = 0
+            window = LatticeBox.centered(min(window.hi[0], math.floor(EXP_GUARD / slope)),
+                                         spec.group.dim)
     else:
         window = LatticeBox.centered(radius, spec.group.dim)
         check_cells(window.shape, f"the check window of window_radius {radius}")
-    slope = sum(abs(t) for t in theta)
     if window is not None and window.hi[0] * slope > EXP_GUARD:
         raise ExponentOverflow(
             f"exponent {window.hi[0] * slope:.2f} on the check window of radius "

@@ -14,7 +14,7 @@ drift of the total mass is measured, never hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +109,7 @@ class Law:
         return f"Law({self.group}, {{{inner}}})"
 
 
-@dataclass(frozen=True)
-class IrreducibilityResult:
+class IrreducibilityResult(NamedTuple):
     irreducible: bool
     witness: str
     degenerate: bool   # lattice support in a closed half-space: no interior minimizer

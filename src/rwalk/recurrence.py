@@ -53,8 +53,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +100,7 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(NamedTuple):
     probabilities: list  # p(n, e, {e}) for n = 0..horizon
     period: int          # gcd of {n >= 1 : p(n) > 0}; 0 if no returns seen
     horizon: int
@@ -221,8 +220,7 @@ def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
         raise HorizonTooLarge(f"series horizon {horizon}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
+class RhoEstimate(NamedTuple):
     rho_hat: float
     method: str  # "ratio" or "root"
 
@@ -256,8 +254,7 @@ def estimate_rho(series: ReturnSeries) -> RhoEstimate:
     return RhoEstimate(rho_hat, method)
 
 
-@dataclass(frozen=True)
-class RecurrenceVerdict:
+class RecurrenceVerdict(NamedTuple):
     partial_sums: list   # S_n = sum_{m<=n} p(m), n = 0..horizon
     growth_ratio: float  # S_N / S_{N//4}
     verdict: Verdict
@@ -292,8 +289,7 @@ def r_recurrence_test(series: ReturnSeries, *,
                              recurrent_threshold, transient_threshold)
 
 
-@dataclass(frozen=True)
-class HarrisResult:
+class HarrisResult(NamedTuple):
     return_fraction: float
     ci_halfwidth: float
     trajectories: int
@@ -565,8 +561,7 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
     return HarrisResult(frac, ci, trajectories, horizon, seed, mean_disp, sem)
 
 
-@dataclass(frozen=True)
-class HittingTable:
+class HittingTable(NamedTuple):
     targets: frozenset
     horizon: int
     window: LatticeBox | None
@@ -632,8 +627,7 @@ def check_translation_invariance(law: Law, targets, y, steps: int) -> float:
                for a, b in zip(base.layers, shifted.layers))
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     rho_series: float | None
     rho_method: str | None
     rho_spectral: float

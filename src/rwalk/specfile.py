@@ -26,15 +26,14 @@ emit/parse round trips bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
-from .errors import SpecFileError
+from .errors import IndexOutOfRange, SpecFileError
 from .groups import FiniteGroup, Group, Lattice
 from .laws import Law
 
 
-@dataclass
-class WalkOptions:
+class WalkOptions(NamedTuple):
     window_radius: int | None = None
     horizon: int | None = None
     trajectories: int | None = None
@@ -46,11 +45,10 @@ class WalkOptions:
               "seed": int, "growth_recurrent": float, "growth_transient": float}
 
 
-@dataclass
-class WalkSpec:
+class WalkSpec(NamedTuple):
     group: Group
     law: Law
-    options: WalkOptions = field(default_factory=WalkOptions)
+    options: WalkOptions = WalkOptions()
 
 
 def _tokens(text: str):
@@ -141,7 +139,7 @@ def parse_walk_spec(text: str) -> WalkSpec:
     except ValueError as exc:
         raise SpecFileError(f"law block: {exc}", law_line) from None
 
-    options = WalkOptions()
+    values: dict = {}
     for ln, tok in rest[cut + 1:]:
         if len(tok) != 2:
             raise SpecFileError("options block: expected 'key value'", ln)
@@ -152,15 +150,15 @@ def parse_walk_spec(text: str) -> WalkSpec:
         if key == "window_radius" and isinstance(group, FiniteGroup):
             raise SpecFileError("options block: window_radius applies only to lattice groups", ln)
         try:
-            setattr(options, key, caster(value))
+            values[key] = caster(value)
         except ValueError:
             raise SpecFileError(
                 f"options block: bad value {value!r} for {key}", ln) from None
-        if key == "window_radius" and options.window_radius < 0:
+        if key == "window_radius" and values[key] < 0:
             raise SpecFileError("options block: window_radius must be >= 0", ln)
-        if caster is float and not math.isfinite(getattr(options, key)):
+        if caster is float and not math.isfinite(values[key]):
             raise SpecFileError(f"options block: {key} must be finite, got {value!r}", ln)
-    return WalkSpec(group, law, options)
+    return WalkSpec(group, law, WalkOptions(**values))
 
 
 def format_walk_spec(spec: WalkSpec) -> str:
@@ -179,8 +177,7 @@ def format_walk_spec(spec: WalkSpec) -> str:
     for x, p in spec.law.atoms.items():
         elem = " ".join(str(c) for c in x) if isinstance(x, tuple) else x
         out.append(f"  {elem} {p!r}")
-    opts = [(f.name, getattr(spec.options, f.name)) for f in fields(spec.options)]
-    opts = [(k, v) for k, v in opts if v is not None]
+    opts = [(k, v) for k, v in spec.options._asdict().items() if v is not None]
     if opts:
         out.append("")
         out.append("options")
@@ -204,7 +201,7 @@ def parse_element_set(text: str, group: Group):
         elem = coords[0] if isinstance(group, FiniteGroup) else tuple(coords)
         try:
             group.validate_element(elem)
-        except Exception as exc:
+        except (ValueError, IndexOutOfRange) as exc:
             raise SpecFileError(f"target element {part!r}: {exc}") from None
         elems.append(elem)
     if not elems:

@@ -13,7 +13,7 @@ where every element has finite order the only exponential is the constant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ class Exponential:
         return f"Exponential(theta={self.theta})"
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     theta: tuple
     rho: float
     R: float
@@ -155,8 +154,7 @@ def find_exponential(law: Law, theta0=None):
     return Exponential(spectral.theta), spectral
 
 
-@dataclass(frozen=True)
-class DualSpectralResult:
+class DualSpectralResult(NamedTuple):
     rho: float
     rho_dual: float
     theta: tuple

@@ -23,7 +23,7 @@ the `dual` and the `measure` check names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ DEGENERACY_THETA_TOL = 1e-8
 DEGENERACY_R_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TiltedWalk:
+class TiltedWalk(NamedTuple):
     original: Law
     exponential: Exponential
     R: float
@@ -124,8 +123,7 @@ def check_measure_invariance(law: Law, exponential: Exponential, R: float,
     return check_dual_invariance(law, exponential, R, window)
 
 
-@dataclass(frozen=True)
-class SymmetricDegeneracy:
+class SymmetricDegeneracy(NamedTuple):
     is_symmetric: bool
     r_equals_one: bool | None
     phi_trivial: bool | None

@@ -481,13 +481,14 @@ SKEWED = "group lattice 2\n\nlaw\n  1 0 0.3\n  -1 0 0.2\n  0 1 1e-100\n  0 -1 0.
 
 
 @pytest.mark.parametrize("options, code, refusal", [
-    ("", 3, "exponent 1839.77 on the check window of radius 16"),
+    ("", 0, None),
     ("\noptions\n  window_radius 7\n", 3, "exponent 804.90 on the check window of radius 7"),
     ("\noptions\n  window_radius 6\n", 0, None)], ids=["default", "7", "6"])
 def test_verify_window_past_the_exp_guard_names_the_radius(capsys, tmp_path, options,
                                                          code, refusal):
     # at the skewed law's theta* = (-0.20, 114.78), |theta.x| <= 114.98 r on a
-    # window of radius r: r = 6 is the widest inside the 700 guard
+    # window of radius r: r = 6 is the widest inside the 700 guard, and the
+    # default window of radius 16 is cut to it; a set radius past it is refused
     spec = tmp_path / "skewed.spec"
     spec.write_text(SKEWED + options)
     assert main(["verify", str(spec), "--paper-checks", "eq1,dual,measure"]) == code
@@ -498,6 +499,15 @@ def test_verify_window_past_the_exp_guard_names_the_radius(capsys, tmp_path, opt
     error = (f"ERROR ({refusal} is beyond the +/-700.0 guard; set window_radius 6 "
              "or less in the spec's options)")
     assert lines == [f"{name:<12} {error}" for name in ("eq1", "dual", "measure")]
+
+
+def test_verify_all_checks_pass_on_the_skewed_law(capsys, tmp_path):
+    spec = tmp_path / "skewed.spec"
+    spec.write_text(SKEWED)
+    assert main(["verify", str(spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [(line.split()[0], line.split()[3]) for line in lines] == [
+        (name, "PASS") for name in cli.CHECK_NAMES]
 
 
 def test_verify_eq17_below_the_guard_passes(capsys, tmp_path):

@@ -32,7 +32,7 @@ def test_roundtrip_is_identity_on_atoms():
         again = parse_walk_spec(format_walk_spec(spec))
         assert again.law.atoms == spec.law.atoms  # bitwise float equality
         assert again.group == spec.group
-        assert vars(again.options) == vars(spec.options)
+        assert again.options == spec.options
 
 
 def test_roundtrip_preserves_unround_floats():
@@ -226,3 +226,12 @@ def test_parse_element_set():
         parse_element_set("9", g)
     with pytest.raises(SpecFileError):
         parse_element_set("", z2)
+
+
+def test_parse_element_set_lets_a_programming_error_through(monkeypatch):
+    # only the errors validate_element raises for a bad element are spec errors
+    def broken(self, a):
+        raise RuntimeError("bug")
+    monkeypatch.setattr(Lattice, "validate_element", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        parse_element_set("0,0", Lattice(2))

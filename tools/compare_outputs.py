@@ -1,0 +1,92 @@
+"""Compare the CLI's outputs on every fixture between a parent commit and the working tree.
+
+    python3 tools/compare_outputs.py --parent REF
+
+Run from anywhere inside the repository.  Each side is copied to its own
+temporary directory as tools/bench_pairs.py does (the parent with `git
+archive`, the working tree as git tracks or would track it).  On each
+tests/fixtures/*.spec, from the root of each copy, it runs
+
+    python3 -m rwalk.cli analyze SPEC --json -
+    python3 -m rwalk.cli verify SPEC --json -
+    python3 -m rwalk.cli tilt SPEC -o -
+    python3 -m rwalk.cli simulate SPEC --trajectories 200 --horizon 300 \
+        --series-horizon 200 --json -        (--series-horizon 60 on sym3d)
+
+A command differs when its exit code, its stderr, its text output or its
+JSON report differs between the sides; the reports' `timings` are blanked
+first.  Every differing command is listed with what differed, and the
+exit status is 1 if any did.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import copy_working_tree, extract_ref, git
+
+SIMULATE = ["--trajectories", "200", "--horizon", "300", "--json", "-"]
+SERIES_HORIZON = {"sym3d": "60"}
+
+
+def commands(spec: str) -> dict:
+    series = SERIES_HORIZON.get(Path(spec).stem, "200")
+    return {"analyze": ["analyze", spec, "--json", "-"],
+            "verify": ["verify", spec, "--json", "-"],
+            "tilt": ["tilt", spec, "-o", "-"],
+            "simulate": ["simulate", spec, *SIMULATE, "--series-horizon", series]}
+
+
+def run(side_dir: Path, argv: list) -> dict:
+    """Exit code, stderr, text output and report (timings blanked) of one command."""
+    env = {**os.environ, "PYTHONPATH": str(side_dir / "src")}
+    proc = subprocess.run([sys.executable, "-m", "rwalk.cli", *argv], cwd=side_dir,
+                          env=env, capture_output=True, text=True)
+    # `--json -` prints the report last, from a line that is just "{"
+    lines = proc.stdout.splitlines(keepends=True)
+    cut = next((i for i, line in enumerate(lines) if line == "{\n"), len(lines))
+    report = json.loads("".join(lines[cut:])) if cut < len(lines) else None
+    if report is not None:
+        report["timings"] = None
+    return {"exit code": proc.returncode, "stderr": proc.stderr,
+            "stdout": "".join(lines[:cut]), "report": report}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent side")
+    args = ap.parse_args(argv)
+    root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).strip())
+
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
+        dirs = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for d in dirs.values():
+            d.mkdir()
+        sha = extract_ref(root, args.parent, dirs["parent"])
+        copy_working_tree(root, dirs["change"])
+        specs = sorted({p.relative_to(d).as_posix() for d in dirs.values()
+                        for p in (d / "tests" / "fixtures").glob("*.spec")})
+        total, differing = 0, []
+        for spec in specs:
+            for name, cmd in commands(spec).items():
+                total += 1
+                out = {side: run(d, cmd) for side, d in dirs.items()}
+                parts = [k for k in out["parent"] if out["parent"][k] != out["change"][k]]
+                if parts:
+                    differing.append(f"{name} {spec}: {', '.join(parts)} differ")
+
+    for line in differing:
+        print(line)
+    print(f"{total} commands on {len(specs)} fixtures, parent {args.parent} ({sha[:12]}) "
+          f"against the working tree: {len(differing)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
