@@ -21,8 +21,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (DegenerateSupport, ExponentOverflow, HorizonTooLarge,
-                     NotIrreducible, NotNormalized, RwalkError, SpecFileError)
+from .errors import (DegenerateSupport, HorizonTooLarge, NotIrreducible,
+                     NotNormalized, RwalkError, SpecFileError)
 from .groups import FiniteGroup, Lattice
 from .laws import Law, default_window
 from .recurrence import (GROWTH_RECURRENT, GROWTH_TRANSIENT,
@@ -30,9 +30,7 @@ from .recurrence import (GROWTH_RECURRENT, GROWTH_TRANSIENT,
                          simulate_harris, worker_count)
 from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
                        parse_walk_spec)
-from .spectral import (EXP_GUARD, check_dual_spectral_radius, find_exponential,
-                       verify_r_invariance)
-from .tables import LatticeBox, check_cells
+from .spectral import check_dual_spectral_radius, find_exponential, verify_r_invariance
 from .tilting import (DEGENERACY_R_TOL, DEGENERACY_THETA_TOL, check_dual_invariance,
                       check_symmetric_degeneracy, check_tilted_powers, tilt)
 
@@ -155,28 +153,6 @@ def _write_report(report: dict, path: str | None):
 def _load_spec(path: str) -> WalkSpec:
     with open(path) as fh:
         return parse_walk_spec(fh.read())
-
-
-def _window_for(spec: WalkSpec, theta):
-    """The check window: a lattice spec's window_radius if set, else the default
-    cut to the widest radius on which |theta.x| <= radius * sum_k |theta_k| stays
-    within EXP_GUARD.  A set radius past the dense-array limit or the guard is refused."""
-    radius = spec.options.window_radius
-    slope = sum(abs(t) for t in theta)
-    if radius is None:
-        window = default_window(spec.law)
-        if slope:   # a lattice walk off theta = 0
-            window = LatticeBox.centered(min(window.hi[0], math.floor(EXP_GUARD / slope)),
-                                         spec.group.dim)
-    else:
-        window = LatticeBox.centered(radius, spec.group.dim)
-        check_cells(window.shape, f"the check window of window_radius {radius}")
-    if window is not None and window.hi[0] * slope > EXP_GUARD:
-        raise ExponentOverflow(
-            f"exponent {window.hi[0] * slope:.2f} on the check window of radius "
-            f"{window.hi[0]} is beyond the +/-{EXP_GUARD} guard; set window_radius "
-            f"{math.floor(EXP_GUARD / slope)} or less in the spec's options")
-    return window
 
 
 def _usage_error(message) -> int:
@@ -303,7 +279,7 @@ def cmd_verify(args) -> int:
     # the tilted walk (eq17, corollary2) and the psi residual (dual, measure)
     # are built at most once, on first use; a raised error is not cached, so
     # a refused window fails each check that tabulates on it (eq1, dual, measure)
-    window = functools.partial(_window_for, spec, exponential.theta)
+    window = functools.partial(default_window, law, exponential.theta, spec.options.window_radius)
     ctx = {"exponential": exponential, "spectral": spectral, "window": window,
            "tilted": functools.cache(lambda: tilt(law, exponential, spectral.R)),
            "psi_residual": functools.cache(lambda: check_dual_invariance(

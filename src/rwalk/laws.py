@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GroupMismatch
+from .errors import ExponentOverflow, GroupMismatch, WindowExceeded
 from .groups import FiniteGroup, Group
 from . import tables
-from .tables import UNDERFLOW_FLOOR, LatticeBox
+from .tables import EXP_GUARD, UNDERFLOW_FLOOR, LatticeBox, check_cells
 
 STRICT_SUM_TOL = 1e-12
 CONVOLVE_SUM_TOL = 1e-10
@@ -193,19 +193,38 @@ def _separating_direction(vectors, dim: int):
 WINDOW_MULTIPLIER = {1: 32, 2: 16, 3: 8}
 
 
-def default_window(law: Law):
-    """Default lattice check window: a centered box of WINDOW_MULTIPLIER[d]
-    times the support radius, cut to the widest centered box within
-    tables.DENSE_CELL_LIMIT cells (the checks read only the interior cells
-    that one step cannot carry outside the box, so a narrower box is as
-    sound).  Finite groups need no window (returns None)."""
+def default_window(law: Law, theta=(), radius: int | None = None):
+    """The check window of eq1, dual and measure at the exponent theta: the
+    centered box of the given radius (the spec's window_radius), by default
+    WINDOW_MULTIPLIER[d] times the support radius cut to the widest box within
+    tables.DENSE_CELL_LIMIT cells and |theta.x| <= EXP_GUARD (the checks read
+    only the interior cells, so a narrower box is as sound).  A radius that
+    breaks a limit or is below the support radius is refused, naming why;
+    None on a finite group."""
     if isinstance(law.group, FiniteGroup):
         return None
-    dim = law.group.dim
-    side = round(tables.DENSE_CELL_LIMIT ** (1 / dim))
-    while side ** dim > tables.DENSE_CELL_LIMIT:
-        side -= 1
-    radius = min(WINDOW_MULTIPLIER[dim] * max(1, law.support_radius()), (side - 1) // 2)
+    dim, reach, slope = law.group.dim, law.support_radius(), sum(abs(t) for t in theta)
+    widest = EXP_GUARD // slope if slope else math.inf   # |theta.x| <= r * slope at radius r
+    widest += (widest + 1) * slope <= EXP_GUARD   # largest r with r * slope <= EXP_GUARD
+    if widest < reach:
+        raise ExponentOverflow(f"one step reaches exponent {reach * slope:.2f}, beyond the "
+                               f"+/-{EXP_GUARD} guard, so no check window fits")
+    if radius is None:
+        check_cells((2 * reach + 1,) * dim, f"the smallest check window, of radius {reach},")
+        side = round(tables.DENSE_CELL_LIMIT ** (1 / dim))
+        while side ** dim > tables.DENSE_CELL_LIMIT:
+            side -= 1
+        radius = min(WINDOW_MULTIPLIER[dim] * max(1, reach), (side - 1) // 2, widest)
+        return LatticeBox.centered(radius, dim)
+    check_cells((2 * radius + 1,) * dim, f"the check window of window_radius {radius}")
+    if radius < reach:
+        raise WindowExceeded(f"window_radius {radius} is below the support radius {reach}; "
+                             f"set window_radius {reach} or more in the spec's options")
+    if radius * slope > EXP_GUARD:
+        raise ExponentOverflow(
+            f"exponent {radius * slope:.2f} on the check window of radius {radius} is "
+            f"beyond the +/-{EXP_GUARD} guard; set window_radius {widest:.0f} or less in "
+            "the spec's options")
     return LatticeBox.centered(radius, dim)
 
 

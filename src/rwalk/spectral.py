@@ -20,9 +20,8 @@ import numpy as np
 from .errors import DegenerateSupport, ExponentOverflow, NotIrreducible
 from .groups import FiniteGroup, Lattice
 from .laws import IrreducibilityResult, Law, check_irreducible, default_window
-from .tables import FunctionTable, LatticeBox, invariance_residual
+from .tables import EXP_GUARD, FunctionTable, LatticeBox, invariance_residual
 
-EXP_GUARD = 700.0
 MAX_ITERATIONS = 10_000
 # Newton stops once no coordinate of its step exceeds STEP_TOL * max(1, |theta|_inf)
 STEP_TOL = 1e-13
@@ -176,11 +175,11 @@ def verify_r_invariance(law: Law, exponential: Exponential, r: float,
                         window: LatticeBox | None = None) -> float:
     """Max relative residual of phi = r * (one-step average of phi).
 
-    phi is tabulated on the window and the transition operator is applied
-    through the table, so the check exercises the same truncation plumbing
-    as every other pointwise identity; the residual is relative because
-    phi spans many orders of magnitude across a window.
+    phi is tabulated on the window, by default `rwalk verify`'s window
+    default_window(law, theta), and the transition operator is applied
+    through the table; the residual is relative because phi spans many
+    orders of magnitude across a window.
     """
-    window = window if window is not None else default_window(law)
+    window = window if window is not None else default_window(law, exponential.theta)
     table = FunctionTable.tabulate(law.group, exponential.phi, window)
     return invariance_residual(law, table, r)

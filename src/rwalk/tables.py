@@ -44,6 +44,7 @@ from .errors import WindowExceeded
 from .groups import FiniteGroup, Group
 
 UNDERFLOW_FLOOR = 1e-300
+EXP_GUARD = 700.0  # largest |theta.x| exponentiated: exp(700) is about 1e304
 DENSE_CELL_LIMIT = 1 << 22  # cells of one dense box or table: 32 MiB of float64
 _TILE_CELLS = 1 << 16  # cells of one powers tile, 512 KiB of float64: fits in L2
 

@@ -68,10 +68,10 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
     """Max discrepancy between tilted^n and R^n * phi * original^n, n <= n_max.
 
     Both n-step laws are dense arrays on one shared box, zero where an atom
-    is absent (tables.powers).  theta.x is tabulated once on the n_max-step
-    box and sliced per n.  The residual is absolute, so theta.x below the
-    exponent guard only underflows phi toward 0, the right product there;
-    a point above it raises ExponentOverflow where the original walk has mass.
+    is absent (tables.powers); theta.x is tabulated once on the n_max-step
+    box and sliced per n.  The residual is absolute: theta.x below the guard
+    only underflows phi toward 0, the right product; theta.x above it where
+    the walk has mass, or an R^n * phi that overflows, is ExponentOverflow.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -93,20 +93,25 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
     np.exp(phi, out=phi)
     worst = 0.0
     scale = 1.0
-    for box, left, right in zip(boxes, powers(tw.tilted, n_max), powers(tw.original, n_max)):
+    steps = zip(boxes, powers(tw.tilted, n_max), powers(tw.original, n_max))
+    for n, (box, left, right) in enumerate(steps, 1):
         scale *= tw.R
         if any_over and over[box][right > 0].any():
             raise ExponentOverflow(
                 f"theta.x above the {EXP_GUARD} guard at a point the walk reaches")
-        worst = max(worst, float(np.max(np.abs(left - scale * phi[box] * right))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = float(np.max(np.abs(left - scale * phi[box] * right)))
+        if not math.isfinite(resid):   # R^n or R^n * phi overflowed
+            raise ExponentOverflow(f"R^n * phi overflows at n = {n} (R = {tw.R:.3e})")
+        worst = max(worst, resid)
     return worst
 
 
 def check_dual_invariance(law: Law, exponential: Exponential, R: float,
                           window: LatticeBox | None = None) -> float:
     """Max relative residual of psi = R * (reversed-walk one-step average of psi),
-    psi = 1/phi being the invariant measure's density, tabulated on the window."""
-    window = window if window is not None else default_window(law)
+    psi = 1/phi being the invariant measure's density, on verify_r_invariance's window."""
+    window = window if window is not None else default_window(law, exponential.theta)
     table = FunctionTable.tabulate(law.group, exponential.psi, window)
     return invariance_residual(law.dual(), table, R)
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -499,6 +502,41 @@ def test_verify_window_past_the_exp_guard_names_the_radius(capsys, tmp_path, opt
     error = (f"ERROR ({refusal} is beyond the +/-700.0 guard; set window_radius 6 "
              "or less in the spec's options)")
     assert lines == [f"{name:<12} {error}" for name in ("eq1", "dual", "measure")]
+
+
+def test_verify_window_below_the_support_radius_names_it(capsys, tmp_path):
+    spec = tmp_path / "narrow.spec"
+    spec.write_text(Path(fixture("bernoulli_025.spec")).read_text() + "  window_radius 0\n")
+    assert main(["verify", str(spec), "--paper-checks", "eq1,dual,measure"]) == 3
+    error = ("ERROR (window_radius 0 is below the support radius 1; "
+             "set window_radius 1 or more in the spec's options)")
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name:<12} {error}" for name in ("eq1", "dual", "measure")]
+
+
+# theta*_k = 344.84 and R = 2.9e149: one step reaches exponent 1034.52
+STEEP_3D = ("group lattice 3\n\nlaw\n  1 0 0 1e-300\n  0 1 0 1e-300\n  0 0 1 1e-300\n"
+            "  -1 0 0 0.3333333333333333\n  0 -1 0 0.3333333333333333\n"
+            "  0 0 -1 0.3333333333333333\n")
+
+
+def test_verify_steep_3d_law_refuses_every_window_and_eq17(tmp_path):
+    # no check window fits the guard, and eq17's R^n * phi overflows; run in
+    # a fresh process so that any numpy RuntimeWarning would reach its stderr
+    spec = tmp_path / "steep3d.spec"
+    spec.write_text(STEEP_3D)
+    proc = subprocess.run([sys.executable, "-m", "rwalk.cli", "verify", str(spec)],
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == ""   # in particular no RuntimeWarning
+    lines = {line.split()[0]: line for line in proc.stdout.splitlines()}
+    refusal = ("ERROR (one step reaches exponent 1034.52, beyond the +/-700.0 guard, "
+               "so no check window fits)")   # not "box of shape (1, 1, 1) too small"
+    for name in ("eq1", "dual", "measure"):
+        assert lines[name] == f"{name:<12} {refusal}"
+    assert lines["eq17"].startswith("eq17         ERROR (R^n * phi overflows at n = 1 ")
+    assert " PASS " in lines["eq12"] and " PASS " in lines["corollary2"]
 
 
 def test_verify_all_checks_pass_on_the_skewed_law(capsys, tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwalk import (FunctionTable, GroupMismatch, Lattice, Law, LatticeBox,
-                   WindowExceeded, check_irreducible, cyclic_group,
+from rwalk import (ExponentOverflow, FunctionTable, GroupMismatch, Lattice, Law,
+                   LatticeBox, WindowExceeded, check_irreducible, cyclic_group,
                    default_window)
 from rwalk.laws import WINDOW_MULTIPLIER, _separating_direction, _sublattice_index
-from rwalk.tables import DENSE_CELL_LIMIT, step
+from rwalk.tables import DENSE_CELL_LIMIT, EXP_GUARD, step
 
 
 def brute_convolution(a, b):
@@ -394,3 +394,63 @@ def test_default_window_is_cut_to_the_dense_limit():
         assert (2 * cut + 1) ** dim <= DENSE_CELL_LIMIT < (2 * cut + 3) ** dim
         assert window(dim, radius) == LatticeBox.centered(WINDOW_MULTIPLIER[dim] * radius, dim)
         assert window(dim, radius + 1) == LatticeBox.centered(cut, dim)
+
+
+# coordinates up to just past each dimension's dense-limit radius (2097151, 1023, 80)
+_WIDE_COORD = {1: 2_200_000, 2: 1100, 3: 90}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_default_window_fits_every_limit_or_refuses(data):
+    dim = data.draw(st.integers(1, 3))
+    coord = st.integers(-_WIDE_COORD[dim], _WIDE_COORD[dim])
+    atoms = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4, unique=True))
+    theta = data.draw(st.tuples(*[st.just(0.0) | st.floats(-800.0, 800.0)] * dim))
+    law = Law(Lattice(dim), {x: 1.0 / len(atoms) for x in atoms})
+    reach, slope = law.support_radius(), sum(abs(t) for t in theta)
+
+    def fits(r):
+        return r >= reach and r * slope <= EXP_GUARD and (2 * r + 1) ** dim <= DENSE_CELL_LIMIT
+
+    # default: the widest fitting box up to the multiplier, or a refusal when none fits
+    try:
+        box = default_window(law, theta)
+    except (ExponentOverflow, WindowExceeded):
+        assert not fits(reach)
+    else:
+        radius = box.hi[0]
+        assert box == LatticeBox.centered(radius, dim) and fits(radius)
+        assert radius == WINDOW_MULTIPLIER[dim] * max(1, reach) or not fits(radius + 1)
+    # a set radius: that box exactly when it fits, a refusal otherwise
+    radius = data.draw(st.integers(0, 3 * _WIDE_COORD[dim]))
+    try:
+        box = default_window(law, theta, radius)
+    except (ExponentOverflow, WindowExceeded):
+        assert not fits(radius)
+    else:
+        assert box == LatticeBox.centered(radius, dim) and fits(radius)
+
+
+def test_default_window_guard_radius_is_the_widest_in_floats(z1):
+    # the widest radius r with r * sum|theta| <= 700 as computed in floats:
+    # 3 * (700/3) rounds to 700.0 though 700 // (700/3) is 2, and 77 times the
+    # float above 700/77 exceeds 700 though 700 / it rounds to 77.0
+    law = Law(z1, {(3,): .5, (-3,): .5})
+    for slope, widest in ((700 / 3, 3), (math.nextafter(700 / 77, math.inf), 76)):
+        assert default_window(law, (slope,)) == LatticeBox.centered(widest, 1)
+        assert default_window(law, (-slope,), widest) == LatticeBox.centered(widest, 1)
+        with pytest.raises(ExponentOverflow, match=f"set window_radius {widest} or less"):
+            default_window(law, (slope,), widest + 1)
+
+
+def test_default_window_refuses_a_step_past_the_guard(z3):
+    # theta*_k = 344.84: one step reaches exponent 1034.52, so no radius
+    # helps, and the refusal names the guard, not window_radius
+    law = Law(z3, {(1, 0, 0): 1e-300, (0, 1, 0): 1e-300, (0, 0, 1): 1e-300,
+                   (-1, 0, 0): 1 / 3, (0, -1, 0): 1 / 3, (0, 0, -1): 1 / 3})
+    theta = (344.84,) * 3
+    for radius in (None, 0, 1, 5):
+        with pytest.raises(ExponentOverflow, match=r"^one step reaches exponent 1034\.52, "
+                           r"beyond the \+/-700\.0 guard, so no check window fits$"):
+            default_window(law, theta, radius)

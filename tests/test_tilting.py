@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rwalk import (ExponentOverflow, Law, NotNormalized, WindowExceeded,
+from rwalk import (ExponentOverflow, LatticeBox, Law, NotNormalized, WindowExceeded,
                    check_dual_invariance, check_measure_invariance,
                    check_symmetric_degeneracy, check_tilted_powers,
-                   default_window, find_exponential, tilt)
+                   default_window, find_exponential, tilt, verify_r_invariance)
 from rwalk.spectral import EXP_GUARD, Exponential, mgf
 from rwalk.tables import DENSE_CELL_LIMIT, FunctionTable
 
@@ -126,6 +127,31 @@ def test_power_identity_below_the_guard(z2):
     tw = tilt_from_spectral(law)
     assert tw.exponential.theta[1] * -10 < -EXP_GUARD
     assert check_tilted_powers(tw, 10) <= 1e-15
+
+
+def test_power_identity_overflow_is_an_error_not_a_pass(z3):
+    # theta*_k = 344.84 and R = 2.9e149: R^n * phi overflows from n = 1, and
+    # inf * 0 = NaN there must not read as a zero residual, nor warn
+    units = [tuple(int(j == k) for j in range(3)) for k in range(3)]
+    law = Law(z3, {**{u: 1e-300 for u in units},
+                   **{tuple(-c for c in u): 1 / 3 for u in units}})
+    tw = tilt_from_spectral(law)
+    assert tw.R > 1e149
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExponentOverflow, match=r"^R\^n \* phi overflows at n = 1 "):
+            check_tilted_powers(tw, 10)
+
+
+def test_library_default_window_is_the_verify_window(z2):
+    # at theta* = (-0.20, 114.78) the multiplier box of radius 16 would reach
+    # exponent 1839.77; without a window the library cuts it to radius 6, as
+    # rwalk verify does, instead of raising ExponentOverflow
+    law = Law(z2, {(1, 0): .3, (-1, 0): .2, (0, 1): 1e-100, (0, -1): .5})
+    exponential, sp = find_exponential(law)
+    assert default_window(law, exponential.theta) == LatticeBox.centered(6, 2)
+    for check in (verify_r_invariance, check_dual_invariance, check_measure_invariance):
+        assert check(law, exponential, sp.R) <= 1e-10
 
 
 def test_dual_invariance_corpus(asymmetric_corpus):

@@ -16,7 +16,8 @@ tests/fixtures/*.spec, from the root of each copy, it runs
 A command differs when its exit code, its stderr, its text output or its
 JSON report differs between the sides; the reports' `timings` are blanked
 first.  Every differing command is listed with what differed, and the
-exit status is 1 if any did.  Only the standard library is used.
+exit status is 1 if any did.  The summary line also gives each side's
+src/rwalk line count.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import copy_working_tree, extract_ref, git
+from bench_pairs import copy_working_tree, extract_ref, git, source_lines
 
 SIMULATE = ["--trajectories", "200", "--horizon", "300", "--json", "-"]
 SERIES_HORIZON = {"sym3d": "60"}
@@ -70,6 +71,7 @@ def main(argv=None) -> int:
             d.mkdir()
         sha = extract_ref(root, args.parent, dirs["parent"])
         copy_working_tree(root, dirs["change"])
+        lines = {side: source_lines(d) for side, d in dirs.items()}
         specs = sorted({p.relative_to(d).as_posix() for d in dirs.values()
                         for p in (d / "tests" / "fixtures").glob("*.spec")})
         total, differing = 0, []
@@ -83,8 +85,9 @@ def main(argv=None) -> int:
 
     for line in differing:
         print(line)
-    print(f"{total} commands on {len(specs)} fixtures, parent {args.parent} ({sha[:12]}) "
-          f"against the working tree: {len(differing)} differ")
+    print(f"{total} commands on {len(specs)} fixtures, parent {args.parent} ({sha[:12]}, "
+          f"{lines['parent']} src/rwalk lines) against the working tree "
+          f"({lines['change']} lines): {len(differing)} differ")
     return 1 if differing else 0
 
 
