@@ -19,13 +19,14 @@ translation-invariance identity h^{yB}(yx) = h^B(x).
 
 On a lattice the series steps tables.powers, whose size limit bounds it
 too, on the walk's parity coset when it has one: if a.u is odd for every
-atom u and some a in {0,1}^d, X_n lies in a.x = n (mod 2), and the
-coordinates c_j = (a.x - n)/2 (other axes unchanged) turn each atom into
-a fixed shift while the box along axis j shrinks to about half.  Every
-cell equals the x-coordinate convolution bit for bit (the cells left out
-held exact zeros), odd-n returns are exact zeros and are not computed,
-and only the pairing sums p(2n) add the same nonzero products in another
-layout, so they can differ from an x-coordinate sum in the last few ulps.
+atom u and some a in {0,1}^d, X_n lies in a.x = n (mod 2), and a basis
+of that coset (_coset_frame) turns each atom into a fixed shift in the
+smallest box, (n+1)^d on the nearest-neighbour walks against the x box's
+(2n+1)^d.  Every cell equals the x-coordinate convolution bit for bit
+(the cells left out held exact zeros), odd-n returns are exact zeros and
+are not computed, and only the pairing sums p(2n) add the same nonzero
+products in another layout, so they can differ from an x-coordinate sum
+in the last few ulps.
 
 The Monte Carlo kernels step dense (trajectories, steps) blocks.  A
 chunk's Philox keys, those of SeedSequence(entropy=seed, spawn_key=(i,)),
@@ -123,33 +124,39 @@ def _paired_origin_mass(f, lo_f, g, lo_g):
     return float(np.sum(f[tuple(f_sl)] * np.flip(g[tuple(g_sl)])))
 
 
-def _coset_frame(law: Law):
-    """Coordinates in which the walk's n-step laws fill half-size boxes.
+def _coset_frame(law: Law, n: int):
+    """Coordinates in which the walk's n-step law fills the smallest box.
 
-    Returns (shifts, a, j).  `a` is the first a in {0,1}^d, a != 0, with
-    a.u odd for every atom u, or None: with it every step flips the parity
-    of a.x, so X_n lies in the coset a.x = n (mod 2) and no odd n returns.
-    On that coset c_k = x_k for k != j and c_j = (a.x - n)/2 are integer
-    coordinates in which atom u is the fixed shift s_k = u_k, s_j =
-    (a.u - 1)/2.  j is the widest axis with a_j = 1, or None when the
-    sheared span (max a.u - min a.u)/2 would not be narrower than that
-    axis (then the shifts are the atoms themselves).  `shifts` is an
-    (atoms, d) int64 array in the law's canonical atom order.
+    Returns (shifts, rows, lo).  If a.u is odd for every atom u and some
+    a in {0,1}^d (the first), X_n lies in the coset a.x = n (mod 2), so no
+    odd n returns.  Doubled rows b (2e_k, or b = a (mod 2) in {-1,0,1}^d,
+    one of b and -b) stacked as a (d, d) matrix `rows` with |det| = 2^(d-1)
+    map the coset one to one onto Z^d by c_k = (b_k.x - n lo_k)/2, lo_k =
+    min_u b_k.u, where atom u is the fixed shift (b_k.u - lo_k)/2 >= 0.
+    The basis with the smallest n-step box is taken; x coordinates (rows
+    None, lo 0), the only frame without a coset, win ties.  The n-step
+    point c pairs with -c - n lo for p(2n).  `shifts` is an (atoms, d)
+    int64 array in the law's canonical atom order.
     """
     elems = np.array(list(law.atoms), dtype=np.int64)
-    for a in itertools.product((0, 1), repeat=elems.shape[1]):
-        au = elems @ np.array(a)
-        if any(a) and np.all(au % 2 == 1):
-            break
-    else:
-        return elems, None, None
-    width = elems.max(axis=0) - elems.min(axis=0)
-    j = max((k for k in range(len(a)) if a[k]), key=lambda k: width[k])
-    if (au.max() - au.min()) // 2 >= width[j]:
-        return elems, a, None
-    shifts = elems.copy()
-    shifts[:, j] = (au - 1) // 2
-    return shifts, a, j
+    dim = elems.shape[1]
+    frame = (elems, None, np.zeros(dim, dtype=np.int64))
+    a = next((a for a in itertools.product((0, 1), repeat=dim)
+              if any(a) and np.all(elems @ a % 2 == 1)), None)
+    if a is None:
+        return frame
+    box = lambda widths: math.prod(n * int(w) + 1 for w in widths)
+    cells = box(np.maximum(elems.max(axis=0), 0) - np.minimum(elems.min(axis=0), 0))
+    rows = list(2 * np.eye(dim, dtype=np.int64)) + [
+        b for b in itertools.product((1, 0, -1), repeat=dim)
+        if tuple(c % 2 for c in b) == a and b > tuple(-c for c in b)]
+    for basis in map(np.array, itertools.combinations(rows, dim)):
+        bu = elems @ basis.T
+        lo = bu.min(axis=0)
+        size = box((bu.max(axis=0) - lo) // 2)
+        if round(abs(np.linalg.det(basis))) == 2 ** (dim - 1) and size < cells:
+            frame, cells = ((bu - lo) // 2, basis, lo), size
+    return frame
 
 
 def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
@@ -158,15 +165,15 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
     Since increments are i.i.d., p(m + n) = sum_x P(X_m = x) P(X_n = -x);
     reading p(2n) and p(2n+1) off consecutive half-way distributions keeps
     every value exact convolution arithmetic while the dense arrays only
-    grow to half the horizon.  The arrays live in _coset_frame's
-    coordinates, where -x at step n pairs with c at step m as
-    -c - ((m + n)/2) e_j, and p(odd) = 0 is not computed on a period-2 walk.
+    grow to half the horizon.  The arrays live in the coordinates
+    _coset_frame picks for the half-horizon box, where -x at step n pairs
+    with c as -c - n lo, and p(odd) = 0 is not computed in a coset basis.
     """
-    shifts, a, j = _coset_frame(law)
     half = (horizon + 1) // 2
-    lo = step_span(shifts, half)[0].tolist()
-    # corner of the n-step array, moved by k along e_j where it pairs for p(2k)
-    corner = lambda n, k=0: [n * c + k * (axis == j) for axis, c in enumerate(lo)]
+    shifts, rows, lo = _coset_frame(law, half)
+    base, lo = step_span(shifts, half)[0].tolist(), lo.tolist()
+    # corner of the n-step array, moved by k lo where it pairs for p(2k)
+    corner = lambda n, k=0: [n * c + k * l for c, l in zip(base, lo)]
     arrays = powers(law, half, shifts)
     arr = np.ones((1,) * law.group.dim)
     probs = [1.0] + [0.0] * horizon
@@ -178,7 +185,7 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
         if 2 * n + 1 <= horizon:
             nxt = next(arrays)
             worst_mass = max(worst_mass, abs(float(nxt.sum()) - 1.0))
-            if a is None:
+            if rows is None:
                 probs[2 * n + 1] = _paired_origin_mass(arr, corner(n), nxt, corner(n + 1))
             arr = nxt
     return _finish_series(probs, horizon, worst_mass)

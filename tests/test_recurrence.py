@@ -74,8 +74,8 @@ def test_return_series_mass_conservation(asymmetric_corpus, z6_law):
 
 
 def test_series_refuses_an_oversized_box_before_allocating(symmetric3d, monkeypatch):
-    # in the coset frame the 60-step box of the 120-step series is 61 x 121 x 121
-    cells = 61 * 121 * 121
+    # in the coset basis the 60-step box of the 120-step series is 61^3
+    cells = 61 ** 3
     seen = []
     monkeypatch.setattr(recurrence, "powers", recording_powers(seen))
     monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells - 1)
@@ -261,20 +261,21 @@ def reference_series_lattice(law, horizon):
 
 
 def no_shear_law():
-    # {+-(1,1,1), +-e_k}: a = (1,1,1), but the sheared axis would span 3 > 2
+    # {+-(1,1,1), +-e_k}: a = (1,1,1), but a one-axis shear would span 3 > 2;
+    # the rows (1,1,-1), (1,-1,1), (1,-1,-1) span 1 each
     atoms = [(1, 1, 1), (-1, -1, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
              (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     return Law(Lattice(3), {u: w / 36 for u, w in zip(atoms, (3, 5, 4, 6, 2, 7, 5, 4))})
 
 
 @st.composite
-def lattice_laws(draw):
+def lattice_laws(draw, dims=(1, 3)):
     """Period-2 laws (a.u odd for a random a), period-1 laws with a zero
-    atom, and the no-shear law."""
-    kind = draw(st.sampled_from(["period2", "period2", "lazy", "no_shear"]))
+    atom, and the no-shear law, in dimensions dims[0]..dims[1]."""
+    kind = draw(st.sampled_from(["period2", "period2", "lazy"] + ["no_shear"] * (dims[1] == 3)))
     if kind == "no_shear":
         return no_shear_law()
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(*dims))
     # unequal per-axis bounds, so the widest axis is often not the first
     bounds = draw(st.tuples(*[st.integers(1, 3)] * dim))
     raw = draw(st.lists(st.tuples(*[st.integers(-r, r) for r in bounds]), min_size=2,
@@ -293,85 +294,155 @@ def lattice_laws(draw):
     return Law(Lattice(dim), {u: w / sum(weights) for u, w in zip(atoms, weights)})
 
 
-def test_coset_frame_on_the_fixtures(bernoulli, drift2d, symmetric3d, lazy_drift):
-    for law in (bernoulli, drift2d, symmetric3d):
-        shifts, a, j = _coset_frame(law)
-        assert a == (1,) * law.group.dim and j == 0
-        assert shifts.min(axis=0)[0] == -1 and shifts.max(axis=0)[0] == 0
-    shifts, a, j = _coset_frame(no_shear_law())
-    assert a == (1, 1, 1) and j is None
-    assert shifts.tolist() == [list(u) for u in no_shear_law().atoms]
-    assert _coset_frame(lazy_drift)[1:] == (None, None)
-    # the widest axis with a_j = 1 is sheared: here y, span 6 -> 3
-    wide_y = Law(Lattice(2), {(1, 0): .25, (-1, 0): .25, (0, 3): .25, (0, -3): .25})
-    shifts, a, j = _coset_frame(wide_y)
-    assert a == (1, 1) and j == 1
-    assert shifts[:, 1].tolist() == [-1, -2, 1, 0]   # atoms in canonical order
-
-
-def box_widths(shifts):
-    return shifts.max(axis=0) - shifts.min(axis=0)
-
-
-def assert_frame_is_smallest(law, shifts, a, j):
-    """The frame's box grows by the least of the identity and every shear
-    along an axis with a_k = 1, and it is the identity when they tie."""
+def shear_frame(law):
+    """The one-axis shear frame the coset basis replaced: (shifts, a, j),
+    c_j = (a.x - n)/2 on the widest axis j with a_j = 1, the other axes
+    in x coordinates, and j None when that would not narrow axis j."""
     elems = np.array(list(law.atoms), dtype=np.int64)
-    width = box_widths(elems)
-    if a is None:
-        assert np.array_equal(shifts, elems) and j is None
-        return
-    assert all(np.dot(a, u) % 2 == 1 for u in elems)
-    au = elems @ np.array(a)
-    sheared = (au.max() - au.min()) // 2
-    best = min([math.prod(width + 1)] +
-               [math.prod(width + 1) // (width[k] + 1) * (sheared + 1)
-                for k in range(len(a)) if a[k]])
-    assert math.prod(box_widths(shifts) + 1) == best
-    if j is None:
-        assert np.array_equal(shifts, elems)
+    for a in product((0, 1), repeat=elems.shape[1]):
+        au = elems @ np.array(a)
+        if any(a) and np.all(au % 2 == 1):
+            break
     else:
-        assert box_widths(shifts)[j] == sheared < width[j]
+        return elems, None, None
+    width = elems.max(axis=0) - elems.min(axis=0)
+    j = max((k for k in range(len(a)) if a[k]), key=lambda k: width[k])
+    if (au.max() - au.min()) // 2 >= width[j]:
+        return elems, a, None
+    shifts = elems.copy()
+    shifts[:, j] = (au - 1) // 2
+    return shifts, a, j
+
+
+def shear_series_lattice(law, horizon):
+    """The lattice series as the one-axis shear frame paired it."""
+    shifts, a, j = shear_frame(law)
+    half = (horizon + 1) // 2
+    lo = step_span(shifts, half)[0].tolist()
+    corner = lambda n, k=0: [n * c + k * (axis == j) for axis, c in enumerate(lo)]
+    arrays = powers(law, half, shifts)
+    arr = np.ones((1,) * law.group.dim)
+    probs = [1.0] + [0.0] * horizon
+    for n in range(horizon // 2 + 1):
+        if n >= 1:
+            probs[2 * n] = recurrence._paired_origin_mass(arr, corner(n), arr, corner(n, n))
+        if 2 * n + 1 <= horizon:
+            nxt = next(arrays)
+            if a is None:
+                probs[2 * n + 1] = recurrence._paired_origin_mass(arr, corner(n), nxt,
+                                                                  corner(n + 1))
+            arr = nxt
+    return probs
+
+
+def box_cells(shifts, n):
+    """Cells of the n-step box tables.powers steps for these shifts, which
+    holds the origin (tables.step_span, without its size limit)."""
+    span = np.maximum(shifts.max(axis=0), 0) - np.minimum(shifts.min(axis=0), 0)
+    return math.prod(n * int(w) + 1 for w in span)
+
+
+def assert_frame_is_a_coset_basis(law, n):
+    """_coset_frame(law, n) is x coordinates or a basis of the parity
+    coset, its n-step box is never larger than the one-axis shear frame's,
+    and a basis is taken only when its box is smaller than the x box."""
+    shifts, rows, lo = _coset_frame(law, n)
+    elems = np.array(list(law.atoms), dtype=np.int64)
+    old_shifts, a, _ = shear_frame(law)
+    assert box_cells(shifts, n) <= box_cells(old_shifts, n)
+    if rows is None:
+        assert np.array_equal(shifts, elems) and not np.any(lo)
+        return
+    assert a is not None and round(abs(np.linalg.det(rows))) == 2 ** (law.group.dim - 1)
+    for b in rows:   # 2e_k, or b = a (mod 2) in {-1,0,1}^d
+        assert sorted(np.abs(b).tolist()) == [0] * (len(b) - 1) + [2] \
+            or (np.abs(b).max() == 1 and np.array_equal(b % 2, a))
+    assert np.array_equal(2 * shifts, elems @ rows.T - lo)
+    assert np.array_equal(shifts.min(axis=0), np.zeros(law.group.dim))
+    assert box_cells(shifts, n) < box_cells(elems, n)
+
+
+def test_coset_frame_on_the_fixtures(bernoulli, drift2d, symmetric3d, lazy_drift):
+    for law in (drift2d, symmetric3d, no_shear_law()):
+        for n in (1, 30, 60):
+            shifts, rows, lo = _coset_frame(law, n)
+            assert box_cells(shifts, n) == (n + 1) ** law.group.dim
+            assert np.all(np.abs(rows) == 1) and np.array_equal(lo, [-1] * law.group.dim)
+    shifts, rows, lo = _coset_frame(bernoulli, 60)   # c = (x + n)/2
+    assert shifts.tolist() == [[0], [1]] and rows.tolist() == [[1]] and lo.tolist() == [-1]
+    shifts, rows, lo = _coset_frame(lazy_drift, 60)
+    assert shifts.tolist() == [list(u) for u in lazy_drift.atoms] and rows is None
+    assert lo.tolist() == [0]
+    # here one axis keeps x: c = (x + 1, (x + y + 3)/2), a (2n+1)(3n+1) box
+    wide_y = Law(Lattice(2), {(1, 0): .25, (-1, 0): .25, (0, 3): .25, (0, -3): .25})
+    shifts, rows, lo = _coset_frame(wide_y, 60)
+    assert rows.tolist() == [[2, 0], [1, 1]] and lo.tolist() == [-2, -3]
+    assert shifts.tolist() == [[0, 1], [1, 0], [1, 3], [2, 2]]   # canonical atom order
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(lattice_laws(), st.integers(1, 41))
 def test_series_lattice_matches_reference(law, horizon):
-    frame = _coset_frame(law)
-    assert_frame_is_smallest(law, *frame)
+    assert_frame_is_a_coset_basis(law, (horizon + 1) // 2)
     got = return_series(law, horizon)
     probs, period, worst_mass = reference_series_lattice(law, horizon)
     want = np.array(probs)
     have = np.array(got.probabilities)
     assert np.array_equal(have == 0.0, want == 0.0)
     assert got.period == period
-    if frame[1] is not None:
+    if _coset_frame(law, (horizon + 1) // 2)[1] is not None:
         assert period % 2 == 0 and not np.any(want[1::2])
     assert np.all(np.abs(have - want) <= 16 * np.spacing(want))
     assert abs(got.max_mass_error - worst_mass) <= 1e-15
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(law=lattice_laws(), n=st.integers(1, 200))
+def test_coset_box_is_never_larger_than_the_shear_frame(drift2d, symmetric3d, law, n):
+    assert_frame_is_a_coset_basis(law, n)
+    for fixed in (drift2d, symmetric3d, no_shear_law()):
+        assert box_cells(_coset_frame(fixed, n)[0], n) == (n + 1) ** fixed.group.dim
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lattice_laws(dims=(1, 1)), st.integers(1, 400))
+def test_series_1d_equals_the_shear_frame(law, horizon):
+    # in 1D the basis is c = (x - n min u)/2, the shear's c = (x - n)/2
+    # moved by a constant: the same products in the same order
+    assert return_series(law, horizon).probabilities == shear_series_lattice(law, horizon)
+
+
+def test_series_1d_fixtures_equal_the_shear_frame(bernoulli, lazy_drift, simple_symmetric):
+    for law in (bernoulli, lazy_drift, simple_symmetric,
+                Law(Lattice(1), {(-3,): .3, (1,): .5, (5,): .2}),
+                Law(Lattice(1), {(-1,): .6, (-3,): .4})):
+        assert return_series(law, 4000).probabilities == shear_series_lattice(law, 4000)
+
+
 def assert_coset_cells_equal_dense(law, n_max, monkeypatch):
     """Each n-step array of the series, mapped back from coset to x
-    coordinates, equals the dense x-box law cell for cell, and every cell
-    it leaves out is zero there."""
+    coordinates by x = B^-1 (2c + n lo), equals the dense x-box law cell
+    for cell, and every cell it leaves out is zero there."""
     seen = []
     monkeypatch.setattr(recurrence, "powers", recording_powers(seen))
     return_series(law, 2 * n_max)
     monkeypatch.undo()
     assert len(seen) == n_max
     dim = law.group.dim
-    shifts, a, j = _coset_frame(law)
+    shifts, rows, lo = _coset_frame(law, n_max)
     g_lo = step_span(shifts, n_max)[0]
     dense_span = support_span(law)
     f = np.ones((1,) * dim)
     for n, g in enumerate(seen, start=1):
         f = convolve(law.atoms.items(), f, dense_span)
-        c = [axis + int(lo) for axis, lo in zip(np.indices(g.shape), n * g_lo)]
-        x = list(c)
-        if j is not None:
-            x[j] = 2 * c[j] + n - sum(a[k] * c[k] for k in range(dim) if k != j)
-        idx = [xk - int(lo) for xk, lo in zip(x, n * dense_span[0])]
+        c = np.indices(g.shape) + (n * g_lo).reshape((dim,) + (1,) * dim)
+        x = c
+        if rows is not None:
+            y = (2 * c + n * lo.reshape((dim,) + (1,) * dim)).reshape(dim, -1)
+            x = np.rint(np.linalg.solve(rows, y)).astype(np.int64)
+            assert np.array_equal(rows @ x, y)   # every cell is a coset point
+            x = x.reshape(c.shape)
+        idx = [xk - int(corner) for xk, corner in zip(x, n * dense_span[0])]
         inside = np.all([(i >= 0) & (i < m) for i, m in zip(idx, f.shape)], axis=0)
         assert not np.any(g[~inside])
         hit = np.zeros(f.shape, dtype=bool)
@@ -476,8 +547,9 @@ def zero_slab_laws():
 def test_tiled_powers_equal_reference(law, tile):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(tables, "_TILE_CELLS", tile)
-        for shifts in (None, _coset_frame(law)[0]):
-            assert_powers_equal_reference(law, TILED_STEPS[law.group.dim], shifts)
+        n_max = TILED_STEPS[law.group.dim]
+        for shifts in (None, _coset_frame(law, n_max)[0]):
+            assert_powers_equal_reference(law, n_max, shifts)
 
 
 def test_tiled_powers_equal_reference_past_the_flush(monkeypatch):
@@ -485,14 +557,14 @@ def test_tiled_powers_equal_reference_past_the_flush(monkeypatch):
     law = flush_laws()[2][0]
     assert 49 < flush_free_steps(law.atoms.values()) < 50
     monkeypatch.setattr(tables, "_TILE_CELLS", 40)
-    assert_powers_equal_reference(law, 56, _coset_frame(law)[0])
+    assert_powers_equal_reference(law, 56, _coset_frame(law, 56)[0])
 
 
 def test_tiled_powers_equal_reference_on_the_tilted_sym3d_series(symmetric3d):
     # the series' 60-step arrays for horizon 120, at the real tile size
     law = tilt_from_spectral(symmetric3d).tilted
-    shifts = _coset_frame(law)[0]
-    assert math.prod(60 * np.ptp(shifts, axis=0) + 1) > 4 * tables._TILE_CELLS
+    shifts = _coset_frame(law, 60)[0]
+    assert box_cells(shifts, 60) > 3 * tables._TILE_CELLS
     assert_powers_equal_reference(law, 60, shifts)
 
 
