@@ -121,7 +121,7 @@ def _paired_origin_mass(f, lo_f, g, lo_g):
             return 0.0
         f_sl.append(slice(a - lf, b - lf + 1))
         g_sl.append(slice(-b - lg, -a - lg + 1))
-    return float(np.sum(f[tuple(f_sl)] * np.flip(g[tuple(g_sl)])))
+    return float((f[tuple(f_sl)] * g[tuple(g_sl)][(slice(None, None, -1),) * g.ndim]).sum())
 
 
 def _coset_frame(law: Law, n: int):
@@ -183,6 +183,8 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
         if n >= 1:
             probs[2 * n] = _paired_origin_mass(arr, corner(n), arr, corner(n, n))
         if 2 * n + 1 <= horizon:
+            if rows is not None:
+                arr = nxt = None   # p(2n) is read: one box less while the next is built
             nxt = next(arrays)
             worst_mass = max(worst_mass, abs(float(nxt.sum()) - 1.0))
             if rows is None:

@@ -17,20 +17,20 @@ lattice it builds the law of X + u, u ~ law, from that of X on the box
 grown by one step's span (step_span, which holds the origin, so every
 n-step box nests in the next), as shifted scaled adds in the law's atom
 order; the return series passes the atoms as shifts in its coset
-coordinates.  A box larger than one tile (_TILE_CELLS, sized to stay in
-the L2 cache) is stepped a tile of axis-0 rows at a time, each add
-confined to the nonzero bounding box of the rows it reads, and skipped
-when they are all zero: every cell gets the same adds in the same order
-less exact zeros (a non-negative cell plus 0.0 is itself), so the arrays
-are bit-identical to untiled steps, while the adds pass over the zero
-corners of a support that fills little of its box.  Dense n-step boxes
-grow as n^d, so the last one is checked against DENSE_CELL_LIMIT before
-anything is allocated (check_cells, which bounds the hitting DP's table
-and the check windows too).  Cells below UNDERFLOW_FLOOR are
-flushed to zero, as Law.convolve drops such atoms, but the three passes
-this costs are skipped while they cannot fire: every positive cell of the
-m-step array is at least pmin^m (1 - 2^-53)^m for the smallest atom mass
-pmin (flush_free_steps).  On a finite group the step is `step` with the
+coordinates.  Copied into the corner of the (m+1)-step box, the m-step
+array reads each atom at one fixed offset in the box's flat order, so
+the step is one contiguous add per atom, in place, a tile of _TILE_CELLS
+cells at a time; a 1D array needs no copy.  A shifted read that leaves
+the m-step array lands in the copy's zero padding, and adding p * 0.0
+leaves a non-negative cell as it is, so the arrays are bit-identical to
+one d-dimensional slice add per atom.  Dense n-step boxes grow as n^d,
+so the last one is checked against DENSE_CELL_LIMIT before anything is
+allocated (check_cells, which bounds the hitting DP's table and the
+check windows too).  Cells below UNDERFLOW_FLOOR are flushed to zero, as
+Law.convolve drops such atoms, but the three passes this costs are
+skipped while they cannot fire: every positive cell of the m-step array
+is at least pmin^m (1 - 2^-53)^m for the smallest atom mass pmin
+(flush_free_steps).  On a finite group the step is `step` with the
 reversed law.
 """
 
@@ -46,7 +46,7 @@ from .groups import FiniteGroup, Group
 UNDERFLOW_FLOOR = 1e-300
 EXP_GUARD = 700.0  # largest |theta.x| exponentiated: exp(700) is about 1e304
 DENSE_CELL_LIMIT = 1 << 22  # cells of one dense box or table: 32 MiB of float64
-_TILE_CELLS = 1 << 16  # cells of one powers tile, 512 KiB of float64: fits in L2
+_TILE_CELLS = 1 << 14  # cells powers sums at once: 128 KiB, fastest of 2^12..2^16
 
 
 class LatticeBox:
@@ -207,35 +207,26 @@ def flush_free_steps(masses) -> float:
     return (math.log(UNDERFLOW_FLOOR) + 1.0) / math.log(pmin)
 
 
-def _add_tiled(new, f, moves) -> None:
-    """new[off + x] += p * f[x] for each (off, p) of `moves`, in order, one
-    tile of consecutive axis-0 rows of `new` at a time.
+def _shift_add(dst, src, moves) -> None:
+    """Add p * src[i - off] into cell i of dst for each (off, p) of `moves`,
+    in order, wherever 0 <= i - off < src.size, one tile of _TILE_CELLS
+    cells of dst at a time; dst and src are flat and every off >= 0.
 
-    With the offsets along axis 0 within 0 .. reach, the rows new has more
-    than f, tile rows r0..r1 read the source rows r0 - reach .. r1 of f and
-    no other; the adds are confined to the bounding box of those rows'
-    nonzero cells on axes 1..d-1, and a tile whose source rows are all
-    zero is left as it is.  Every cell of `new` gets the same adds in the
-    same order as from one whole-array add per atom, less adds of exact
-    zeros, which leave a non-negative cell unchanged.
+    src may be dst itself, and then dst is overwritten by the sums: the
+    tiles run from the end and each is summed from zero in a buffer before
+    it is written, so a tile reads only cells that are not yet written.
     """
-    rows = max(1, _TILE_CELLS * new.shape[0] // new.size)
-    reach = new.shape[0] - f.shape[0]
-    for r0 in range(0, new.shape[0], rows):
-        r1 = min(r0 + rows, new.shape[0])
-        plane = (f[max(0, r0 - reach):r1] != 0.0).any(axis=0)
-        if not plane.any():
-            continue
-        box = []
-        for k in range(plane.ndim):
-            hit = np.flatnonzero(plane.any(axis=tuple(j for j in range(plane.ndim) if j != k)))
-            box.append((int(hit[0]), int(hit[-1]) + 1))
-        for off, p in moves:
-            a, b = max(r0, off[0]), min(r1, off[0] + f.shape[0])
-            if a < b:
-                src = (slice(a - off[0], b - off[0]), *(slice(x, y) for x, y in box))
-                dst = (slice(a, b), *(slice(x + o, y + o) for (x, y), o in zip(box, off[1:])))
-                new[dst] += p * f[src]
+    inplace, n = src is dst, src.size
+    for a in reversed(range(0, dst.size, _TILE_CELLS)):
+        b = min(a + _TILE_CELLS, dst.size)
+        tile = np.zeros(b - a) if inplace else dst[a:b]
+        for off, p in moves:   # conditionals, not max/min: a 1D step is mostly this overhead
+            s = a if a > off else off
+            e = b if b < off + n else off + n
+            if s < e:
+                tile[s - a:e - a] += p * src[s - off:e - off]
+        if inplace:
+            dst[a:b] = tile
 
 
 def powers(law, n_max: int, shifts=None):
@@ -245,12 +236,13 @@ def powers(law, n_max: int, shifts=None):
     step_span(shifts, n_max), where `shifts` gives each atom, in the law's
     canonical order, as a shift in the caller's coordinates (default: the
     atoms themselves); the (n+1)-th adds mass(u) times the n-th at each
-    shift u, tile by tile past _TILE_CELLS cells (_add_tiled), and flushes
-    cells below UNDERFLOW_FLOOR beyond the flush_free_steps bound; the
-    first step refuses an n_max-step box past the limit before building
-    any array.  On a finite group the arrays are indexed by the elements,
-    and each step gathers f(z u^-1) through the reversed law, the law of
-    X_n u (right multiplication, as Law.convolve).
+    shift u, read at one flat offset from the n-th copied to the corner of
+    the (n+1)-th box (in 1D from the n-th itself), tile by tile
+    (_shift_add), and flushes cells below UNDERFLOW_FLOOR beyond the
+    flush_free_steps bound; the first step refuses an n_max-step box past
+    the limit before building any array.  On a finite group the arrays are
+    indexed by the elements, and each step gathers f(z u^-1) through the
+    reversed law, the law of X_n u (right multiplication, as Law.convolve).
     """
     group = law.group
     if isinstance(group, FiniteGroup):
@@ -262,17 +254,22 @@ def powers(law, n_max: int, shifts=None):
             yield f
         return
     shifts = list(law.atoms) if shifts is None else shifts.tolist()
-    lo, hi = (v.tolist() for v in step_span(shifts, n_max))
+    lo, hi = step_span(shifts, n_max)
     safe = flush_free_steps(law.atoms.values())
-    moves = [([c - a for c, a in zip(u, lo)], p) for u, p in zip(shifts, law.atoms.values())]
+    places, masses = np.array(shifts) - lo, list(law.atoms.values())   # from the box corner
+    moves = list(zip(places[:, 0].tolist(), masses))   # the 1D offsets, fixed
+    lo, hi = lo.tolist(), hi.tolist()
     f = np.ones((1,) * group.dim)
     for m in range(1, n_max + 1):
         new = np.zeros(tuple(n + b - a for n, a, b in zip(f.shape, lo, hi)))
-        if new.size <= _TILE_CELLS:   # tile bookkeeping costs more than it saves here
-            for off, p in moves:
-                new[tuple(slice(o, o + n) for o, n in zip(off, f.shape))] += p * f
+        if group.dim == 1:   # the offsets are the array's own: no copy
+            _shift_add(new, f, moves)
         else:
-            _add_tiled(new, f, moves)
+            new[tuple(map(slice, f.shape))] = f
+            del f   # with the caller's reference gone, one box less at the peak
+            moves = list(zip((places @ new.strides // new.itemsize).tolist(), masses))
+            flat = new.reshape(-1)
+            _shift_add(flat, flat, moves)
         if m > safe:
             tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
             if tiny.any():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -566,6 +567,32 @@ def test_tiled_powers_equal_reference_on_the_tilted_sym3d_series(symmetric3d):
     shifts = _coset_frame(law, 60)[0]
     assert box_cells(shifts, 60) > 3 * tables._TILE_CELLS
     assert_powers_equal_reference(law, 60, shifts)
+
+
+@pytest.mark.parametrize("law, n_max", [
+    # x coordinates on both: the lazy walk has no parity coset, and the
+    # diagonal walk fills one cell in two of its box, in a checkerboard
+    (Law(Lattice(3), {**{u: 1 / 12 for u in product((-1, 0, 1), repeat=3)
+                         if sum(map(abs, u)) == 1}, (0, 0, 0): .5}), 30),
+    (Law(Lattice(2), {(1, 1): .3, (1, -1): .2, (-1, 1): .25, (-1, -1): .25}), 230)])
+def test_powers_equal_reference_on_low_fill_laws(law, n_max):
+    # at the real tile size, on boxes whose corners stay empty for many steps
+    shifts = np.array(list(law.atoms))
+    assert box_cells(shifts, n_max) > 3 * tables._TILE_CELLS
+    assert_powers_equal_reference(law, n_max)
+
+
+def test_return_series_peak_memory_on_the_tilted_sym3d(symmetric3d):
+    # the 60-step box of horizon 120 is 61^3: the step may hold two such
+    # boxes and one tile at once, not the m-step array beside two boxes
+    law = tilt_from_spectral(symmetric3d).tilted
+    tracemalloc.start()
+    try:
+        return_series(law, 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * 61 ** 3 + tables._TILE_CELLS) + (1 << 14)
 
 
 def test_flush_free_steps_bounds():

@@ -14,20 +14,24 @@ tests/fixtures/*.spec, from the root of each copy, it runs
         --series-horizon 200 --json -        (--series-horizon 120 on sym3d)
 
 sym3d runs at its series cap, 120, which is also its benchmark horizon:
-there the 60-step box is 61^3 cells, 3.5 tiles of tables.powers, while
-at horizon 60 the 30-step box (31^3) fits in one tile and the tiled path
-would never run.
+there the 60-step box is 61^3 cells, 14 tiles of tables.powers, the
+most tiles and the largest arrays of any command here, so the in-place
+tile order is exercised where the benchmark exercises it.
 
 A command differs when its exit code, its stderr, its text output or its
 JSON report differs between the sides; the reports' `timings` are blanked
-first.  Every differing command is listed with what differed, and the
-exit status is 1 if any did.  The summary line also gives each side's
-src/rwalk line count.  Only the standard library is used.
+first.  Every differing command is listed with what differed, followed by
+each differing report field, as a path with the parent's and the working
+tree's values, and the first differing line of the text output and of
+stderr; the exit status is 1 if any command differed.  The summary line
+also gives each side's src/rwalk line count.  Only the standard library
+is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -64,6 +68,33 @@ def run(side_dir: Path, argv: list) -> dict:
             "stdout": "".join(lines[:cut]), "report": report}
 
 
+def field_diffs(parent, change, path=""):
+    """Yield (path, parent value, change value) for each differing JSON leaf;
+    lists of different lengths, and values of different kinds, count as leaves."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        for key in [*parent, *(k for k in change if k not in parent)]:
+            yield from field_diffs(parent.get(key, "<absent>"), change.get(key, "<absent>"),
+                                   f"{path}.{key}")
+    elif isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        for i, (a, b) in enumerate(zip(parent, change)):
+            yield from field_diffs(a, b, f"{path}[{i}]")
+    elif parent != change:
+        yield path or ".", parent, change
+
+
+def describe(part: str, parent, change) -> list:
+    """Lines saying how one differing part of a command's output differs."""
+    if part == "report":
+        return [f"    report {path}: {a!r} -> {b!r}"
+                for path, a, b in field_diffs(parent, change)]
+    if part == "exit code":
+        return [f"    exit code: {parent} -> {change}"]
+    pairs = itertools.zip_longest(parent.splitlines(keepends=True),
+                                  change.splitlines(keepends=True), fillvalue="<absent>")
+    n, (a, b) = next((n, ab) for n, ab in enumerate(pairs, 1) if ab[0] != ab[1])
+    return [f"    {part} line {n}: {a!r} -> {b!r}"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent side")
@@ -79,20 +110,23 @@ def main(argv=None) -> int:
         lines = {side: source_lines(d) for side, d in dirs.items()}
         specs = sorted({p.relative_to(d).as_posix() for d in dirs.values()
                         for p in (d / "tests" / "fixtures").glob("*.spec")})
-        total, differing = 0, []
+        total, differing, details = 0, 0, []
         for spec in specs:
             for name, cmd in commands(spec).items():
                 total += 1
                 out = {side: run(d, cmd) for side, d in dirs.items()}
                 parts = [k for k in out["parent"] if out["parent"][k] != out["change"][k]]
                 if parts:
-                    differing.append(f"{name} {spec}: {', '.join(parts)} differ")
+                    differing += 1
+                    details.append(f"{name} {spec}: {', '.join(parts)} differ")
+                    for k in parts:
+                        details += describe(k, out["parent"][k], out["change"][k])
 
-    for line in differing:
+    for line in details:
         print(line)
     print(f"{total} commands on {len(specs)} fixtures, parent {args.parent} ({sha[:12]}, "
           f"{lines['parent']} src/rwalk lines) against the working tree "
-          f"({lines['change']} lines): {len(differing)} differ")
+          f"({lines['change']} lines): {differing} differ")
     return 1 if differing else 0
 
 
