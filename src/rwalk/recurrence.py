@@ -28,25 +28,25 @@ are not computed, and only the pairing sums p(2n) add the same nonzero
 products in another layout, so they can differ from an x-coordinate sum
 in the last few ulps.
 
-The Monte Carlo kernels step dense (trajectories, steps) blocks.  A
-chunk's Philox keys, those of SeedSequence(entropy=seed, spawn_key=(i,)),
-come from one vectorized pass of numpy's SeedSequence hash, and one
-generator per chunk fills every row slot, re-keyed to the row's stream
-and block offset before each fill.  Each row is filled from its own
-trajectory's stream in order, so the draws are those of one
-random(horizon) call per trajectory, and an atom index
-is a comparison sum over the cumulative probabilities (searchsorted above
-_COMPARE_ATOMS atoms).  On a lattice a position is one int64 mixed-radix
-key, sum_k x_k W_k with radix 2*horizon*r_k + 1 on axis k (r_k the
-largest |atom coordinate|), which is injective on every reachable
-position: a walk is one 1-D cumsum of atom keys and a hit is one key
-comparison.  Targets out of reach are dropped first, since their keys
-could equal reachable ones, and axes whose radix product would pass 2^63
-get a key of their own.  The end position is decoded from the final key.
-On a finite group a step is one lookup in a table whose extra absorbing
-state stands for "has hit"; a trajectory stops drawing after the block of
-its first hit, and a chunk stops once all its trajectories have hit.  Only
-first hits count, so neither changes a result.
+The Monte Carlo kernels step dense (trajectories, steps) blocks of raw
+Philox words, under the keys of SeedSequence(entropy=seed, spawn_key=(i,))
+from one vectorized pass of numpy's SeedSequence hash.  A lattice row
+slot's generator is keyed once per trajectory and continues its stream; a
+finite-group row, which mostly hits within a block or two, is re-keyed
+per block.  The words are those random(horizon) reads, and u = (x >> 11)
+2^-53 >= c exactly when x >= ceil(c 2^53) << 11, so an atom index is a
+comparison sum over integer thresholds (searchsorted from _COMPARE_ATOMS
+on).  On a lattice a position is one int64 mixed-radix key, sum_k x_k W_k
+with radix 2*horizon*r_k + 1 on axis k (r_k the largest |atom
+coordinate|), injective on every reachable position: a walk is a 1-D
+cumsum of atom keys and a hit one key comparison.  Targets out of reach
+are dropped first, since their keys could equal reachable ones, and axes
+whose radix product would pass 2^63 get a key of their own.  A row that
+has hit moves behind the live ones and only sums its atom keys into its
+end key, which decodes to the end position.  On a finite group a step is
+one lookup in a table whose extra absorbing state stands for "has hit",
+and a row stops drawing after the block of its first hit.  Only first
+hits count, so neither changes a result.
 """
 
 from __future__ import annotations
@@ -77,16 +77,14 @@ MIN_TERMS = 50  # nonzero series terms estimate_rho needs
 WIDE_SUPPORT_RADIUS = 8
 
 _MC_CHUNK = 256  # fixed chunk size so results never depend on worker count
-# Monte Carlo blocks: lattice rows are stepped 16 trajectories x 1024 steps
-# at a time, finite-group rows a whole chunk x 64 steps; either way a
-# block of doubles is 128 KiB per worker.
+# Monte Carlo blocks: 16 lattice rows x 1024 steps, or a finite-group chunk
+# x 64 steps; either way 128 KiB of words per worker.
 _LATTICE_ROWS = 16
 _BLOCK_STEPS = 1024
 _FINITE_STEPS = 64
-# The comparison sum costs K-1 passes, searchsorted one branchy pass that
-# grows with log K; measured they cross near 160 atoms.  uint8 indices
-# need K <= 256.
-_COMPARE_ATOMS = 128
+# The comparison sum costs one pass per threshold, searchsorted one that grows with
+# log K; on raw words they cross near 80 thresholds.  uint8 indices need K <= 256.
+_COMPARE_ATOMS = 80
 # numpy's SeedSequence hash constants and pool size (bit_generator.pyx)
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -171,7 +169,10 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
     """
     half = (horizon + 1) // 2
     shifts, rows, lo = _coset_frame(law, half)
-    base, lo = step_span(shifts, half)[0].tolist(), lo.tolist()
+    base, hi = step_span(shifts, half)
+    # p(2n) pairs the whole n-step box with its reflection if n (base + hi + lo) = 0
+    flip = None if np.any(base + hi + lo) else (slice(None, None, -1),) * len(lo)
+    base, lo = base.tolist(), lo.tolist()
     # corner of the n-step array, moved by k lo where it pairs for p(2k)
     corner = lambda n, k=0: [n * c + k * l for c, l in zip(base, lo)]
     arrays = powers(law, half, shifts)
@@ -181,7 +182,8 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
     for n in range(horizon // 2 + 1):
         # p(2n) before the (n+1)-step array exists: one array less at the peak
         if n >= 1:
-            probs[2 * n] = _paired_origin_mass(arr, corner(n), arr, corner(n, n))
+            probs[2 * n] = (float((arr * arr[flip]).sum()) if flip else
+                            _paired_origin_mass(arr, corner(n), arr, corner(n, n)))
         if 2 * n + 1 <= horizon:
             if rows is not None:
                 arr = nxt = None   # p(2n) is read: one box less while the next is built
@@ -366,38 +368,30 @@ def _philox_keys(seed: int, indices) -> np.ndarray:
     return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
-def _atom_index(cum, u):
-    """Atom drawn by each uniform u: the first k with u < cum[k], the last
-    atom if cumulative rounding leaves cum[-1] below u.  This equals
-    clip(searchsorted(cum, u, "right"), 0, K-1); below _COMPARE_ATOMS atoms
-    the sum of K-1 comparisons is the faster way to compute it."""
-    if len(cum) > _COMPARE_ATOMS:
-        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    idx = np.zeros(u.shape, dtype=np.uint8)
-    for c in cum[:-1]:
-        idx += u >= c
+def _word_thresholds(cum):
+    """Raw-word thresholds ceil(c 2^53) << 11 of the atom boundaries c in
+    cum[:-1]; a ceiling of 2^53 or more is passed by no word and is dropped."""
+    scaled = np.ceil(np.asarray(cum[:-1], dtype=float) * 2.0 ** 53)
+    return scaled[scaled < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
+
+
+def _atom_index(thresholds, words):
+    """Atom drawn by each raw word: the count of thresholds at or below it,
+    which is clip(searchsorted(cum, u, "right"), 0, K-1) on its uniform u."""
+    if len(thresholds) >= _COMPARE_ATOMS:
+        return np.searchsorted(thresholds, words, side="right")
+    idx = np.zeros(words.shape, dtype=np.uint8)
+    for t in thresholds:
+        idx += words >= t
     return idx
 
 
-def _draw_blocks(keys, horizon, buf):
-    """Yield the next uniforms of the trajectories keyed by `keys` (Philox
-    keys as pairs of ints) as rows of (len(keys), block) views of buf, one
-    time block at a time.  One generator fills every row, re-keyed through
-    its public state to the row's stream t0 // 4 counter blocks in, with
-    an empty buffer (a double takes one of the four words a block yields;
-    widths are multiples of 4), so the draws are those of one
-    random(horizon) per trajectory.  The caller may shrink keys between
-    blocks to drop finished rows."""
-    rng = np.random.Generator(np.random.Philox(key=0))
-    state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for t0 in range(0, horizon, buf.shape[1]):
-        block = buf[:len(keys), :min(buf.shape[1], horizon - t0)]
-        for key, row in zip(keys, block):
-            state["state"] = {"counter": (t0 // 4, 0, 0, 0), "key": key}
-            rng.bit_generator.state = state
-            rng.random(out=row)
-        yield block
+def _keyed(gen, key, word=0):
+    """Philox bit generator gen, set to word `word` (a multiple of 4) of stream `key`."""
+    gen.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0,
+                 "state": {"counter": (word // 4, 0, 0, 0), "key": key}}
+    return gen
 
 
 def _key_weights(reach):
@@ -415,7 +409,7 @@ def _key_weights(reach):
     return np.array(groups, dtype=np.int64)
 
 
-def _chunk_lattice(law_elems, cum, targets, horizon, seed, indices):
+def _chunk_lattice(law_elems, thresholds, targets, horizon, seed, indices):
     dim = law_elems.shape[1]
     reach = horizon * np.abs(law_elems).max(axis=0)
     weights = _key_weights(reach)
@@ -423,26 +417,38 @@ def _chunk_lattice(law_elems, cum, targets, horizon, seed, indices):
     # a target out of reach on some axis would alias a reachable key
     tvecs = [t for t in targets if all(abs(c) <= m for c, m in zip(t, reach))]
     target_keys = np.array(tvecs, dtype=np.int64).reshape(-1, dim) @ weights.T
-    buf = np.empty((_LATTICE_ROWS, _BLOCK_STEPS))
+    slots = [np.random.Philox(key=0) for _ in range(min(_LATTICE_ROWS, len(indices)))]
     hits = 0
     ends = np.empty((len(weights), len(indices)), dtype=np.int64)
     keys = _philox_keys(seed, indices).tolist()
     for s in range(0, len(indices), _LATTICE_ROWS):
-        rows = keys[s:s + _LATTICE_ROWS]
-        live = np.full(len(rows), len(target_keys) > 0)   # not yet hit
-        at = np.zeros((len(weights), len(rows), 1), dtype=np.int64)
-        for u in _draw_blocks(rows, horizon, buf):
-            path = atom_keys.take(_atom_index(cum, u), axis=1)
-            path[:, :, :1] += at
-            np.cumsum(path, axis=2, out=path)
-            at = path[:, :, -1:]
-            if live.any():
-                hit = np.zeros(len(rows), dtype=bool)
+        rows = min(_LATTICE_ROWS, len(keys) - s)
+        for gen, key in zip(slots, keys[s:s + rows]):
+            _keyed(gen, key)
+        # slot j walks trajectory s + order[j]; the first `live` have not hit
+        order, live = np.arange(rows), rows if len(target_keys) else 0
+        at = np.zeros((len(weights), rows), dtype=np.int64)
+        for t0 in range(0, horizon, _BLOCK_STEPS):
+            width = min(_BLOCK_STEPS, horizon - t0)   # each slot continues its stream
+            words = np.array([gen.random_raw(width) for gen in slots[:rows]])
+            idx = _atom_index(thresholds, words)
+            if live < rows:   # a row that has hit needs only its end key
+                at[:, live:] += atom_keys.take(idx[live:], axis=1).sum(axis=2)
+            if live:
+                path = atom_keys.take(idx[:live], axis=1)
+                path[:, :, 0] += at[:, :live]
+                np.cumsum(path, axis=2, out=path)
+                at[:, :live] = path[:, :, -1]
+                hit = np.zeros(live, dtype=bool)
                 for tk in target_keys:
                     hit |= (path == tk[:, None, None]).all(axis=0).any(axis=1)
-                hits += int(np.count_nonzero(hit & live))
-                live &= ~hit
-        ends[:, s:s + len(rows)] = at[:, :, 0]
+                if hit.any():   # the rows that hit move behind the live ones
+                    perm = np.concatenate([np.argsort(hit, kind="stable"),
+                                           np.arange(live, rows)])
+                    slots[:rows] = [slots[j] for j in perm]
+                    order, at = order[perm], at[:, perm]
+                    hits, live = hits + int(hit.sum()), live - int(hit.sum())
+        ends[:, s + order] = at
     # exact end positions, summed in trajectory order so the float sums
     # do not depend on the block shape
     d = _decode_keys(ends, weights, reach).astype(float)
@@ -460,7 +466,7 @@ def _decode_keys(keys, weights, reach):
     return pos
 
 
-def _chunk_finite(cayley, elems, cum, targets, horizon, seed, start_state, indices):
+def _chunk_finite(cayley, elems, thresholds, targets, horizon, seed, start_state, indices):
     order, n_atoms = len(cayley), len(elems)
     is_target = np.zeros(order, dtype=bool)
     is_target[list(targets)] = True
@@ -472,11 +478,13 @@ def _chunk_finite(cayley, elems, cum, targets, horizon, seed, start_state, indic
     table = (table * n_atoms).ravel()
     absorbed = order * n_atoms
     keys = _philox_keys(seed, indices).tolist()
+    gen = np.random.Philox(key=0)
     state = np.full(len(keys), start_state * n_atoms)
-    buf = np.empty((len(keys), _FINITE_STEPS))
     hits = 0
-    for u in _draw_blocks(keys, horizon, buf):
-        for col in _atom_index(cum, u).T:
+    for t0 in range(0, horizon, _FINITE_STEPS):
+        width = min(_FINITE_STEPS, horizon - t0)
+        words = np.array([_keyed(gen, key, t0).random_raw(width) for key in keys])
+        for col in _atom_index(thresholds, words).T:
             state = table.take(state + col)
         # only first hits count: drop those rows and their streams
         done = state == absorbed
@@ -535,17 +543,16 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
         raise ValueError(f"seed must be >= 0, got {seed!r}")
 
     elems = np.array(list(law.atoms), dtype=np.int64)
-    cum = np.cumsum(list(law.atoms.values()))
+    thresholds = _word_thresholds(np.cumsum(list(law.atoms.values())))
     chunks = [range(s, min(s + _MC_CHUNK, trajectories))
               for s in range(0, trajectories, _MC_CHUNK)]
 
     lattice = isinstance(law.group, Lattice)
     if lattice:
-        run = lambda ix: _chunk_lattice(elems, cum, targets, horizon, seed, ix)
+        run = lambda ix: _chunk_lattice(elems, thresholds, targets, horizon, seed, ix)
     else:
-        group = law.group
-        run = lambda ix: _chunk_finite(group.cayley_array, elems, cum, targets, horizon,
-                                       seed, group.identity(), ix)
+        run = lambda ix: _chunk_finite(law.group.cayley_array, elems, thresholds, targets,
+                                       horizon, seed, law.group.identity(), ix)
 
     nworkers = worker_count(workers)
     if nworkers > 1 and len(chunks) > 1:

@@ -20,18 +20,18 @@ order; the return series passes the atoms as shifts in its coset
 coordinates.  Copied into the corner of the (m+1)-step box, the m-step
 array reads each atom at one fixed offset in the box's flat order, so
 the step is one contiguous add per atom, in place, a tile of _TILE_CELLS
-cells at a time; a 1D array needs no copy.  A shifted read that leaves
-the m-step array lands in the copy's zero padding, and adding p * 0.0
-leaves a non-negative cell as it is, so the arrays are bit-identical to
-one d-dimensional slice add per atom.  Dense n-step boxes grow as n^d,
-so the last one is checked against DENSE_CELL_LIMIT before anything is
-allocated (check_cells, which bounds the hitting DP's table and the
-check windows too).  Cells below UNDERFLOW_FLOOR are flushed to zero, as
-Law.convolve drops such atoms, but the three passes this costs are
-skipped while they cannot fire: every positive cell of the m-step array
-is at least pmin^m (1 - 2^-53)^m for the smallest atom mass pmin
-(flush_free_steps).  On a finite group the step is `step` with the
-reversed law.
+cells at a time; a 1D box of one tile reads the m-step array itself.  A
+shifted read that leaves the m-step array lands in the copy's zero
+padding, and adding p * 0.0 leaves a non-negative cell as it is, so the
+arrays are bit-identical to one d-dimensional slice add per atom.  Dense
+n-step boxes grow as n^d, so the last one is checked against
+DENSE_CELL_LIMIT before anything is allocated (check_cells, which bounds
+the hitting DP's table and the check windows too).  Cells below
+UNDERFLOW_FLOOR are flushed to zero, as Law.convolve drops such atoms,
+but the three passes this costs are skipped while they cannot fire:
+every positive cell of the m-step array is at least pmin^m (1 - 2^-53)^m
+for the smallest atom mass pmin (flush_free_steps).  On a finite group
+the step is `step` with the reversed law.
 """
 
 from __future__ import annotations
@@ -207,26 +207,19 @@ def flush_free_steps(masses) -> float:
     return (math.log(UNDERFLOW_FLOOR) + 1.0) / math.log(pmin)
 
 
-def _shift_add(dst, src, moves) -> None:
-    """Add p * src[i - off] into cell i of dst for each (off, p) of `moves`,
-    in order, wherever 0 <= i - off < src.size, one tile of _TILE_CELLS
-    cells of dst at a time; dst and src are flat and every off >= 0.
-
-    src may be dst itself, and then dst is overwritten by the sums: the
-    tiles run from the end and each is summed from zero in a buffer before
-    it is written, so a tile reads only cells that are not yet written.
-    """
-    inplace, n = src is dst, src.size
-    for a in reversed(range(0, dst.size, _TILE_CELLS)):
-        b = min(a + _TILE_CELLS, dst.size)
-        tile = np.zeros(b - a) if inplace else dst[a:b]
-        for off, p in moves:   # conditionals, not max/min: a 1D step is mostly this overhead
+def _shift_add(flat, moves) -> None:
+    """Overwrite cell i of the flat array with the sum of p * flat[i - off]
+    over (off >= 0, p) of `moves` in order, wherever i - off >= 0.  Tiles of
+    _TILE_CELLS cells run from the end, each summed from zero in a buffer
+    before it is written, so a tile reads only cells not yet written."""
+    for a in reversed(range(0, flat.size, _TILE_CELLS)):
+        b = min(a + _TILE_CELLS, flat.size)
+        tile = np.zeros(b - a)
+        for off, p in moves:   # a conditional, not max: it runs per tile and atom
             s = a if a > off else off
-            e = b if b < off + n else off + n
-            if s < e:
-                tile[s - a:e - a] += p * src[s - off:e - off]
-        if inplace:
-            dst[a:b] = tile
+            if s < b:
+                tile[s - a:] += p * flat[s - off:b - off]
+        flat[a:b] = tile
 
 
 def powers(law, n_max: int, shifts=None):
@@ -237,8 +230,8 @@ def powers(law, n_max: int, shifts=None):
     canonical order, as a shift in the caller's coordinates (default: the
     atoms themselves); the (n+1)-th adds mass(u) times the n-th at each
     shift u, read at one flat offset from the n-th copied to the corner of
-    the (n+1)-th box (in 1D from the n-th itself), tile by tile
-    (_shift_add), and flushes cells below UNDERFLOW_FLOOR beyond the
+    the (n+1)-th box, tile by tile (_shift_add; a 1D box of one tile reads
+    the n-th itself), and flushes cells below UNDERFLOW_FLOOR beyond the
     flush_free_steps bound; the first step refuses an n_max-step box past
     the limit before building any array.  On a finite group the arrays are
     indexed by the elements, and each step gathers f(z u^-1) through the
@@ -258,18 +251,18 @@ def powers(law, n_max: int, shifts=None):
     safe = flush_free_steps(law.atoms.values())
     places, masses = np.array(shifts) - lo, list(law.atoms.values())   # from the box corner
     moves = list(zip(places[:, 0].tolist(), masses))   # the 1D offsets, fixed
-    lo, hi = lo.tolist(), hi.tolist()
+    grow = (hi - lo).tolist()
     f = np.ones((1,) * group.dim)
     for m in range(1, n_max + 1):
-        new = np.zeros(tuple(n + b - a for n, a, b in zip(f.shape, lo, hi)))
-        if group.dim == 1:   # the offsets are the array's own: no copy
-            _shift_add(new, f, moves)
+        new = np.zeros([m * g + 1 for g in grow])
+        if group.dim == 1 and new.size <= _TILE_CELLS:   # one tile: no copy, no tiles
+            for off, p in moves:
+                new[off:off + f.size] += p * f
         else:
             new[tuple(map(slice, f.shape))] = f
             del f   # with the caller's reference gone, one box less at the peak
             moves = list(zip((places @ new.strides // new.itemsize).tolist(), masses))
-            flat = new.reshape(-1)
-            _shift_add(flat, flat, moves)
+            _shift_add(new.reshape(-1), moves)
         if m > safe:
             tiny = (new > 0.0) & (new < UNDERFLOW_FLOOR)
             if tiny.any():

@@ -17,7 +17,7 @@ import rwalk.recurrence as recurrence
 import rwalk.tables as tables
 from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_finite,
                               _chunk_lattice, _coset_frame, _decode_keys,
-                              _key_weights, _philox_keys, worker_count)
+                              _key_weights, _philox_keys, _word_thresholds, worker_count)
 from rwalk.tables import UNDERFLOW_FLOOR, flush_free_steps, powers, step_span
 
 from conftest import s3_cayley, tilt_from_spectral
@@ -418,6 +418,46 @@ def test_series_1d_fixtures_equal_the_shear_frame(bernoulli, lazy_drift, simple_
                 Law(Lattice(1), {(-3,): .3, (1,): .5, (5,): .2}),
                 Law(Lattice(1), {(-1,): .6, (-3,): .4})):
         assert return_series(law, 4000).probabilities == shear_series_lattice(law, 4000)
+
+
+def sliced_series_lattice(law, horizon):
+    """The lattice series with every pairing, p(2n) included, read by the
+    sliced recurrence._paired_origin_mass."""
+    half = (horizon + 1) // 2
+    shifts, rows, lo = _coset_frame(law, half)
+    base = step_span(shifts, half)[0]
+    corner = lambda n, k=0: (n * base + k * lo).tolist()
+    arrays = powers(law, half, shifts)
+    arr = np.ones((1,) * law.group.dim)
+    probs = [1.0] + [0.0] * horizon
+    for n in range(horizon // 2 + 1):
+        if n >= 1:
+            probs[2 * n] = recurrence._paired_origin_mass(arr, corner(n), arr, corner(n, n))
+        if 2 * n + 1 <= horizon:
+            nxt = next(arrays)
+            if rows is None:
+                probs[2 * n + 1] = recurrence._paired_origin_mass(arr, corner(n), nxt,
+                                                                  corner(n + 1))
+            arr = nxt
+    return probs
+
+
+def test_series_full_reflection_equals_the_sliced_pairing(
+        bernoulli, lazy_drift, simple_symmetric, drift2d, symmetric3d, monkeypatch):
+    # every p(2n) of these walks reads the whole n-step box reflected: the
+    # same products and the same contiguous sum as the sliced pairing
+    pairings = []
+    sliced = recurrence._paired_origin_mass
+    monkeypatch.setattr(recurrence, "_paired_origin_mass",
+                        lambda f, *rest: pairings.append(f.size) or sliced(f, *rest))
+    for law in (bernoulli, lazy_drift, simple_symmetric, drift2d, symmetric3d):
+        horizon = {1: 4000, 2: 600, 3: 120}[law.group.dim]
+        for walk in (law, tilt_from_spectral(law).tilted):
+            pairings.clear()
+            got = return_series(walk, horizon).probabilities
+            # only the lazy walk, in x coordinates, pairs p(2n+1) at all
+            assert len(pairings) == (horizon // 2 if law is lazy_drift else 0)
+            assert got == sliced_series_lattice(walk, horizon)
 
 
 def assert_coset_cells_equal_dense(law, n_max, monkeypatch):
@@ -1034,18 +1074,65 @@ def test_philox_keys_reject_indices_past_one_word():
         _philox_keys(2 ** 70, range(2 ** 32 - 1, 2 ** 32 + 1))
 
 
-@pytest.mark.parametrize("n_atoms", [1, 2, 3, 6, _COMPARE_ATOMS, _COMPARE_ATOMS + 1, 300])
+def uniforms(words):
+    """The doubles Generator.random() makes of raw Philox words."""
+    return (words >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+
+def assert_atom_index_matches_clipped_searchsorted(cum, words):
+    want = np.clip(np.searchsorted(cum, uniforms(words), side="right"), 0, len(cum) - 1)
+    got = _atom_index(_word_thresholds(cum), words)
+    assert got.shape == words.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_atoms", sorted({1, 2, 3, 6, _COMPARE_ATOMS, _COMPARE_ATOMS + 1,
+                                            128, 129, 300}))
 def test_atom_index_matches_clipped_searchsorted(n_atoms):
     rng = np.random.default_rng(n_atoms)
     cum = np.cumsum(rng.random(n_atoms) + 0.01)
     cum /= cum[-1]
     cum[-1] = np.nextafter(1.0, 0.0) if n_atoms > 1 else 0.5  # room above cum[-1]
-    u = np.concatenate([rng.random(4000), cum, np.nextafter(cum, 0.0),
-                        [0.0, np.nextafter(1.0, 0.0)]]).reshape(2, -1)
-    want = np.clip(np.searchsorted(cum, u, side="right"), 0, n_atoms - 1)
-    got = _atom_index(cum, u)
-    assert got.shape == u.shape
-    assert np.array_equal(got, want)
+    gen = np.random.Philox(key=n_atoms)
+    words = gen.random_raw(4000)
+    assert np.array_equal(uniforms(words), np.random.Generator(
+        np.random.Philox(key=n_atoms)).random(4000))
+    # the first word at or above each boundary, the last below it, and both ends
+    words = np.concatenate([words, _word_thresholds(cum), _word_thresholds(cum) - np.uint64(1),
+                            np.array([0, 2 ** 64 - 1], dtype=np.uint64)])
+    assert_atom_index_matches_clipped_searchsorted(cum, words.reshape(2, -1))
+
+
+@st.composite
+def boundaries(draw):
+    """Cumulative masses of 1..300 atoms, some with cum[-1] rounded below 1,
+    a boundary on the 2^-53 grid, or boundaries at or above the largest double
+    a word makes."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    cum = np.cumsum(rng.random(n) ** draw(st.sampled_from([1, 8])))
+    cum /= cum[-1]
+    k = draw(st.integers(0, n - 1))
+    edit = draw(st.sampled_from(["none", "below_one", "grid", "top"]))
+    if edit == "below_one":
+        cum[-1] = np.nextafter(1.0, 0.0)
+    elif edit == "grid":
+        cum[k] = np.floor(cum[k] * 2.0 ** 53) * 2.0 ** -53
+    elif edit == "top":   # the ceiling 2^53 - 1, 2^53 or 2^53 + 1
+        cum[k:] = draw(st.sampled_from([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]))
+    return np.maximum.accumulate(cum)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(boundaries(), st.lists(st.integers(0, 2 ** 64 - 1), max_size=30))
+def test_atom_index_matches_clipped_searchsorted_at_every_threshold(cum, extra):
+    # T - 1 and T for each threshold T, the two ends of the word range,
+    # and arbitrary words: the same index from the words and the doubles
+    thresholds = _word_thresholds(cum)
+    words = np.concatenate([thresholds - np.uint64(1), thresholds,
+                            np.array([0, 2 ** 64 - 1] + extra, dtype=np.uint64)])
+    assert_atom_index_matches_clipped_searchsorted(cum, words)
+    assert_atom_index_matches_clipped_searchsorted(cum, words[::-1].reshape(1, -1))
 
 
 @pytest.mark.parametrize("reach", [(0,), (7,), (5, 0), (3, 9, 4),
@@ -1078,10 +1165,26 @@ def test_chunk_lattice_across_time_blocks_matches_reference(law_name, request):
     cum = np.cumsum(list(law.atoms.values()))
     origin = law.group.identity()
     for targets in ({origin}, {origin, tuple(elems[0] * 40)}):
-        got = _chunk_lattice(elems, cum, targets, 2500, 8, range(100, 160))
+        got = _chunk_lattice(elems, _word_thresholds(cum), targets, 2500, 8, range(100, 160))
         want = reference_chunk_lattice(elems, cum, targets, 2500, 8, range(100, 160))
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("horizon", [1023, 1024, 1025, 3073])
+@pytest.mark.parametrize("case", ["origin", "out_of_reach", "first_step"])
+def test_chunk_lattice_block_edges_match_reference(drift2d, horizon, case):
+    # 17 trajectories leave one row in the last slot group; out of reach,
+    # no row is ever live; every walk hits the atoms on its first step
+    elems = np.array(list(drift2d.atoms), dtype=np.int64)
+    cum = np.cumsum(list(drift2d.atoms.values()))
+    targets = {"origin": {(0, 0), (3, -1)}, "out_of_reach": {(horizon + 1, 0)},
+               "first_step": set(drift2d.atoms)}[case]
+    got = _chunk_lattice(elems, _word_thresholds(cum), targets, horizon, 5, range(30, 47))
+    want = reference_chunk_lattice(elems, cum, targets, horizon, 5, range(30, 47))
+    assert got[0] == want[0]
+    assert (got[0] == 0) == (case == "out_of_reach") and (got[0] == 17) == (case == "first_step")
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_chunk_lattice_with_split_keys_matches_reference():
@@ -1091,7 +1194,7 @@ def test_chunk_lattice_with_split_keys_matches_reference():
     cum = np.cumsum([0.3, 0.3, 0.2, 0.2])
     assert len(_key_weights(300 * np.abs(elems).max(axis=0))) == 2
     targets = {(big, 0, 0), (0, big, big), (0, 0, 0), (301 * big, 0, 0)}
-    got = _chunk_lattice(elems, cum, targets, 300, 3, range(40))
+    got = _chunk_lattice(elems, _word_thresholds(cum), targets, 300, 3, range(40))
     want = reference_chunk_lattice(elems, cum, targets, 300, 3, range(40))
     assert got[0] == want[0] > 0
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
@@ -1130,7 +1233,7 @@ def test_chunk_lattice_matches_per_trajectory_reference(walk):
     atoms, weights, targets, horizon, seed, indices = walk
     elems = np.array(atoms, dtype=np.int64)
     cum = np.cumsum(np.array(weights) / sum(weights))
-    got = _chunk_lattice(elems, cum, targets, horizon, seed, indices)
+    got = _chunk_lattice(elems, _word_thresholds(cum), targets, horizon, seed, indices)
     want = reference_chunk_lattice(elems, cum, targets, horizon, seed, indices)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
@@ -1158,4 +1261,5 @@ def test_chunk_finite_matches_per_trajectory_reference(data, s3_group):
     cum = np.cumsum(np.array(weights) / sum(weights))
     args = (cayley, np.array(elems, dtype=np.int64), cum, targets, horizon, seed,
             0, indices)
-    assert _chunk_finite(*args) == reference_chunk_finite(*args)
+    thresholds = _word_thresholds(cum)
+    assert _chunk_finite(*args[:2], thresholds, *args[3:]) == reference_chunk_finite(*args)
