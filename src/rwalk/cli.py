@@ -32,7 +32,7 @@ from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
                        parse_walk_spec)
 from .spectral import check_dual_spectral_radius, find_exponential, verify_r_invariance
 from .tilting import (DEGENERACY_R_TOL, DEGENERACY_THETA_TOL, check_dual_invariance,
-                      check_symmetric_degeneracy, check_tilted_powers, tilt)
+                      check_symmetric_degeneracy, check_tilted_powers, relative_drift, tilt)
 
 CHECK_NAMES = ("eq1", "eq17", "dual", "measure", "eq12", "corollary2")
 RESIDUAL_TOL = 1e-10
@@ -228,17 +228,18 @@ def _run_check(name: str, law: Law, ctx: dict, tol_override: float | None):
         return (max(deg.theta_norm, deg.r_diff, atom_diff), DEGENERACY_THETA_TOL,
                 passed, detail)
     if name == "eq1":
-        closure = abs(spectral.R * spectral.rho - 1.0)
-        resid = max(closure, verify_r_invariance(law, exponential, spectral.R, ctx["window"]()))
-        detail = "fixed point R*Lambda(theta*) = 1 and phi = R*P(phi)"
+        window = verify_r_invariance(law, exponential, spectral.R, ctx["window"]())
+        resid = max(abs(spectral.R * spectral.rho - 1.0), relative_drift(ctx["tilted"]()), window)
+        detail = "fixed point R*Lambda(theta*) = 1, zero tilted drift and phi = R*P(phi)"
     elif name == "eq17":
         resid = check_tilted_powers(ctx["tilted"](), 10)
         detail = "tilted^n = R^n * phi * original^n, n <= 10"
     elif name == "dual":
-        resid_inv = ctx["psi_residual"]()
         dual_res = check_dual_spectral_radius(law, spectral)
-        resid = max(resid_inv, abs(dual_res.rho - dual_res.rho_dual))
-        detail = "psi = R*Phat(psi) and rho(v) = rho(dual v)"
+        scale = max([1.0, *map(abs, dual_res.theta)])   # max(1, |theta*|_inf)
+        resid = max(ctx["psi_residual"](), abs(dual_res.rho - dual_res.rho_dual),
+                    *(abs(a + b) / scale for a, b in zip(dual_res.theta, dual_res.theta_dual)))
+        detail = "psi = R*Phat(psi), rho(v) = rho(dual v) and theta*(dual v) = -theta*"
     elif name == "measure":
         resid = ctx["psi_residual"]()
         detail = "psi-weighted counting measure is R-invariant"
@@ -276,7 +277,7 @@ def cmd_verify(args) -> int:
         return _usage_error(f"--max-residual must be >= 0, got {args.max_residual}")
     report, exponential, spectral = _solve(args, spec)
     law = spec.law
-    # the tilted walk (eq17, corollary2) and the psi residual (dual, measure)
+    # the tilted walk (eq1, eq17, corollary2) and the psi residual (dual, measure)
     # are built at most once, on first use; a raised error is not cached, so
     # a refused window fails each check that tabulates on it (eq1, dual, measure)
     window = functools.partial(default_window, law, exponential.theta, spec.options.window_radius)

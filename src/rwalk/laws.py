@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ExponentOverflow, GroupMismatch, WindowExceeded
 from .groups import FiniteGroup, Group
-from . import tables
 from .tables import EXP_GUARD, UNDERFLOW_FLOOR, LatticeBox, check_cells
 
 STRICT_SUM_TOL = 1e-12
@@ -188,19 +187,13 @@ def _separating_direction(vectors, dim: int):
     return None
 
 
-# Window multiplier per dimension: sized so the whole identity-check suite
-# stays fast while the windows remain wide relative to one-step moves.
-WINDOW_MULTIPLIER = {1: 32, 2: 16, 3: 8}
-
-
 def default_window(law: Law, theta=(), radius: int | None = None):
     """The check window of eq1, dual and measure at the exponent theta: the
-    centered box of the given radius (the spec's window_radius), by default
-    WINDOW_MULTIPLIER[d] times the support radius cut to the widest box within
-    tables.DENSE_CELL_LIMIT cells and |theta.x| <= EXP_GUARD (the checks read
-    only the interior cells, so a narrower box is as sound).  A radius that
-    breaks a limit or is below the support radius is refused, naming why;
-    None on a finite group."""
+    centered box of the given radius (the spec's window_radius), by default the
+    support box, whose one interior point is the origin; on Z^d P phi = Lambda phi
+    at every x, so a wider box adds only the rounding of phi at large |x|.  A box
+    past DENSE_CELL_LIMIT cells or the EXP_GUARD, or below the support radius, is
+    refused, naming why; None on a finite group."""
     if isinstance(law.group, FiniteGroup):
         return None
     dim, reach, slope = law.group.dim, law.support_radius(), sum(abs(t) for t in theta)
@@ -209,14 +202,10 @@ def default_window(law: Law, theta=(), radius: int | None = None):
     if widest < reach:
         raise ExponentOverflow(f"one step reaches exponent {reach * slope:.2f}, beyond the "
                                f"+/-{EXP_GUARD} guard, so no check window fits")
+    what = f"the check window of window_radius {radius}"
     if radius is None:
-        check_cells((2 * reach + 1,) * dim, f"the smallest check window, of radius {reach},")
-        side = round(tables.DENSE_CELL_LIMIT ** (1 / dim))
-        while side ** dim > tables.DENSE_CELL_LIMIT:
-            side -= 1
-        radius = min(WINDOW_MULTIPLIER[dim] * max(1, reach), (side - 1) // 2, widest)
-        return LatticeBox.centered(radius, dim)
-    check_cells((2 * radius + 1,) * dim, f"the check window of window_radius {radius}")
+        radius, what = reach, f"the smallest check window, of radius {reach},"
+    check_cells((2 * radius + 1,) * dim, what)
     if radius < reach:
         raise WindowExceeded(f"window_radius {radius} is below the support radius {reach}; "
                              f"set window_radius {reach} or more in the spec's options")

@@ -175,10 +175,10 @@ def verify_r_invariance(law: Law, exponential: Exponential, r: float,
                         window: LatticeBox | None = None) -> float:
     """Max relative residual of phi = r * (one-step average of phi).
 
-    phi is tabulated on the window, by default `rwalk verify`'s window
+    phi is tabulated on the window, by default `rwalk verify`'s support box
     default_window(law, theta), and the transition operator is applied
     through the table; the residual is relative because phi spans many
-    orders of magnitude across a window.
+    orders of magnitude across a window.  On Z^d it is |1 - r Lambda(theta)|.
     """
     window = window if window is not None else default_window(law, exponential.theta)
     table = FunctionTable.tabulate(law.group, exponential.phi, window)

@@ -64,6 +64,15 @@ def tilt(law: Law, exponential: Exponential, R: float) -> TiltedWalk:
     return TiltedWalk(law, exponential, float(R), tilted)
 
 
+def relative_drift(tw: TiltedWalk) -> float:
+    """max_k |E~X_k| / E~|X_k| of one tilted step, in exact sums: 0 at theta* alone,
+    where grad Lambda = 0, and 0 on a finite group."""
+    atoms = tw.tilted.atoms.items()
+    moments = [(math.fsum(p * x[k] for x, p in atoms), math.fsum(p * abs(x[k]) for x, p in atoms))
+               for k in range(len(tw.exponential.theta))]
+    return max((abs(m) / a for m, a in moments), default=0.0)
+
+
 def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
     """Max discrepancy between tilted^n and R^n * phi * original^n, n <= n_max.
 
@@ -109,8 +118,8 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
 
 def check_dual_invariance(law: Law, exponential: Exponential, R: float,
                           window: LatticeBox | None = None) -> float:
-    """Max relative residual of psi = R * (reversed-walk one-step average of psi),
-    psi = 1/phi being the invariant measure's density, on verify_r_invariance's window."""
+    """Max relative residual of psi = R * (reversed-walk average of psi), psi = 1/phi
+    the invariant density, on verify_r_invariance's window: |1 - R Lambda(theta)| on Z^d."""
     window = window if window is not None else default_window(law, exponential.theta)
     table = FunctionTable.tabulate(law.group, exponential.psi, window)
     return invariance_residual(law.dual(), table, R)

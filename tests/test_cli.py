@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rwalk import parse_walk_spec
+from rwalk import Lattice, Law, WalkSpec, format_walk_spec, parse_walk_spec
 import rwalk.cli as cli
+import rwalk.spectral as spectral
 import rwalk.tables as tables
 import rwalk.tilting as tilting
 from rwalk.cli import main
@@ -350,6 +356,8 @@ def test_one_parser_and_one_worker_count_per_main(capsys, monkeypatch):
 
 
 def test_verify_impossible_tolerance_exits_3(capsys):
+    # eq1's closure and support-box residual read 0 on bernoulli_025; its
+    # tilted drift, 2.1e-14, is what fails the zero tolerance
     code = main(["verify", fixture("bernoulli_025.spec"),
                  "--paper-checks", "eq1", "--max-residual", "0"])
     assert code == 3
@@ -429,19 +437,18 @@ def test_verify_check_windows_too_large_fail_fast(capsys, monkeypatch, tmp_path)
     assert lines[:3] == [f"{name:<12} {refusal}" for name in ("eq1", "dual", "measure")]
     assert lines[3].startswith("eq17") and lines[3].endswith(
         "PASS  (tilted^n = R^n * phi * original^n, n <= 10)")
-    # without the option the default window (radius 32) is cut to radius 31
+    # without the option the default window is the support box, of radius 1
     assert main(["verify", fixture("bernoulli_025.spec"), *checks]) == 0
     assert "ERROR" not in capsys.readouterr().out
 
 
-def test_verify_default_window_of_a_wide_3d_law_fits_the_limit(capsys, tmp_path):
-    # support radius 11: 8 x 11 = 88 would be 177^3 cells; the default window
-    # is cut to radius 80, 161^3 cells, and eq1, dual and measure still pass
+def test_verify_default_window_of_a_wide_3d_law_is_its_support_box(capsys, tmp_path):
+    # support radius 11: the default window is the support box, 23^3 cells,
+    # and eq1, dual and measure pass on its one interior point
     spec = tmp_path / "wide3d.spec"
     spec.write_text("group lattice 3\n\nlaw\n  1 0 0 0.2\n  -1 0 0 0.1\n"
                     "  0 1 0 0.15\n  0 -1 0 0.15\n  0 0 1 0.15\n  0 0 -1 0.15\n"
                     "  11 0 0 0.05\n  -11 0 0 0.05\n")
-    assert 177 ** 3 > tables.DENSE_CELL_LIMIT >= 161 ** 3
     code = main(["verify", str(spec), "--paper-checks", "eq1,dual,measure"])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -577,6 +584,61 @@ def test_verify_minimizes_twice(monkeypatch, capsys, name):
     assert main(["verify", fixture(name)]) == 0
     capsys.readouterr()
     assert len(calls) == 2
+
+
+def _solver_off_by(eps):
+    """find_exponential with eps added to each coordinate of theta* and
+    R = 1/Lambda(theta), so R * Lambda(theta) = 1 still holds exactly."""
+    original = spectral.find_exponential
+
+    def solve(law, theta0=None):
+        exponential, sp = original(law, theta0)
+        if not sp.theta:
+            return exponential, sp
+        theta = tuple(t + eps for t in sp.theta)
+        rho = spectral.mgf(law, theta)
+        return spectral.Exponential(theta), sp._replace(theta=theta, rho=rho, R=1.0 / rho)
+    return solve
+
+
+@pytest.mark.parametrize("modules, eps", [((cli, spectral), 1e-3), ((cli,), 1e-5)])
+def test_verify_fails_a_wrong_theta(capsys, monkeypatch, modules, eps):
+    # on Z^d, P exp(theta.x) = Lambda(theta) exp(theta.x) at every theta, so the
+    # window residuals read the same at a wrong theta; the tilted drift (eq1)
+    # and theta*(dual v) = -theta* (dual) read theta* itself.  Patched in
+    # spectral too, the dual walk is solved as wrongly as the walk.
+    for module in modules:
+        monkeypatch.setattr(module, "find_exponential", _solver_off_by(eps))
+    code = main(["verify", fixture("drift2d.spec")])
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert code == 3
+    assert " FAIL " in lines["eq1"] and " FAIL " in lines["dual"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_axis_separable_theta_is_closed_form_and_eq1_passes(data):
+    # {0: p0, +e_k: a_k, -e_k: b_k}: Lambda separates, theta*_k = ln(b_k/a_k)/2
+    dim = data.draw(st.integers(1, 3))
+    weights = data.draw(st.lists(st.floats(1e-8, 1.0), min_size=2 * dim + 1,
+                                 max_size=2 * dim + 1))
+    total = math.fsum(weights)
+    masses = [w / total for w in weights]
+    units = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+    law = Law(Lattice(dim), {(0,) * dim: masses[0],
+                             **{u: masses[1 + k] for k, u in enumerate(units)},
+                             **{tuple(-c for c in u): masses[1 + dim + k]
+                                for k, u in enumerate(units)}})
+    _, sp = spectral.find_exponential(law)
+    exact = [0.5 * math.log(masses[1 + dim + k] / masses[1 + k]) for k in range(dim)]
+    scale = max([1.0, *map(abs, exact)])
+    assert max(abs(a - b) for a, b in zip(sp.theta, exact)) <= 1e-9 * scale
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "separable.spec"
+        path.write_text(format_walk_spec(WalkSpec(law.group, law)))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", str(path), "--paper-checks", "eq1"])
+    assert code == 0, out.getvalue()
 
 
 def test_analyze_json_to_stdout(capsys):

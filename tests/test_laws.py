@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rwalk import (ExponentOverflow, FunctionTable, GroupMismatch, Lattice, Law,
                    LatticeBox, WindowExceeded, check_irreducible, cyclic_group,
                    default_window)
-from rwalk.laws import WINDOW_MULTIPLIER, _separating_direction, _sublattice_index
+from rwalk.laws import _separating_direction, _sublattice_index
 from rwalk.tables import DENSE_CELL_LIMIT, EXP_GUARD, step
 
 
@@ -378,22 +378,12 @@ def test_mass_leak_accumulates_dropped_atoms(z1):
 
 def test_default_window_scales_with_dimension(bernoulli, drift2d, symmetric3d,
                                               wide_symmetric, z6_law):
-    assert default_window(bernoulli) == LatticeBox.centered(32, 1)
-    assert default_window(wide_symmetric) == LatticeBox.centered(64, 1)
-    assert default_window(drift2d) == LatticeBox.centered(16, 2)
-    assert default_window(symmetric3d) == LatticeBox.centered(8, 3)
+    # the support box: one interior point, the origin
+    assert default_window(bernoulli) == LatticeBox.centered(1, 1)
+    assert default_window(wide_symmetric) == LatticeBox.centered(2, 1)
+    assert default_window(drift2d) == LatticeBox.centered(1, 2)
+    assert default_window(symmetric3d) == LatticeBox.centered(1, 3)
     assert default_window(z6_law) is None
-
-
-def test_default_window_is_cut_to_the_dense_limit():
-    # the widest centered boxes within 2^22 cells have radius 2097151, 1023, 80
-    def window(dim, radius):
-        atom = (radius,) + (0,) * (dim - 1)
-        return default_window(Law(Lattice(dim), {atom: .5, tuple(-c for c in atom): .5}))
-    for dim, cut, radius in ((1, 2097151, 65535), (2, 1023, 63), (3, 80, 10)):
-        assert (2 * cut + 1) ** dim <= DENSE_CELL_LIMIT < (2 * cut + 3) ** dim
-        assert window(dim, radius) == LatticeBox.centered(WINDOW_MULTIPLIER[dim] * radius, dim)
-        assert window(dim, radius + 1) == LatticeBox.centered(cut, dim)
 
 
 # coordinates up to just past each dimension's dense-limit radius (2097151, 1023, 80)
@@ -413,15 +403,13 @@ def test_default_window_fits_every_limit_or_refuses(data):
     def fits(r):
         return r >= reach and r * slope <= EXP_GUARD and (2 * r + 1) ** dim <= DENSE_CELL_LIMIT
 
-    # default: the widest fitting box up to the multiplier, or a refusal when none fits
+    # default: the support box, or a refusal exactly when it does not fit
     try:
         box = default_window(law, theta)
     except (ExponentOverflow, WindowExceeded):
         assert not fits(reach)
     else:
-        radius = box.hi[0]
-        assert box == LatticeBox.centered(radius, dim) and fits(radius)
-        assert radius == WINDOW_MULTIPLIER[dim] * max(1, reach) or not fits(radius + 1)
+        assert box == LatticeBox.centered(reach, dim) and fits(reach)
     # a set radius: that box exactly when it fits, a refusal otherwise
     radius = data.draw(st.integers(0, 3 * _WIDE_COORD[dim]))
     try:
@@ -438,7 +426,7 @@ def test_default_window_guard_radius_is_the_widest_in_floats(z1):
     # float above 700/77 exceeds 700 though 700 / it rounds to 77.0
     law = Law(z1, {(3,): .5, (-3,): .5})
     for slope, widest in ((700 / 3, 3), (math.nextafter(700 / 77, math.inf), 76)):
-        assert default_window(law, (slope,)) == LatticeBox.centered(widest, 1)
+        assert default_window(law, (slope,)) == LatticeBox.centered(3, 1)   # the support box
         assert default_window(law, (-slope,), widest) == LatticeBox.centered(widest, 1)
         with pytest.raises(ExponentOverflow, match=f"set window_radius {widest} or less"):
             default_window(law, (slope,), widest + 1)

@@ -144,12 +144,14 @@ def test_power_identity_overflow_is_an_error_not_a_pass(z3):
 
 
 def test_library_default_window_is_the_verify_window(z2):
-    # at theta* = (-0.20, 114.78) the multiplier box of radius 16 would reach
-    # exponent 1839.77; without a window the library cuts it to radius 6, as
-    # rwalk verify does, instead of raising ExponentOverflow
+    # at theta* = (-0.20, 114.78) the library checks, like rwalk verify, use
+    # the support box of radius 1; a set radius of 7 would reach exponent
+    # 804.90 and is refused, naming the widest radius within the guard
     law = Law(z2, {(1, 0): .3, (-1, 0): .2, (0, 1): 1e-100, (0, -1): .5})
     exponential, sp = find_exponential(law)
-    assert default_window(law, exponential.theta) == LatticeBox.centered(6, 2)
+    assert default_window(law, exponential.theta) == LatticeBox.centered(1, 2)
+    with pytest.raises(ExponentOverflow, match="set window_radius 6 or less"):
+        default_window(law, exponential.theta, 7)
     for check in (verify_r_invariance, check_dual_invariance, check_measure_invariance):
         assert check(law, exponential, sp.R) <= 1e-10
 
