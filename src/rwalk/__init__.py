@@ -17,7 +17,7 @@ from .recurrence import (HarrisResult, HittingTable, RecurrenceReport,
 from .specfile import (WalkOptions, WalkSpec, format_walk_spec,
                        parse_element_set, parse_walk_spec)
 from .spectral import (Exponential, SpectralResult, check_dual_spectral_radius,
-                       find_exponential, mgf, verify_r_invariance)
+                       find_exponential, verify_r_invariance)
 from .tables import FunctionTable, LatticeBox
 from .tilting import (SymmetricDegeneracy, TiltedWalk, check_dual_invariance,
                       check_measure_invariance, check_symmetric_degeneracy,

@@ -17,10 +17,6 @@ from .errors import IndexOutOfRange
 class Group:
     """Common base: identity(), multiply(a, b), inverse(a), validate_element(a)."""
 
-    # Counting Haar measure makes the group unimodular; kept as a documented
-    # constant rather than a configurable field.
-    modular_delta = 1.0
-
 
 class Lattice(Group):
     """Z^d under componentwise addition, d in {1, 2, 3}."""
@@ -118,9 +114,6 @@ class FiniteGroup(Group):
     def inverse(self, a: int) -> int:
         self.validate_element(a)
         return self._inverse[a]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def validate_element(self, a) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:

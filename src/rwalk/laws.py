@@ -93,11 +93,12 @@ class Law:
         return Law(self.group, {inv(x): p for x, p in self.atoms.items()},
                    sum_tol=CONVOLVE_SUM_TOL, mass_leak=self.mass_leak)
 
-    def is_symmetric(self, atol: float = 1e-14) -> bool:
+    def is_symmetric(self) -> bool:
+        """Equal to its reversal: the same support, masses within 1e-14."""
         d = self.dual()
         if set(d.atoms) != set(self.atoms):
             return False
-        return all(abs(d.atoms[x] - p) <= atol for x, p in self.atoms.items())
+        return all(abs(d.atoms[x] - p) <= 1e-14 for x, p in self.atoms.items())
 
     def __eq__(self, other):
         return (isinstance(other, Law) and other.group == self.group

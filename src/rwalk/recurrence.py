@@ -29,8 +29,9 @@ products in another layout, so they can differ from an x-coordinate sum
 in the last few ulps.
 
 The Monte Carlo kernels step dense (trajectories, steps) blocks of raw
-Philox words, under the keys of SeedSequence(entropy=seed, spawn_key=(i,))
-from one vectorized pass of numpy's SeedSequence hash.  A lattice row
+Philox words, under the keys of SeedSequence(entropy=seed, spawn_key=(i,)):
+they start from the pool of numpy's own SeedSequence(seed), and one
+vectorized pass of its hash mixes in every spawn key i.  A lattice row
 slot's generator is keyed once per trajectory and continues its stream; a
 finite-group row, which mostly hits within a block or two, is re-keyed
 per block.  The words are those random(horizon) reads, and u = (x >> 11)
@@ -332,16 +333,16 @@ def _philox_keys(seed: int, indices) -> np.ndarray:
     """Philox keys of SeedSequence(entropy=seed, spawn_key=(i,)) for every i,
     as an (n, 2) uint64 array, in one pass over the indices.
 
-    This is numpy's SeedSequence hash (4-word pool) written out: the seed's
-    words and every hash constant do not depend on i, so only the spawn-key
-    word, mixed in last, is an array.  One uint32 word per index: i < 2^32.
+    numpy mixes the spawn key into the pool of SeedSequence(seed) last, after
+    _POOL * max(_POOL, words) hashmix calls for the seed's uint32 words, so
+    the keys start from that pool, and only the spawn-key word and the output
+    hash (bit_generator.pyx) are written out, as arrays over i < 2^32.
     """
     idx = np.asarray(indices, dtype=np.uint64)
     if idx.size and int(idx.max()) >= 1 << 32:
         raise ValueError(f"trajectory index must be < 2**32, got {int(idx.max())}")
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))   # zero-padded, as before a spawn key
-    hash_const = _INIT_A
+    words = -(-seed.bit_length() // 32)
+    hash_const = _INIT_A * pow(_MULT_A, _POOL * max(_POOL, words), 1 << 32) & _MASK32
 
     def hashmix(value, mult=_MULT_A):
         nonlocal hash_const
@@ -350,18 +351,10 @@ def _philox_keys(seed: int, indices) -> np.ndarray:
         value = value * hash_const & _MASK32
         return value ^ value >> 16
 
-    def mix(x, y):
-        r = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for s in range(_POOL):
-        for d in range(_POOL):
-            if s != d:
-                pool[d] = mix(pool[d], hashmix(pool[s]))
-    for w in words[_POOL:] + [idx]:
-        for d in range(_POOL):
-            pool[d] = mix(pool[d], hashmix(w))
+    pool = []
+    for w in np.random.SeedSequence(seed).pool.tolist():
+        r = (_MIX_L * w - _MIX_R * hashmix(idx)) & _MASK32
+        pool.append(r ^ r >> 16)
     # generate_state(2, np.uint64): four output words, paired little-endian
     hash_const = _INIT_B
     out = [hashmix(w, _MULT_B) for w in pool]
@@ -618,7 +611,7 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
     buf = np.pad(first.values, margin)  # the zero border is the absorbing truncation
     inner = tuple(slice(margin, margin + n) for n in shape)
     for _ in range(steps):
-        new = step(law, buf, margin)
+        new = step(law, buf)
         new[target] = 1.0
         buf[inner] = new
         layers.append(FunctionTable(group, window, new))

@@ -198,7 +198,8 @@ def parse_element_set(text: str, group: Group):
             coords = [int(c) for c in part.split(",")]
         except ValueError:
             raise SpecFileError(f"bad element {part!r} in target set") from None
-        elem = coords[0] if isinstance(group, FiniteGroup) else tuple(coords)
+        # a finite-group element is one index: more coordinates are refused
+        elem = coords[0] if isinstance(group, FiniteGroup) and len(coords) == 1 else tuple(coords)
         try:
             group.validate_element(elem)
         except (ValueError, IndexOutOfRange) as exc:

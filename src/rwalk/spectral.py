@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSupport, ExponentOverflow, NotIrreducible
-from .groups import FiniteGroup, Lattice
+from .groups import FiniteGroup
 from .laws import IrreducibilityResult, Law, check_irreducible, default_window
-from .tables import EXP_GUARD, FunctionTable, LatticeBox, invariance_residual
+from .tables import EXP_GUARD, LatticeBox, invariance_residual
 
 MAX_ITERATIONS = 10_000
 # Newton stops once no coordinate of its step exceeds STEP_TOL * max(1, |theta|_inf)
@@ -90,13 +90,6 @@ def _lambda_pass(law: Law, theta):
     w = np.fromiter(law.atoms.values(), float, len(x)) * _guarded_exp(x @ theta)
     xw = x * w[:, None]
     return math.fsum(w), xw.sum(axis=0), xw.T @ x
-
-
-def mgf(law: Law, theta) -> float:
-    """Lambda(theta) = sum_x mass(x) exp(theta.x); convex, Lambda(0) = mass."""
-    if not isinstance(law.group, Lattice):
-        raise TypeError("mgf is defined for lattice laws")
-    return _lambda_pass(law, np.asarray(theta, dtype=float))[0]
 
 
 def find_exponential(law: Law, theta0=None):
@@ -181,5 +174,4 @@ def verify_r_invariance(law: Law, exponential: Exponential, r: float,
     orders of magnitude across a window.  On Z^d it is |1 - r Lambda(theta)|.
     """
     window = window if window is not None else default_window(law, exponential.theta)
-    table = FunctionTable.tabulate(law.group, exponential.phi, window)
-    return invariance_residual(law, table, r)
+    return invariance_residual(law, exponential.phi, r, window)

@@ -6,11 +6,12 @@ corner, over a finite group it is indexed by the elements.  `step`
 applies the one-step operator (P f)(x) = sum_u mass(u) f(x u) to such an
 array: on a lattice as one shifted slice per atom, on a finite group as
 one gather through the Cayley table per atom, always in the law's
-canonical atom order.  A lattice input loses `margin` cells on every side,
-the points one step could carry out of the box, so truncation is never
-extrapolated; the hitting recursion steps one zero-bordered buffer, whose
-border is its absorbing boundary.  Equal arrays give bit-identical outputs
-wherever the box sits, which keeps translated computations exactly comparable.
+canonical atom order.  A lattice input loses law.support_radius() cells
+on every side, the points one step could carry out of the box, so
+truncation is never extrapolated; the hitting recursion steps one
+zero-bordered buffer, whose border is its absorbing boundary.  Equal
+arrays give bit-identical outputs wherever the box sits, which keeps
+translated computations exactly comparable.
 
 `powers`, the forward counterpart, is the one n-step kernel: on a
 lattice it builds the law of X + u, u ~ law, from that of X on the box
@@ -63,9 +64,8 @@ class LatticeBox:
         self.hi = hi
 
     @classmethod
-    def centered(cls, radius: int, dim: int, center: tuple | None = None) -> "LatticeBox":
-        c = center if center is not None else (0,) * dim
-        return cls(tuple(x - radius for x in c), tuple(x + radius for x in c))
+    def centered(cls, radius: int, dim: int) -> "LatticeBox":
+        return cls((-radius,) * dim, (radius,) * dim)
 
     @property
     def shape(self) -> tuple:
@@ -136,13 +136,13 @@ class FunctionTable:
         return float(self.values[self.index(x)])
 
 
-def step(law, values: np.ndarray, margin: int) -> np.ndarray:
+def step(law, values: np.ndarray) -> np.ndarray:
     """One-step transition operator (P f)(x) = sum_u mass(u) f(x u).
 
     On a lattice, `values` is f on a box and the result is P f on the box
-    shrunk by `margin` on every side; WindowExceeded if an atom reaches
-    further than `margin` or the box is too small to shrink.  On a finite
-    group `values` is f on every element and `margin` must be 0.
+    shrunk on every side by law.support_radius(), the reach of one step;
+    WindowExceeded if the box is too small to shrink.  On a finite group
+    `values` is f on every element.
     """
     if isinstance(law.group, FiniteGroup):
         cayley = law.group.cayley_array
@@ -150,24 +150,25 @@ def step(law, values: np.ndarray, margin: int) -> np.ndarray:
         for u, p in law.atoms.items():
             out += p * values[cayley[:, u]]
         return out
+    margin = law.support_radius()
     inner = tuple(n - 2 * margin for n in values.shape)
-    if law.support_radius() > margin or min(inner) < 1:
-        raise WindowExceeded(
-            f"box of shape {values.shape} too small to apply a step of support "
-            f"radius {law.support_radius()} with margin {margin}")
+    if min(inner) < 1:
+        raise WindowExceeded(f"box of shape {values.shape} too small to apply a step of "
+                             f"support radius {margin}")
     out = np.zeros(inner)
     for u, p in law.atoms.items():
         out += p * values[tuple(slice(margin + c, margin + c + n) for c, n in zip(u, inner))]
     return out
 
 
-def invariance_residual(law, table: FunctionTable, r: float) -> float:
-    """Max relative residual of f = r * P f over the points of the table's
-    window that one step cannot carry outside it."""
+def invariance_residual(law, fn, r: float, window: LatticeBox | None) -> float:
+    """Max relative residual of f = r * P f, with f the table of fn on the
+    window (FunctionTable.tabulate), over the points of the window that one
+    step cannot carry outside it."""
+    values = FunctionTable.tabulate(law.group, fn, window).values
     margin = law.support_radius()
-    image = step(law, table.values, margin)
-    ref = table.values[tuple(slice(margin, n - margin) for n in table.values.shape)]
-    return float(np.max(np.abs(ref - r * image) / ref))
+    ref = values[tuple(slice(margin, n - margin) for n in values.shape)]
+    return float(np.max(np.abs(ref - r * step(law, values)) / ref))
 
 
 def check_cells(shape, what: str) -> None:
@@ -243,7 +244,7 @@ def powers(law, n_max: int, shifts=None):
         f = np.zeros(group.order)
         f[group.identity()] = 1.0
         for _ in range(n_max):
-            f = step(reversed_law, f, 0)
+            f = step(reversed_law, f)
             yield f
         return
     shifts = list(law.atoms) if shifts is None else shifts.tolist()

@@ -1,11 +1,13 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rwalk import FiniteGroup, Lattice, Law, cyclic_group, find_exponential, tilt
+from rwalk.spectral import _lambda_pass
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -21,6 +23,11 @@ def _compose(p, q):
 def s3_cayley():
     idx = {p: i for i, p in enumerate(_S3_PERMS)}
     return [[idx[_compose(p, q)] for q in _S3_PERMS] for p in _S3_PERMS]
+
+
+def mgf(law, theta):
+    """Lambda(theta) = sum_x mass(x) exp(theta.x), from the solver's one pass."""
+    return _lambda_pass(law, np.asarray(theta, dtype=float))[0]
 
 
 def tilt_from_spectral(law):

@@ -17,12 +17,12 @@ import pytest
 from rwalk import (Law, Verdict, check_dual_invariance,
                    check_dual_spectral_radius, check_measure_invariance,
                    check_translation_invariance, estimate_rho,
-                   find_exponential, hitting_dp, mgf,
+                   find_exponential, hitting_dp,
                    r_recurrence_test, return_series, simulate_harris,
                    verify_r_invariance)
 from rwalk.spectral import _lambda_pass
 
-from conftest import tilt_from_spectral
+from conftest import mgf, tilt_from_spectral
 
 P = 0.25
 THETA_STAR = 0.5 * math.log(3.0)          # solve 0.25 e^t = 0.75 e^-t by hand

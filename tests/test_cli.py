@@ -4,6 +4,9 @@ import json
 import math
 import os
 import platform
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -28,6 +31,7 @@ from conftest import FIXTURES
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "rwalk"
      / "report_schema.json").read_text())
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 # --- minimal JSON-schema checker (type/properties/required/items/enum) ----
@@ -297,6 +301,8 @@ ARGV_ERRORS = [
      "spec error: empty target set\n"),
     ("target outside group", ["simulate", "{Z}", *SIM10, "--target", "7"], None, 1,
      "spec error: target element '7': index 7 not in 0..5\n"),
+    ("target coordinates on a finite group", ["simulate", "{Z}", *SIM10, "--target", "1,2"],
+     None, 1, "spec error: target element '1,2': index (1, 2) not in 0..5\n"),
     ("target negative", ["simulate", "{D}", *SIM10, "--series-horizon", "20",
                          "--target", "-1,0"], None, 0, ""),
     ("missing file", ["analyze", "{missing}"], None, 1,
@@ -420,7 +426,19 @@ def test_verify_eq12_table_too_large_fails_fast(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ("eq12         ERROR (the 50-step hitting table has 5151 cells, "
-                            "beyond the dense-array limit of 5150)\n")
+                            "beyond the dense-array limit of 5150; --paper-checks "
+                            "without eq12 leaves it out)\n")
+
+
+def test_verify_eq12_refuses_a_wide_1d_law(capsys, tmp_path):
+    # support radius 2000: the 50-step table is 51 layers of 200001 cells
+    spec = tmp_path / "wide1d.spec"
+    spec.write_text("group lattice 1\nlaw\n  -2000 0.4\n  1999 0.3\n  2000 0.3\n")
+    code = main(["verify", str(spec), "--paper-checks", "eq12"])
+    assert code == 3
+    assert capsys.readouterr().out == (
+        "eq12         ERROR (the 50-step hitting table has 10200051 cells, beyond the "
+        "dense-array limit of 4194304; --paper-checks without eq12 leaves it out)\n")
 
 
 def test_verify_check_windows_too_large_fail_fast(capsys, monkeypatch, tmp_path):
@@ -596,7 +614,7 @@ def _solver_off_by(eps):
         if not sp.theta:
             return exponential, sp
         theta = tuple(t + eps for t in sp.theta)
-        rho = spectral.mgf(law, theta)
+        rho = spectral._lambda_pass(law, np.asarray(theta, dtype=float))[0]
         return spectral.Exponential(theta), sp._replace(theta=theta, rho=rho, R=1.0 / rho)
     return solve
 
@@ -604,15 +622,16 @@ def _solver_off_by(eps):
 @pytest.mark.parametrize("modules, eps", [((cli, spectral), 1e-3), ((cli,), 1e-5)])
 def test_verify_fails_a_wrong_theta(capsys, monkeypatch, modules, eps):
     # on Z^d, P exp(theta.x) = Lambda(theta) exp(theta.x) at every theta, so the
-    # window residuals read the same at a wrong theta; the tilted drift (eq1)
-    # and theta*(dual v) = -theta* (dual) read theta* itself.  Patched in
-    # spectral too, the dual walk is solved as wrongly as the walk.
+    # window residuals read the same at a wrong theta; the tilted drift (eq1,
+    # measure) and theta*(dual v) = -theta* (dual) read theta* itself.  Patched
+    # in spectral too, the dual walk is solved as wrongly as the walk.
     for module in modules:
         monkeypatch.setattr(module, "find_exponential", _solver_off_by(eps))
     code = main(["verify", fixture("drift2d.spec")])
     lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
     assert code == 3
     assert " FAIL " in lines["eq1"] and " FAIL " in lines["dual"]
+    assert " FAIL " in lines["measure"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -945,3 +964,32 @@ def test_simulate_unsettled_series_reports_no_rho(tmp_path):
     assert main(args) == 0
     rec = json.loads(out.read_text())["recurrence"]
     assert rec["rho_series"] == pytest.approx(1.0, abs=1e-9) and rec["warnings"] == []
+
+
+def _readme_sessions():
+    """(command, shown output lines) for each `$ rwalk ...` line in the code
+    blocks of the README's "Command line" section, up to its next heading."""
+    section = re.split(r"\n#{2,3} ", README.read_text().split("\n## Command line\n")[1])[0]
+    sessions = []
+    for block in section.split("```")[1::2]:
+        for line in block.splitlines():
+            if line.startswith("$ rwalk "):
+                sessions.append((line[2:], []))
+            elif line.strip() and sessions:
+                sessions[-1][1].append(line)
+    return sessions
+
+
+def test_readme_command_line_examples_match_the_cli(capsys, monkeypatch, tmp_path):
+    sessions = _readme_sessions()
+    assert len(sessions) >= 3
+    shutil.copytree(FIXTURES, tmp_path / "tests" / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    for command, shown in sessions:
+        assert main(shlex.split(command)[1:]) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        for line in shown:
+            if line == "...":
+                continue
+            prefix = line.removesuffix("(...)")
+            assert any(o.startswith(prefix) for o in out), (command, line)

@@ -111,7 +111,7 @@ def test_convolve_rejects_group_mismatch(bernoulli, z6_law):
 def test_step_constant_one(bernoulli, z1):
     window = LatticeBox.centered(3, 1)
     ones = FunctionTable.tabulate(z1, lambda x: 1.0, window)
-    image = FunctionTable(z1, LatticeBox.centered(2, 1), step(bernoulli, ones.values, 1))
+    image = FunctionTable(z1, LatticeBox.centered(2, 1), step(bernoulli, ones.values))
     assert image[(0,)] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -119,21 +119,21 @@ def test_step_exponential(bernoulli, z1):
     window = LatticeBox.centered(3, 1)
     inner = LatticeBox.centered(2, 1)
     flat = FunctionTable.tabulate(z1, lambda x: np.exp(0.0 * x[0]), window)
-    image = FunctionTable(z1, inner, step(bernoulli, flat.values, 1))
+    image = FunctionTable(z1, inner, step(bernoulli, flat.values))
     assert image[(0,)] == pytest.approx(1.0, abs=1e-15)
     theta = 0.5 * math.log(3.0)
     table = FunctionTable.tabulate(z1, lambda x: np.exp(theta * x[0]), window)
-    image = FunctionTable(z1, inner, step(bernoulli, table.values, 1))
+    image = FunctionTable(z1, inner, step(bernoulli, table.values))
     # closed form 2*sqrt(p*(1-p))
     assert image[(0,)] == pytest.approx(2.0 * math.sqrt(0.25 * 0.75), abs=1e-12)
 
 
 def test_step_window_exceeded(bernoulli, z1):
-    window = LatticeBox.centered(2, 1)
+    window = LatticeBox((0,), (1,))
     t = FunctionTable.tabulate(z1, lambda x: 1.0, window)
-    # margin 0 keeps the boundary points, from which one step leaves the box
+    # a two-point box has no point from which one step of radius 1 stays inside
     with pytest.raises(WindowExceeded):
-        step(bernoulli, t.values, 0)
+        step(bernoulli, t.values)
 
 
 def test_irreducibility_examples(bernoulli, z1):

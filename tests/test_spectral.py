@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from rwalk import (DegenerateSupport, ExponentOverflow, Lattice, Law,
                    LatticeBox, NotIrreducible, WindowExceeded,
-                   check_dual_spectral_radius, check_irreducible, find_exponential, mgf,
+                   check_dual_spectral_radius, check_irreducible, find_exponential,
                    verify_r_invariance)
 from rwalk.spectral import Exponential, _lambda_pass
+
+from conftest import mgf
 
 BERNOULLI_THETA = 0.5 * math.log(3.0)            # calculus: 0.25 e^t = 0.75 e^-t
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)

@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 
 from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
                    check_dual_invariance, check_measure_invariance,
-                   check_translation_invariance, hitting_dp, mgf,
+                   check_translation_invariance, hitting_dp,
                    parse_walk_spec, verify_r_invariance)
 from rwalk.cli import TRANSLATION_STEPS
 from rwalk.groups import FiniteGroup, Lattice
 from rwalk.spectral import Exponential
 from rwalk.tables import powers, step, step_span
+
+from conftest import mgf
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                            database=None)
@@ -54,7 +56,7 @@ def padded_hitting_layers(law, targets, steps, window):
     margin = law.support_radius()
     layers = [first.values]
     for _ in range(steps):
-        stepped = step(law, np.pad(layers[-1], margin), margin)
+        stepped = step(law, np.pad(layers[-1], margin))
         layers.append(np.where(target, 1.0, stepped))
     return layers
 
@@ -166,9 +168,9 @@ def test_step_is_translation_exact(drift2d, z2):
     f = FunctionTable.tabulate(z2, lambda x: np.cos(x[0]) + x[1] ** 2,
                                LatticeBox.centered(6, 2))
     g = FunctionTable.tabulate(z2, lambda x: np.cos(x[0] - 7) + (x[1] + 3) ** 2,
-                               LatticeBox.centered(6, 2, center=(7, -3)))
+                               LatticeBox((1, -9), (13, 3)))
     assert np.array_equal(f.values, g.values)
-    assert np.array_equal(step(drift2d, f.values, 1), step(drift2d, g.values, 1))
+    assert np.array_equal(step(drift2d, f.values), step(drift2d, g.values))
 
 
 def test_dual_and_measure_residuals_identical(asymmetric_corpus, z6_law):
@@ -199,8 +201,8 @@ def test_finite_step_matches_pointwise_reference(s3_skew):
     f = lambda x: float(values[x])
     mul = s3_skew.group.multiply
     for law in (s3_skew, s3_skew.dual()):
-        out = step(law, values, 0)
-        for x in s3_skew.group.elements():
+        out = step(law, values)
+        for x in range(s3_skew.group.order):
             ref = math.fsum(p * f(mul(x, u)) for u, p in law.atoms.items())
             assert out[x] == pytest.approx(ref, abs=1e-15)
 
@@ -212,14 +214,14 @@ def test_finite_dense_powers_use_right_multiplication(s3_skew):
     f = np.eye(6)[s3_skew.group.identity()]
     worst = 0.0
     for n in range(1, 4):
-        f = step(s3_skew, f, 0)
+        f = step(s3_skew, f)
         law_n = s3_skew.power(n)
         worst = max(worst, max(abs(f[x] - law_n.atoms.get(x, 0.0)) for x in range(6)))
     assert worst > 0.01
 
 
 def test_finite_residuals_match_pointwise_reference(s3_skew):
-    region = list(s3_skew.group.elements())
+    region = list(range(s3_skew.group.order))
     one = lambda x: 1.0
     for r in (1.0, 1.25):
         assert verify_r_invariance(s3_skew, Exponential(), r) == pytest.approx(
@@ -233,13 +235,13 @@ def test_finite_residuals_match_pointwise_reference(s3_skew):
 def test_finite_hitting_layers_match_pointwise_reference(s3_skew):
     for targets in ({0}, {2, 4}):
         table = hitting_dp(s3_skew, targets, 25)
-        ref = brute_hitting(s3_skew, targets, 25, list(s3_skew.group.elements()))
+        ref = brute_hitting(s3_skew, targets, 25, list(range(s3_skew.group.order)))
         for layer, expected in zip(table.layers, ref):
             assert max(abs(layer[x] - v) for x, v in expected.items()) <= 1e-15
 
 
 def test_translation_invariance_nonabelian_exact(s3_skew):
-    for y in s3_skew.group.elements():
+    for y in range(s3_skew.group.order):
         assert check_translation_invariance(s3_skew, {0}, y, 40) == 0.0
         assert check_translation_invariance(s3_skew, {1, 3}, y, 15) == 0.0
 
