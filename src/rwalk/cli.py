@@ -361,7 +361,7 @@ def cmd_simulate(args) -> int:
     series, test = rec.series, rec.test
 
     t0 = time.perf_counter()
-    mc = simulate_harris(spec.law, target, trajectories, horizon, seed)
+    mc = simulate_harris(spec.law, target, trajectories, horizon, seed, workers=args.workers)
     report["timings"]["monte_carlo"] = time.perf_counter() - t0
 
     report["recurrence"] = {

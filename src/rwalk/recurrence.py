@@ -12,42 +12,28 @@ decide from finitely many terms:
                       tilted walk's series; labeled heuristic, with thresholds
   * simulate_harris   Monte Carlo single-return fractions with deterministic
                       per-trajectory substreams (counter-based Philox keyed
-                      by (seed, trajectory index), one worker by default)
+                      by (seed, trajectory index)), chunks forked per CPU
 
 plus the exact hitting-probability dynamic program used for the
 translation-invariance identity h^{yB}(yx) = h^B(x).
 
 On a lattice the series steps tables.powers, whose size limit bounds it
-too, on the walk's parity coset when it has one: if a.u is odd for every
-atom u and some a in {0,1}^d, X_n lies in a.x = n (mod 2), and a basis
-of that coset (_coset_frame) turns each atom into a fixed shift in the
-smallest box, (n+1)^d on the nearest-neighbour walks against the x box's
-(2n+1)^d.  Every cell equals the x-coordinate convolution bit for bit
-(the cells left out held exact zeros), odd-n returns are exact zeros and
-are not computed, and only the pairing sums p(2n) add the same nonzero
-products in another layout, so they can differ from an x-coordinate sum
-in the last few ulps.
+too, in the coordinates of the walk's parity coset when it has one
+(_coset_frame): odd-n returns are then exact zeros and are not computed,
+every cell equals the x-coordinate convolution bit for bit, and only the
+pairing sums p(2n) can differ from an x-coordinate sum in the last ulps.
 
-The Monte Carlo kernels step dense (trajectories, steps) blocks of raw
-Philox words, under the keys of SeedSequence(entropy=seed, spawn_key=(i,)):
-they start from the pool of numpy's own SeedSequence(seed), and one
-vectorized pass of its hash mixes in every spawn key i.  A lattice row
-slot's generator is keyed once per trajectory and continues its stream; a
-finite-group row, which mostly hits within a block or two, is re-keyed
-per block.  The words are those random(horizon) reads, and u = (x >> 11)
-2^-53 >= c exactly when x >= ceil(c 2^53) << 11, so an atom index is a
-comparison sum over integer thresholds (searchsorted from _COMPARE_ATOMS
-on).  On a lattice a position is one int64 mixed-radix key, sum_k x_k W_k
-with radix 2*horizon*r_k + 1 on axis k (r_k the largest |atom
-coordinate|), injective on every reachable position: a walk is a 1-D
-cumsum of atom keys and a hit one key comparison.  Targets out of reach
-are dropped first, since their keys could equal reachable ones, and axes
-whose radix product would pass 2^63 get a key of their own.  A row that
-has hit moves behind the live ones and only sums its atom keys into its
-end key, which decodes to the end position.  On a finite group a step is
-one lookup in a table whose extra absorbing state stands for "has hit",
-and a row stops drawing after the block of its first hit.  Only first
-hits count, so neither changes a result.
+The Monte Carlo runs chunks of _MC_CHUNK trajectories in forked processes
+(_run_chunks), merged in chunk order.  Its kernels step dense (trajectories,
+steps) blocks of raw Philox words (_philox_keys, _word_thresholds).  A
+lattice row slot's generator is keyed once per trajectory and continues its
+stream; a finite-group row, which mostly hits within a block or two, is
+re-keyed per block.  On a lattice a position is one int64 mixed-radix key
+(_key_weights), a walk a 1-D cumsum of atom keys and a hit one key
+comparison; a row that has hit only sums its atom keys.  On a finite group
+a step is one lookup in a table with an absorbing "has hit" state, and a
+row stops after the block of its first hit.  Only first hits count, so
+neither changes a result.
 """
 
 from __future__ import annotations
@@ -324,9 +310,58 @@ def worker_count(requested: int | None = None) -> int:
             count = 0  # reported below, like a non-positive count
         if count < 1:
             raise ValueError(f"RWALK_THREADS must be a positive integer number of "
-                             f"worker threads, got {env!r}")
+                             f"worker processes, got {env!r}")
         return count
-    return 1
+    return _cpus()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _run_chunks(run, chunks, workers):
+    """[run(ix) for ix in chunks], chunk j run by process j % n, where n =
+    min(workers, len(chunks), CPUs).  Process 0, the caller, runs its share
+    while n - 1 forked children pipe theirs back pickled, then the share of
+    any child that did not exit 0 with all of it, so an exception shows as
+    with one worker; on an exception of its own it kills and reaps every
+    child.  n is 1 without os.fork or beside threads (a child could deadlock)."""
+    import pickle
+    import threading
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    n = min(workers, len(chunks), _cpus()) if forks else 1
+    parts, kids = [None] * len(chunks), {}   # kids: share -> (pid, read end)
+    try:
+        for i in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if not pid:
+                try:
+                    os.close(r)   # a caller that is gone fails the write
+                    with open(w, "wb") as out:
+                        pickle.dump([run(ix) for ix in chunks[i::n]], out)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            kids[i] = pid, open(r, "rb")
+        parts[::n] = map(run, chunks[::n])
+        for i in range(1, n):
+            pid, r = kids[i]
+            with r:
+                data = r.read()
+            status = os.waitpid(pid, 0)[1]
+            del kids[i]
+            share = pickle.loads(data) if status == 0 else []
+            parts[i::n] = share if len(share) == len(chunks[i::n]) else map(run, chunks[i::n])
+        return parts
+    finally:
+        for pid, r in kids.values():
+            os.kill(pid, 9)   # SIGKILL
+            os.waitpid(pid, 0)
+            r.close()
 
 
 def _philox_keys(seed: int, indices) -> np.ndarray:
@@ -501,32 +536,18 @@ def _target_set(group, target) -> frozenset:
 
 def simulate_harris(law: Law, target, trajectories: int, horizon: int,
                     seed: int, workers: int | None = None) -> HarrisResult:
-    """Fraction of walks from the identity that hit the target within horizon.
+    """Fraction of `trajectories` walks from the identity, one i.i.d.
+    increment of `law` per step, whose first n >= 1 with X_n in the
+    nonempty target set is at most `horizon`.
 
-    Parameters
-    ----------
-    law : Law
-        Increment law; one i.i.d. increment per step.
-    target : iterable of elements
-        Nonempty set B; a trajectory counts as returned on the first
-        n >= 1 with X_n in B (the start is not counted).
-    trajectories, horizon : int
-        Number of walks and steps per walk.
-    seed : int
-        Master seed; trajectory i uses the Philox stream keyed by
-        (seed, i), so results are bit-identical for a given seed no
-        matter how trajectories are chunked across workers.
-    workers : int or None
-        Worker threads; None consults RWALK_THREADS, then uses 1.  One
-        worker is the default because a second one was measured slower
-        on every benchmark input; results do not depend on the count.
-
-    Returns
-    -------
-    HarrisResult with the hit fraction, a 95% normal-approximation
-    half-width, and (on lattices) the mean end displacement with its
-    standard error, the zero-drift diagnostic.
-    """
+    Trajectory i reads the Philox stream keyed by (seed, i), so a seed's
+    result is the same bit for bit whatever the worker count.  `workers`
+    counts processes, the caller and its forked children (_run_chunks);
+    None reads RWALK_THREADS, then takes the CPUs this process may run on,
+    which also cap it.  One chunk, no os.fork or other live threads run in
+    process.  Returns the hit fraction, a 95% normal-approximation
+    half-width and, on a lattice, the mean end displacement and its
+    standard error, the zero-drift diagnostic."""
     targets = _target_set(law.group, target)
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
@@ -547,13 +568,7 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
         run = lambda ix: _chunk_finite(law.group.cayley_array, elems, thresholds, targets,
                                        horizon, seed, law.group.identity(), ix)
 
-    nworkers = worker_count(workers)
-    if nworkers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(ix) for ix in chunks]
+    parts = _run_chunks(run, chunks, worker_count(workers))
 
     hits = sum(p[0] for p in parts)
     frac = hits / trajectories
@@ -586,9 +601,7 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
     away from the targets, out of reach, so the bound is exact (a finite
     group's window is the whole group, its support_radius 0).  The steps + 1
     layers are refused (tables.check_cells) before any is allocated.  Every
-    step reads one buffer whose zero border is never written: it holds the
-    previous layer as np.pad would, and setting the targets to 1.0 after the
-    step equals np.where, so the layers are bit-identical to padding anew.
+    step reads one buffer whose zero border, never written, is the truncation.
     """
     group = law.group
     targets = _target_set(group, targets)

@@ -13,26 +13,12 @@ zero-bordered buffer, whose border is its absorbing boundary.  Equal
 arrays give bit-identical outputs wherever the box sits, which keeps
 translated computations exactly comparable.
 
-`powers`, the forward counterpart, is the one n-step kernel: on a
-lattice it builds the law of X + u, u ~ law, from that of X on the box
-grown by one step's span (step_span, which holds the origin, so every
-n-step box nests in the next), as shifted scaled adds in the law's atom
-order; the return series passes the atoms as shifts in its coset
-coordinates.  Copied into the corner of the (m+1)-step box, the m-step
-array reads each atom at one fixed offset in the box's flat order, so
-the step is one contiguous add per atom, in place, a tile of _TILE_CELLS
-cells at a time; a 1D box of one tile reads the m-step array itself.  A
-shifted read that leaves the m-step array lands in the copy's zero
-padding, and adding p * 0.0 leaves a non-negative cell as it is, so the
-arrays are bit-identical to one d-dimensional slice add per atom.  Dense
-n-step boxes grow as n^d, so the last one is checked against
-DENSE_CELL_LIMIT before anything is allocated (check_cells, which bounds
-the hitting DP's table and the check windows too).  Cells below
-UNDERFLOW_FLOOR are flushed to zero, as Law.convolve drops such atoms,
-but the three passes this costs are skipped while they cannot fire:
-every positive cell of the m-step array is at least pmin^m (1 - 2^-53)^m
-for the smallest atom mass pmin (flush_free_steps).  On a finite group
-the step is `step` with the reversed law.
+`powers`, the forward counterpart, is the one n-step kernel: one contiguous
+add per atom at a fixed flat offset, where a read past the m-step array
+lands in zero padding and adding p * 0.0 leaves a non-negative cell as it
+is, so the arrays are bit-identical to one d-dimensional slice add per atom.
+check_cells refuses a dense box past DENSE_CELL_LIMIT (an n-step box, the
+hitting DP's table, a check window) before it is allocated.
 """
 
 from __future__ import annotations

@@ -236,7 +236,7 @@ SIMULATE_USAGE = (
     "                      [--horizon HORIZON] [--seed SEED] [--target TARGET]\n"
     "                      [--series-horizon SERIES_HORIZON] [--csv PATH]\n"
     "                      spec\n")
-THREADS_ERROR = "RWALK_THREADS must be a positive integer number of worker threads, got "
+THREADS_ERROR = "RWALK_THREADS must be a positive integer number of worker processes, got "
 SIM10 = ["--trajectories", "10", "--horizon", "10"]
 
 # (case, argv with {B}/{D}/{Z} for the bernoulli/drift2d/z6 fixtures,
@@ -347,16 +347,19 @@ def test_verify_negative_tolerance_is_a_usage_error(capsys):
 
 def test_one_parser_and_one_worker_count_per_main(capsys, monkeypatch):
     import rwalk.cli
+    import rwalk.recurrence
     calls = []
 
-    def counting():
-        calls.append(1)
-        return worker_count()
+    def counting(requested=None):
+        calls.append(requested)
+        return worker_count(requested)
 
     monkeypatch.setattr(rwalk.cli, "worker_count", counting)
+    # simulate passes main's count on: the Monte Carlo counts no workers itself
+    monkeypatch.setattr(rwalk.recurrence, "worker_count", counting)
     for command in ("analyze", "verify", "simulate"):
         assert main([command, fixture("z6.spec"), "--json", "-"]) == 0
-    assert len(calls) == 3
+    assert calls.count(None) == 3
     assert rwalk.cli._build_parser.cache_info().misses == 1
     capsys.readouterr()
 

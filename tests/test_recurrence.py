@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import threading
+import time
 import tracemalloc
 from itertools import product
 
@@ -997,6 +1000,110 @@ def test_worker_count_rejects_non_positive_counts(monkeypatch):
             worker_count()
     monkeypatch.setenv("RWALK_THREADS", "2")
     assert worker_count() == 2
+
+
+def test_worker_count_defaults_to_the_available_cpus(monkeypatch):
+    monkeypatch.delenv("RWALK_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert worker_count() == 3
+    # where the affinity call is missing, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert worker_count() == 7
+
+
+# ------------------------------------------------ Monte Carlo processes
+#
+# Every call below runs at most 1024 trajectories, four chunks, so no test
+# starts more than three child processes.
+
+MC_HORIZON = 200
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "drift2d", "symmetric3d", "z6_law"])
+@pytest.mark.parametrize("cpus", [None, 4])
+def test_simulate_worker_processes_give_the_one_worker_result(name, cpus, request,
+                                                              monkeypatch):
+    # cpus=4 runs four processes, whatever this machine has
+    if cpus is not None:
+        monkeypatch.setattr(recurrence, "_cpus", lambda: cpus)
+    law = request.getfixturevalue(name)
+    target = {law.group.identity()}
+    for trajectories in (1024, 700):   # 700: a short last chunk
+        want = simulate_harris(law, target, trajectories, MC_HORIZON, 9, workers=1)
+        for workers in (2, 4):
+            got = simulate_harris(law, target, trajectories, MC_HORIZON, 9, workers=workers)
+            assert got == want, (trajectories, workers)
+    assert_no_child_left()
+
+
+def test_a_failed_child_share_runs_in_the_caller(bernoulli, monkeypatch):
+    monkeypatch.setattr(recurrence, "_cpus", lambda: 2)
+    want = simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=1)
+    real, caller = recurrence._chunk_lattice, os.getpid()
+
+    def fails_in_child(*args):
+        if os.getpid() != caller:
+            raise RuntimeError("child")
+        return real(*args)
+
+    monkeypatch.setattr(recurrence, "_chunk_lattice", fails_in_child)
+    assert simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=2) == want
+    assert_no_child_left()
+
+
+def test_an_exception_in_the_caller_kills_every_child(bernoulli, monkeypatch):
+    monkeypatch.setattr(recurrence, "_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def fails_in_caller(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)   # the child is still at work when the caller fails
+
+    monkeypatch.setattr(recurrence, "_chunk_lattice", fails_in_caller)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=2)
+    assert time.perf_counter() - start < 30   # killed, not waited for
+    assert_no_child_left()
+
+
+def test_no_fork_beside_other_threads_or_without_fork(bernoulli, monkeypatch):
+    want = simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=1)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = []
+    thread = threading.Thread(target=lambda: got.append(
+        simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=2)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and got == [want]
+    monkeypatch.delattr(os, "fork")
+    assert simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=2) == want
+
+
+def test_workers_are_capped_by_the_available_cpus(bernoulli, monkeypatch):
+    forks, real = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    got = simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=64)
+    assert len(forks) <= 1
+    assert got == simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=1)
+    assert_no_child_left()
 
 
 # ----------------------------------------------- Monte Carlo block kernels
