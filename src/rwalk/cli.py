@@ -27,7 +27,7 @@ from .groups import FiniteGroup, Lattice
 from .laws import Law, default_window
 from .recurrence import (GROWTH_RECURRENT, GROWTH_TRANSIENT,
                          build_recurrence_report, check_translation_invariance,
-                         simulate_harris, worker_count)
+                         series_horizon, simulate_harris, worker_count)
 from .specfile import (WalkSpec, format_walk_spec, parse_element_set,
                        parse_walk_spec)
 from .spectral import check_dual_spectral_radius, find_exponential, verify_r_invariance
@@ -348,21 +348,29 @@ def cmd_simulate(args) -> int:
               else frozenset({spec.group.identity()}))
     report, exponential, spectral = _solve(args, spec)
 
-    # the series first: an oversized one is refused before the Monte Carlo runs
-    t0 = time.perf_counter()
-    tw = tilt(spec.law, exponential, spectral.R)
+    # an oversized series is refused before the Monte Carlo forks; the tilted
+    # law has the original's support, so the same series is refused
     try:
+        series_horizon(spec.law, args.series_horizon)
+    except HorizonTooLarge as exc:
+        raise HorizonTooLarge(f"{exc}; set a smaller --series-horizon") from None
+    rec = None
+
+    def build_series():   # runs in the caller while the Monte Carlo children run
+        nonlocal rec
+        t0 = time.perf_counter()
+        tw = tilt(spec.law, exponential, spectral.R)
         rec = build_recurrence_report(tw.tilted, spectral.rho, horizon=args.series_horizon,
                                       recurrent_threshold=recurrent,
                                       transient_threshold=transient)
-    except HorizonTooLarge as exc:
-        raise HorizonTooLarge(f"{exc}; set a smaller --series-horizon") from None
-    report["timings"]["series"] = time.perf_counter() - t0
-    series, test = rec.series, rec.test
+        report["timings"]["series"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    mc = simulate_harris(spec.law, target, trajectories, horizon, seed, workers=args.workers)
+    mc = simulate_harris(spec.law, target, trajectories, horizon, seed, workers=args.workers,
+                         meanwhile=build_series)
+    # timings.monte_carlo includes the series, which ran inside it
     report["timings"]["monte_carlo"] = time.perf_counter() - t0
+    series, test = rec.series, rec.test
 
     report["recurrence"] = {
         "rho_series": rec.rho_series, "rho_method": rec.rho_method,

@@ -12,7 +12,8 @@ decide from finitely many terms:
                       tilted walk's series; labeled heuristic, with thresholds
   * simulate_harris   Monte Carlo single-return fractions with deterministic
                       per-trajectory substreams (counter-based Philox keyed
-                      by (seed, trajectory index)), chunks forked per CPU
+                      by (seed, trajectory index)), chunks claimed from
+                      one queue by forked processes, one per CPU
 
 plus the exact hitting-probability dynamic program used for the
 translation-invariance identity h^{yB}(yx) = h^B(x).
@@ -24,7 +25,9 @@ every cell equals the x-coordinate convolution bit for bit, and only the
 pairing sums p(2n) can differ from an x-coordinate sum in the last ulps.
 
 The Monte Carlo runs chunks of _MC_CHUNK trajectories in forked processes
-(_run_chunks), merged in chunk order.  Its kernels step dense (trajectories,
+that claim them from one token pipe, while the caller first does other
+work it is handed, such as the return series (_run_chunks); parts merge in
+chunk order.  Its kernels step dense (trajectories,
 steps) blocks of raw Philox words (_philox_keys, _word_thresholds).  A
 lattice row slot's generator is keyed once per trajectory and continues its
 stream; a finite-group row, which mostly hits within a block or two, is
@@ -64,6 +67,7 @@ MIN_TERMS = 50  # nonzero series terms estimate_rho needs
 WIDE_SUPPORT_RADIUS = 8
 
 _MC_CHUNK = 256  # fixed chunk size so results never depend on worker count
+_TOKEN = 2       # bytes of one claim token, a unit index (_run_chunks)
 # Monte Carlo blocks: 16 lattice rows x 1024 steps, or a finite-group chunk
 # x 64 steps; either way 128 KiB of words per worker.
 _LATTICE_ROWS = 16
@@ -200,9 +204,11 @@ def _finish_series(probs, horizon, worst_mass) -> ReturnSeries:
     return ReturnSeries(probs, period, horizon, worst_mass)
 
 
-def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
-    """Exact p(n, e, {e}) for n = 0..horizon; HorizonTooLarge beyond the
-    per-dimension cap, or when the half-horizon box passes the dense limit."""
+def series_horizon(law: Law, horizon: int | None = None) -> int:
+    """The horizon return_series(law, horizon) runs to, None giving the
+    default; HorizonTooLarge beyond the per-dimension cap, or when the
+    half-horizon box passes the dense limit.  The law's support and group
+    decide, so a tilted law has its original's."""
     finite = isinstance(law.group, FiniteGroup)
     default, cap = SERIES_HORIZON_FINITE if finite else SERIES_HORIZON[law.group.dim]
     horizon = default if horizon is None else horizon
@@ -210,12 +216,21 @@ def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
         raise HorizonTooLarge(f"horizon {horizon} exceeds cap {cap} for {law.group}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if finite:
+    if not finite:
+        half = (horizon + 1) // 2
+        try:
+            step_span(_coset_frame(law, half)[0], half)
+        except WindowExceeded as exc:
+            raise HorizonTooLarge(f"series horizon {horizon}: {exc}") from None
+    return horizon
+
+
+def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
+    """Exact p(n, e, {e}) for n = 0..horizon, refused as series_horizon refuses."""
+    horizon = series_horizon(law, horizon)
+    if isinstance(law.group, FiniteGroup):
         return _series_finite(law, horizon)
-    try:
-        return _series_lattice(law, horizon)
-    except WindowExceeded as exc:
-        raise HorizonTooLarge(f"series horizon {horizon}: {exc}") from None
+    return _series_lattice(law, horizon)
 
 
 class RhoEstimate(NamedTuple):
@@ -321,47 +336,67 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_chunks(run, chunks, workers):
-    """[run(ix) for ix in chunks], chunk j run by process j % n, where n =
-    min(workers, len(chunks), CPUs).  Process 0, the caller, runs its share
-    while n - 1 forked children pipe theirs back pickled, then the share of
-    any child that did not exit 0 with all of it, so an exception shows as
-    with one worker; on an exception of its own it kills and reaps every
-    child.  n is 1 without os.fork or beside threads (a child could deadlock)."""
+def _run_chunks(run, chunks, workers, meanwhile=None):
+    """[run(ix) for ix in chunks], claimed from one queue by the caller and
+    n - 1 forked children, n = min(workers, units + (meanwhile given), CPUs).
+    A unit is a run of consecutive chunks, at most PIPE_BUF // _TOKEN units,
+    so their tokens take one pipe write, before any fork, that cannot block.
+    Each process reads a token per unit it claims until EOF, the caller after
+    meanwhile().  The caller runs each unit no child reported (a child that
+    did not exit 0 reports none), so an exception shows as with one worker;
+    on one of its own, a failed fork included, it kills and reaps every child
+    and closes every pipe.  n is 1 without os.fork or beside threads (a child
+    could deadlock)."""
     import pickle
+    import select
     import threading
+    per = -(-len(chunks) // (select.PIPE_BUF // _TOKEN))
+    units = [chunks[j:j + per] for j in range(0, len(chunks), per)]
     forks = hasattr(os, "fork") and threading.active_count() == 1
-    n = min(workers, len(chunks), _cpus()) if forks else 1
-    parts, kids = [None] * len(chunks), {}   # kids: share -> (pid, read end)
+    n = min(workers, len(units) + (meanwhile is not None), _cpus()) if forks else 1
+    kids, fds = {}, list(os.pipe())   # kids: pid -> result read end; fds: ours to close
+    tokens = fds[0]
+
+    def claimed():   # (unit, its parts) for each unit this process claims
+        while token := os.read(tokens, _TOKEN):
+            u = int.from_bytes(token, "little")
+            yield u, list(map(run, units[u]))
+
     try:
-        for i in range(1, n):
-            r, w = os.pipe()
+        os.write(fds[1], b"".join(u.to_bytes(_TOKEN, "little") for u in range(len(units))))
+        os.close(fds.pop())
+        for _ in range(1, n):
+            fds += os.pipe()
             pid = os.fork()
             if not pid:
                 try:
-                    os.close(r)   # a caller that is gone fails the write
-                    with open(w, "wb") as out:
-                        pickle.dump([run(ix) for ix in chunks[i::n]], out)
+                    os.close(fds[-2])   # a caller that is gone fails the write
+                    with open(fds[-1], "wb") as out:
+                        pickle.dump(list(claimed()), out)
                     os._exit(0)
                 finally:
                     os._exit(1)
-            os.close(w)
-            kids[i] = pid, open(r, "rb")
-        parts[::n] = map(run, chunks[::n])
-        for i in range(1, n):
-            pid, r = kids[i]
-            with r:
-                data = r.read()
+            os.close(fds.pop())
+            kids[pid] = fds[-1]
+        if meanwhile is not None:
+            meanwhile()
+        done = dict(claimed())
+        for pid, r in list(kids.items()):
+            fds.remove(r)
+            with open(r, "rb") as fh:
+                data = fh.read()
             status = os.waitpid(pid, 0)[1]
-            del kids[i]
-            share = pickle.loads(data) if status == 0 else []
-            parts[i::n] = share if len(share) == len(chunks[i::n]) else map(run, chunks[i::n])
-        return parts
+            del kids[pid]
+            if status == 0 and data:
+                done.update(pickle.loads(data))
+        return [part for u, unit in enumerate(units)
+                for part in (done[u] if u in done else map(run, unit))]
     finally:
-        for pid, r in kids.values():
+        for pid in kids:
             os.kill(pid, 9)   # SIGKILL
             os.waitpid(pid, 0)
-            r.close()
+        for fd in fds:
+            os.close(fd)
 
 
 def _philox_keys(seed: int, indices) -> np.ndarray:
@@ -535,7 +570,8 @@ def _target_set(group, target) -> frozenset:
 
 
 def simulate_harris(law: Law, target, trajectories: int, horizon: int,
-                    seed: int, workers: int | None = None) -> HarrisResult:
+                    seed: int, workers: int | None = None,
+                    meanwhile=None) -> HarrisResult:
     """Fraction of `trajectories` walks from the identity, one i.i.d.
     increment of `law` per step, whose first n >= 1 with X_n in the
     nonempty target set is at most `horizon`.
@@ -544,10 +580,11 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
     result is the same bit for bit whatever the worker count.  `workers`
     counts processes, the caller and its forked children (_run_chunks);
     None reads RWALK_THREADS, then takes the CPUs this process may run on,
-    which also cap it.  One chunk, no os.fork or other live threads run in
-    process.  Returns the hit fraction, a 95% normal-approximation
-    half-width and, on a lattice, the mean end displacement and its
-    standard error, the zero-drift diagnostic."""
+    which also cap it.  The caller runs meanwhile(), if given, while the
+    children start; its result goes out through its closure.  Returns the
+    hit fraction, a 95% normal-approximation half-width and, on a lattice,
+    the mean end displacement and its standard error, the zero-drift
+    diagnostic."""
     targets = _target_set(law.group, target)
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
@@ -568,7 +605,7 @@ def simulate_harris(law: Law, target, trajectories: int, horizon: int,
         run = lambda ix: _chunk_finite(law.group.cayley_array, elems, thresholds, targets,
                                        horizon, seed, law.group.identity(), ix)
 
-    parts = _run_chunks(run, chunks, worker_count(workers))
+    parts = _run_chunks(run, chunks, worker_count(workers), meanwhile)
 
     hits = sum(p[0] for p in parts)
     frac = hits / trajectories

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from rwalk import Lattice, Law, WalkSpec, format_walk_spec, parse_walk_spec
 import rwalk.cli as cli
+import rwalk.recurrence as recurrence
 import rwalk.spectral as spectral
 import rwalk.tables as tables
 import rwalk.tilting as tilting
@@ -494,6 +495,36 @@ def test_simulate_refuses_an_oversized_series_before_the_monte_carlo(capsys, tmp
     assert captured.err == ("error: series horizon 120: the 60-step box has 105429841 "
                             "cells, beyond the dense-array limit of 4194304; set a smaller "
                             "--series-horizon\n")
+
+
+def test_simulate_refuses_an_oversized_series_before_any_fork(capsys, tmp_path,
+                                                              monkeypatch):
+    spec = tmp_path / "wide.spec"
+    spec.write_text(WIDE_3D.replace("40 40 40", "60 0 0").replace("-40 -40 -40", "-60 0 0"))
+    forks, real = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    code = main(["simulate", str(spec), "--trajectories", "1024", "--horizon", "100"])
+    assert code == 2 and "set a smaller --series-horizon" in capsys.readouterr().err
+    assert forks == []
+    # the same law with a series that fits does fork on two CPUs
+    monkeypatch.setattr(recurrence, "_cpus", lambda: 2)
+    code = main(["simulate", str(spec), "--trajectories", "1024", "--horizon", "100",
+                 "--series-horizon", "20"])
+    assert code == 0 and len(forks) == 1
+
+
+def test_simulate_timings_hold_the_series_inside_the_monte_carlo(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["simulate", fixture("bernoulli_025.spec"), "--trajectories", "600",
+                 "--horizon", "200", "--json", str(out)]) == 0
+    timings = json.loads(out.read_text())["timings"]
+    assert list(timings) == ["spectral", "series", "monte_carlo"]
+    assert 0 < timings["series"] <= timings["monte_carlo"]
 
 
 def test_verify_runs_each_named_check_once(capsys, tmp_path):

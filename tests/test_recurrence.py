@@ -1014,8 +1014,8 @@ def test_worker_count_defaults_to_the_available_cpus(monkeypatch):
 
 # ------------------------------------------------ Monte Carlo processes
 #
-# Every call below runs at most 1024 trajectories, four chunks, so no test
-# starts more than three child processes.
+# Every call below runs at most four processes, so no test starts more
+# than three child processes.
 
 MC_HORIZON = 200
 
@@ -1103,6 +1103,86 @@ def test_workers_are_capped_by_the_available_cpus(bernoulli, monkeypatch):
     got = simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=64)
     assert len(forks) <= 1
     assert got == simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=1)
+    assert_no_child_left()
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_fork_closes_every_pipe_and_reaps_every_child(bernoulli, monkeypatch):
+    monkeypatch.setattr(recurrence, "_cpus", lambda: 4)
+    forks, real = [], os.fork
+
+    def second_fork_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError("fork failed")
+        return real()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    before = open_fds()
+    with pytest.raises(OSError, match="fork failed"):
+        simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=4)
+    assert len(forks) == 2
+    assert open_fds() == before
+    assert_no_child_left()
+
+
+def test_more_chunks_than_one_pipe_write_holds_tokens(bernoulli, monkeypatch):
+    # 2100 one-trajectory chunks, more than the two-byte tokens that fit
+    # PIPE_BUF (2048 on Linux), are claimed as fewer units (1050 there)
+    import select
+    monkeypatch.setattr(recurrence, "_MC_CHUNK", 1)
+    monkeypatch.setattr(recurrence, "_cpus", lambda: 4)
+    want = simulate_harris(bernoulli, {(0,)}, 2100, 50, 6, workers=1)
+    writes, real = [], os.write
+
+    def recording_write(fd, data):
+        writes.append(len(data))
+        return real(fd, data)
+
+    monkeypatch.setattr(os, "write", recording_write)
+    for workers in (2, 4):
+        assert simulate_harris(bernoulli, {(0,)}, 2100, 50, 6, workers=workers) == want
+    assert len(writes) == 2 and writes[0] == writes[1] <= min(select.PIPE_BUF, 2 * 2100 - 1)
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_after_claiming_has_its_chunks_rerun(bernoulli, monkeypatch):
+    monkeypatch.setattr(recurrence, "_cpus", lambda: 2)
+    want = simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=1)
+    real, caller, ran = recurrence._chunk_lattice, os.getpid(), []
+
+    def dies_in_second_child_chunk(*args):
+        if os.getpid() == caller:
+            ran.append(args[-1].start)
+        elif ran:   # the child ran one chunk, claimed a second and exits 0 unreported
+            os._exit(0)
+        else:
+            ran.append(args[-1].start)
+        return real(*args)
+
+    monkeypatch.setattr(recurrence, "_chunk_lattice", dies_in_second_child_chunk)
+    # the caller sleeps first, so the child claims the first two chunks
+    got = simulate_harris(bernoulli, {(0,)}, 1024, MC_HORIZON, 4, workers=2,
+                          meanwhile=lambda: time.sleep(1))
+    assert got == want
+    assert sorted(ran) == [0, 256, 512, 768]   # the caller ran every chunk
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_meanwhile_runs_once_in_the_caller(bernoulli, z6_law, workers, monkeypatch):
+    monkeypatch.setattr(recurrence, "_cpus", lambda: 2)
+    for law, trajectories in ((bernoulli, 1024), (z6_law, 100)):
+        target = {law.group.identity()}
+        want = simulate_harris(law, target, trajectories, MC_HORIZON, 8, workers=1)
+        calls = []
+        got = simulate_harris(law, target, trajectories, MC_HORIZON, 8, workers=workers,
+                              meanwhile=lambda: calls.append(os.getpid()))
+        assert got == want and calls == [os.getpid()]
     assert_no_child_left()
 
 
