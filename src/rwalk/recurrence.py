@@ -52,7 +52,7 @@ import numpy as np
 from .errors import HorizonTooLarge, InsufficientData, WindowExceeded
 from .groups import FiniteGroup, Lattice
 from .laws import Law
-from .tables import FunctionTable, LatticeBox, check_cells, powers, step, step_span
+from .tables import FunctionTable, LatticeBox, check_cells, powers, step_span, stepper
 
 # (default, cap) of the return-series horizon per lattice dimension, and finite
 SERIES_HORIZON = {1: (4000, 5000), 2: (600, 600), 3: (120, 120)}
@@ -656,13 +656,14 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
     first = FunctionTable(group, window)
     for t in targets:
         first.values[first.index(t)] = 1.0
-    target = first.values == 1.0
+    hits = first.values.nonzero()
     layers = [first]
     buf = np.pad(first.values, margin)  # the zero border is the absorbing truncation
     inner = tuple(slice(margin, margin + n) for n in shape)
+    kernel = stepper(law, buf.shape)
     for _ in range(steps):
-        new = step(law, buf)
-        new[target] = 1.0
+        new = kernel(buf).copy()   # the kernel's next call overwrites its output
+        new[hits] = 1.0
         buf[inner] = new
         layers.append(FunctionTable(group, window, new))
     return HittingTable(targets, steps, window, layers)
@@ -682,7 +683,7 @@ def check_translation_invariance(law: Law, targets, y, steps: int) -> float:
     # the shifted layer read at y*x, for every x; on a lattice the shifted
     # targets' window is the base window translated by y, so y+x is where x was
     at_yx = group.cayley_array[y] if isinstance(group, FiniteGroup) else Ellipsis
-    return max(float(np.max(np.abs(b.values[at_yx] - a.values)))
+    return max(float(np.abs(b.values[at_yx] - a.values).max())
                for a, b in zip(base.layers, shifted.layers))
 
 

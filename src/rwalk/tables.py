@@ -2,16 +2,15 @@
 dense kernels that every window and n-step computation goes through.
 
 A table is a dense array: over a lattice box it is anchored at the box
-corner, over a finite group it is indexed by the elements.  `step`
-applies the one-step operator (P f)(x) = sum_u mass(u) f(x u) to such an
-array: on a lattice as one shifted slice per atom, on a finite group as
-one gather through the Cayley table per atom, always in the law's
-canonical atom order.  A lattice input loses law.support_radius() cells
-on every side, the points one step could carry out of the box, so
-truncation is never extrapolated; the hitting recursion steps one
-zero-bordered buffer, whose border is its absorbing boundary.  Equal
-arrays give bit-identical outputs wherever the box sits, which keeps
-translated computations exactly comparable.
+corner, over a finite group it is indexed by the elements.  `step` applies
+(P f)(x) = sum_u mass(u) f(x u) to such an array through a kernel that
+`stepper` sets up once per law and shape, in the law's canonical atom
+order.  A lattice input loses law.support_radius() cells on every side,
+the points one step could carry out of the box, so truncation is never
+extrapolated; the hitting recursion steps one zero-bordered buffer, whose
+border is its absorbing boundary.  Equal arrays give bit-identical outputs
+wherever the box sits, which keeps translated computations exactly
+comparable.
 
 `powers`, the forward counterpart, is the one n-step kernel: one contiguous
 add per atom at a fixed flat offset, where a read past the m-step array
@@ -78,14 +77,13 @@ class FunctionTable:
     def __init__(self, group: Group, window: LatticeBox | None, values=None):
         if isinstance(group, FiniteGroup):
             window = None  # whole group
-            shape = (group.order,)
         elif window is None:
             raise ValueError("lattice tables need an explicit window")
-        else:
-            shape = window.shape
+        if values is None:
+            values = np.zeros((group.order,) if window is None else window.shape)
         self.group = group
         self.window = window
-        self.values = np.zeros(shape) if values is None else values
+        self.values = values
 
     @classmethod
     def tabulate(cls, group: Group, fn, window: LatticeBox | None = None) -> "FunctionTable":
@@ -122,29 +120,54 @@ class FunctionTable:
         return float(self.values[self.index(x)])
 
 
-def step(law, values: np.ndarray) -> np.ndarray:
-    """One-step transition operator (P f)(x) = sum_u mass(u) f(x u).
+def stepper(law, shape):
+    """The kernel of `step` for arrays of this shape, set up once; kernel(values)
+    returns P f in the kernel's own buffer, which its next call overwrites.
 
-    On a lattice, `values` is f on a box and the result is P f on the box
-    shrunk on every side by law.support_radius(), the reach of one step;
-    WindowExceeded if the box is too small to shrink.  On a finite group
-    `values` is f on every element.
+    On a lattice each atom is one multiply-add, through one scratch buffer,
+    over the flat span from the inner box's first cell to its last, read at
+    the atom's fixed flat offset; the span's cells between rows are never
+    returned.  On a finite group the atoms' Cayley columns, taken once, are
+    gathered at once.  Either sum runs in atom order from the first product,
+    not from 0.0 plus it: only a zero sum of -0.0 products, never met in a
+    non-negative table, would tell the two apart.
     """
     if isinstance(law.group, FiniteGroup):
-        cayley = law.group.cayley_array
-        out = np.zeros(values.shape)
-        for u, p in law.atoms.items():
-            out += p * values[cayley[:, u]]
-        return out
+        columns = law.group.cayley_array[:, list(law.atoms)].T.copy()
+        masses = np.array(list(law.atoms.values()))[:, None]
+        acc = np.zeros(shape)
+
+        def kernel(values):   # row i of the products: mass(u_i) f(x u_i) for every x
+            return np.add.reduce(values[columns] * masses, axis=0, out=acc)
+        return kernel
     margin = law.support_radius()
-    inner = tuple(n - 2 * margin for n in values.shape)
-    if min(inner) < 1:
-        raise WindowExceeded(f"box of shape {values.shape} too small to apply a step of "
+    if min(shape) <= 2 * margin:
+        raise WindowExceeded(f"box of shape {tuple(shape)} too small to apply a step of "
                              f"support radius {margin}")
-    out = np.zeros(inner)
-    for u, p in law.atoms.items():
-        out += p * values[tuple(slice(margin + c, margin + c + n) for c, n in zip(u, inner))]
-    return out
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    first = margin * sum(strides)   # the inner box's first cell; its last is size - 1 - first
+    (a0, p0), *rest = [(first + sum(c * s for c, s in zip(u, strides)), p)
+                       for u, p in law.atoms.items()]
+    acc = np.zeros(shape)
+    n = acc.size - 2 * first   # cells of the span
+    span, prod = acc.reshape(-1)[first:first + n], np.empty(n)
+    out = acc[tuple(slice(margin, k - margin) for k in shape)]
+
+    def kernel(values):
+        flat = values.reshape(-1)
+        np.multiply(flat[a0:a0 + n], p0, out=span)
+        for a, p in rest:
+            np.add(span, np.multiply(flat[a:a + n], p, out=prod), out=span)
+        return out
+    return kernel
+
+
+def step(law, values: np.ndarray) -> np.ndarray:
+    """One-step transition operator (P f)(x) = sum_u mass(u) f(x u), through
+    stepper: on a lattice, P f on the box of `values` shrunk on every side
+    by law.support_radius(), the reach of one step (WindowExceeded if the
+    box is too small to shrink); on a finite group, on every element."""
+    return stepper(law, values.shape)(values)
 
 
 def invariance_residual(law, fn, r: float, window: LatticeBox | None) -> float:
@@ -226,11 +249,11 @@ def powers(law, n_max: int, shifts=None):
     """
     group = law.group
     if isinstance(group, FiniteGroup):
-        reversed_law = law.dual()
+        kernel = stepper(law.dual(), (group.order,))
         f = np.zeros(group.order)
         f[group.identity()] = 1.0
         for _ in range(n_max):
-            f = step(reversed_law, f)
+            f = kernel(f).copy()   # the kernel's next call overwrites its output
             yield f
         return
     shifts = list(law.atoms) if shifts is None else shifts.tolist()

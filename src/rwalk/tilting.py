@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ExponentOverflow, NotNormalized
+from .errors import ExponentOverflow, NotNormalized, RwalkError
 from .groups import FiniteGroup
 from .laws import Law, default_window
 from .spectral import EXP_GUARD, Exponential, SpectralResult
@@ -51,7 +51,7 @@ def tilt(law: Law, exponential: Exponential, R: float) -> TiltedWalk:
 
     The reweighted atoms only form a probability law when the fixed-point
     identity R * integral(phi dv) = 1 holds for the supplied pair, so that
-    is checked first and NotNormalized raised otherwise.
+    is checked first and NotNormalized raised otherwise; a zero tilted mass is refused.
     """
     weighted = {x: exponential.phi(x) * p for x, p in law.atoms.items()}
     total = R * math.fsum(weighted.values())
@@ -59,8 +59,12 @@ def tilt(law: Law, exponential: Exponential, R: float) -> TiltedWalk:
         raise NotNormalized(
             f"R * integral(phi dv) = {total!r}; pair does not satisfy the "
             "fixed-point identity")
-    tilted = Law(law.group, {x: R * w for x, w in weighted.items()},
-                 sum_tol=TILT_NORMALIZATION_TOL)
+    masses = {x: R * w for x, w in weighted.items()}
+    for x, p in masses.items():
+        if p == 0.0:
+            raise RwalkError(f"atom {x!r} of mass {law.atoms[x]!r}: its tilted mass "
+                             "R * phi(x) * mass underflows to 0.0")
+    tilted = Law(law.group, masses, sum_tol=TILT_NORMALIZATION_TOL)
     return TiltedWalk(law, exponential, float(R), tilted)
 
 

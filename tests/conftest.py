@@ -11,6 +11,12 @@ from rwalk.spectral import _lambda_pass
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# masses from 1e-157 to 0.6: the Hessian is singular to double precision on the way
+SINGULAR_3D = {(2, 0, 0): 7.268367713244139e-31, (-1000, 0, 0): 2.1663773376269468e-70,
+               (0, 5, 0): 3.736402918781626e-157, (0, -2, 0): 7.508300638653556e-94,
+               (0, 0, 50): 0.13201373698494576, (0, 0, -1): 0.5984692076479221,
+               (-213, -3, -3): 0.2695170553671321}
+
 # S3 as permutations of {0,1,2}: elements indexed in the order
 # id, (01), (02), (12), (012), (021); table built from composition.
 _S3_PERMS = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]

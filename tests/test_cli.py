@@ -27,7 +27,7 @@ import rwalk.tilting as tilting
 from rwalk.cli import main
 from rwalk.recurrence import worker_count
 
-from conftest import FIXTURES
+from conftest import FIXTURES, SINGULAR_3D
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "rwalk"
@@ -596,6 +596,60 @@ def test_verify_steep_3d_law_refuses_every_window_and_eq17(tmp_path):
         assert lines[name] == f"{name:<12} {refusal}"
     assert lines["eq17"].startswith("eq17         ERROR (R^n * phi overflows at n = 1 ")
     assert " PASS " in lines["eq12"] and " PASS " in lines["corollary2"]
+
+
+def lattice_spec(tmp_path, atoms):
+    dim = len(next(iter(atoms)))
+    spec = tmp_path / "walk.spec"
+    spec.write_text(f"group lattice {dim}\n\nlaw\n" + "".join(
+        f"  {' '.join(map(str, x))} {p!r}\n" for x, p in atoms.items()))
+    return str(spec)
+
+
+def test_singular_hessian_law_solves_in_every_command(capsys, tmp_path):
+    # np.linalg.solve raises on this law's Hessian along the Newton path
+    spec = lattice_spec(tmp_path, SINGULAR_3D)
+    assert main(["analyze", spec, "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["spectral"]["gradient_norm"] <= 1e-12
+    assert main(["tilt", spec, "-o", str(tmp_path / "tilted.spec")]) == 0
+    capsys.readouterr()
+    assert main(["verify", spec]) == 3   # named ERRORs, no traceback
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(cli.CHECK_NAMES)
+    assert all(" ERROR (" in line or " PASS " in line for line in lines)
+
+
+def test_tilted_mass_underflow_is_refused_by_every_command(capsys, tmp_path):
+    # theta*_x = 1.99, so the atom (-20, 0, 0) tilts to 1e-310 * e^-39.9 * R = 0.0
+    spec = lattice_spec(tmp_path, {(1, 0, 0): 0.01, (-1, 0, 0): 0.54,
+                                   (0, 1, 0): 0.1125, (0, -1, 0): 0.1125,
+                                   (0, 0, 1): 0.1125, (0, 0, -1): 0.1125,
+                                   (-20, 0, 0): 1e-310})
+    refusal = "atom (-20, 0, 0) of mass 1e-310: its tilted mass R * phi(x) * mass underflows to 0.0"
+    assert main(["tilt", spec, "-o", str(tmp_path / "tilted.spec")]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert main(["simulate", spec, "--trajectories", "64", "--horizon", "100",
+                 "--series-horizon", "20"]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert main(["verify", spec]) == 3
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    for name in ("eq1", "eq17", "measure"):   # the checks that tilt
+        assert lines[name] == f"{name:<12} ERROR ({refusal})"
+    assert lines["dual"].endswith(")") and " PASS " in lines["dual"]
+
+
+def test_badly_scaled_3d_law_stops_at_the_iteration_cap(capsys, tmp_path):
+    # its tilted masses underflowed at the wrong theta the old 10000-step cap
+    # returned; the solve is now refused before anything is tilted
+    spec = lattice_spec(tmp_path, {
+        (1, 0, 0): 6.381228696305877e-49, (-1, 0, 0): 4.672961703421875e-218,
+        (0, 1, 0): 1.0967879511747603e-166, (0, -1, 0): 0.23388157897430964,
+        (0, 0, 5): 5.907671832648445e-206, (0, 0, -2): 2.9064991269813566e-213,
+        (0, -3, -602): 0.7135209950701832, (887, -2, 2): 6.386710282312758e-152,
+        (1, 0, 1): 0.052597425955507204})
+    assert main(["tilt", spec, "-o", str(tmp_path / "tilted.spec")]) == 2
+    assert "Newton's method did not converge in 1000 iterations: " in capsys.readouterr().err
 
 
 def test_verify_all_checks_pass_on_the_skewed_law(capsys, tmp_path):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwalk import (DegenerateSupport, ExponentOverflow, Lattice, Law,
-                   LatticeBox, NotIrreducible, WindowExceeded,
+                   LatticeBox, NotIrreducible, RwalkError, WindowExceeded,
                    check_dual_spectral_radius, check_irreducible, find_exponential,
                    verify_r_invariance)
-from rwalk.spectral import Exponential, _lambda_pass
+from rwalk.spectral import MAX_ITERATIONS, Exponential, _lambda_pass
 
-from conftest import mgf
+from conftest import SINGULAR_3D, mgf
 
 BERNOULLI_THETA = 0.5 * math.log(3.0)            # calculus: 0.25 e^t = 0.75 e^-t
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
@@ -316,3 +316,24 @@ def test_skewed_law_closed_form(z2, py):
     rho = 2 * math.sqrt(0.06) + 2 * math.sqrt(py * (0.5 - py))
     assert max(abs(a - b) for a, b in zip(sp.theta, theta)) <= 1e-9
     assert sp.rho == pytest.approx(rho, rel=1e-12, abs=0)
+
+
+# every line-search candidate past theta = 700/638 overflows the exponent guard
+CAPPED_1D = {(-638,): 3.285627453716368e-85, (-576,): 3.0233202483672773e-28,
+             (-1,): 1.0, (1,): 3.285627449261733e-85}
+
+
+def test_singular_hessian_steps_on_its_range(monkeypatch, z3):
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    _, sp = find_exponential(Law(z3, SINGULAR_3D, sum_tol=1e-9))
+    assert calls   # np.linalg.solve raised at least once
+    assert sp.iterations < MAX_ITERATIONS
+    assert sp.gradient_norm <= 1e-12
+
+
+def test_iteration_cap_is_an_error_naming_the_count_and_step(z1):
+    with pytest.raises(RwalkError, match=rf"did not converge in {MAX_ITERATIONS} iterations: "
+                                         r"its last step is \[-1\.0\] at theta = \[1\.09"):
+        find_exponential(Law(z1, CAPPED_1D, sum_tol=1e-9))

@@ -7,7 +7,9 @@ few ulps of values that are O(1): residuals and hitting probabilities
 are compared with abs 1e-15.  The dense n-step laws are compared with
 Law.power, the dictionary convolution, to the same tolerance.  The
 hitting DP is also held bit for bit (np.array_equal) to the recursion
-that pads each layer anew, which eq12's exact zero rests on.
+that pads each layer anew, which eq12's exact zero rests on, and `step`,
+every hitting layer and the finite n-step arrays to slice_step, the
+stencil as one shifted slice per atom.
 """
 
 import math
@@ -46,9 +48,27 @@ def s3_skew(s3_group):
 
 # ---------------------------------------------------------------- reference
 
+def slice_step(law, values):
+    """The one-step operator as one shifted slice (or one Cayley-column
+    gather) per atom, summed from zeros in atom order: the stencil every
+    step, hitting layer and finite n-step array is held to bit for bit."""
+    if isinstance(law.group, FiniteGroup):
+        cayley = law.group.cayley_array
+        out = np.zeros(values.shape)
+        for u, p in law.atoms.items():
+            out += p * values[cayley[:, u]]
+        return out
+    margin = law.support_radius()
+    inner = tuple(n - 2 * margin for n in values.shape)
+    out = np.zeros(inner)
+    for u, p in law.atoms.items():
+        out += p * values[tuple(slice(margin + c, margin + c + n) for c, n in zip(u, inner))]
+    return out
+
+
 def padded_hitting_layers(law, targets, steps, window):
     """The hitting recursion that pads each layer anew: np.pad of the
-    previous layer, one step, then np.where over the targets."""
+    previous layer, one slice_step, then np.where over the targets."""
     first = FunctionTable(law.group, window)
     for t in targets:
         first.values[first.index(t)] = 1.0
@@ -56,7 +76,7 @@ def padded_hitting_layers(law, targets, steps, window):
     margin = law.support_radius()
     layers = [first.values]
     for _ in range(steps):
-        stepped = step(law, np.pad(layers[-1], margin))
+        stepped = slice_step(law, np.pad(layers[-1], margin))
         layers.append(np.where(target, 1.0, stepped))
     return layers
 
@@ -274,3 +294,73 @@ def test_hitting_layers_bit_identical_two_point_targets(bernoulli, drift2d):
 def test_finite_hitting_layers_bit_identical_to_padded_recursion(z6_law, s3_skew):
     assert_layers_match_padded_recursion(z6_law, {0}, 100)
     assert_layers_match_padded_recursion(s3_skew, {1, 3}, 40)
+
+
+# ------------------------------------------------- the stencil, bit for bit
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def nonnegative_values(rng, shape):
+    """Tables as rwalk steps them: non-negative, with exact zeros and values
+    spread from subnormal to large, so products round and underflow."""
+    values = rng.random(shape) * 10.0 ** rng.integers(-320, 20, shape)
+    values[rng.random(shape) < 0.2] = 0.0
+    return values
+
+
+@st.composite
+def stencil_laws(draw):
+    """Lattice laws in d = 1..3 of support radius up to 3; the support is
+    drawn freely, so it is asymmetric and need not surround the origin."""
+    dim = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-3, 3)] * dim)
+    support = draw(st.lists(coords, min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(support),
+                            max_size=len(support)))
+    total = math.fsum(weights)
+    return Law(Lattice(dim), {x: w / total for x, w in zip(support, weights)}, sum_tol=1e-9)
+
+
+@KERNEL_SETTINGS
+@given(stencil_laws(), st.data())
+def test_step_and_hitting_layers_bit_identical_to_slice_step(law, data):
+    dim, margin = law.group.dim, law.support_radius()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(2 * margin + data.draw(st.integers(1, 6)) for _ in range(dim))
+    values = nonnegative_values(rng, shape)
+    assert_same_bits(step(law, values), slice_step(law, values))
+    point = st.tuples(*[st.integers(-4, 4)] * dim)
+    targets = data.draw(st.lists(point, min_size=1, max_size=3, unique=True))
+    steps = DP_STEPS[dim]
+    for aim in ({law.group.identity()}, set(targets)):
+        table = hitting_dp(law, aim, steps)
+        expected = padded_hitting_layers(law, aim, steps, table.window)
+        assert len(table.layers) == steps + 1
+        for layer, ref in zip(table.layers, expected):
+            assert_same_bits(layer.values, ref)
+    y = data.draw(point)
+    assert check_translation_invariance(law, targets, y, steps) == 0.0
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_finite_step_layers_and_powers_bit_identical_to_slice_step(s3_skew, data):
+    group = s3_skew.group
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    elements = st.integers(0, group.order - 1)
+    for law in (s3_skew, s3_skew.dual()):
+        values = nonnegative_values(rng, (group.order,))
+        assert_same_bits(step(law, values), slice_step(law, values))
+    targets = set(data.draw(st.lists(elements, min_size=1, max_size=3, unique=True)))
+    steps = data.draw(st.integers(0, 40))
+    table = hitting_dp(s3_skew, targets, steps)
+    for layer, ref in zip(table.layers, padded_hitting_layers(s3_skew, targets, steps, None)):
+        assert_same_bits(layer.values, ref)
+    f = np.eye(group.order)[group.identity()]
+    for dense in powers(s3_skew, steps):
+        f = slice_step(s3_skew.dual(), f)
+        assert_same_bits(dense, f)
+    assert check_translation_invariance(s3_skew, targets, data.draw(elements), steps) == 0.0
