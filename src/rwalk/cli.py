@@ -354,13 +354,13 @@ def cmd_simulate(args) -> int:
         series_horizon(spec.law, args.series_horizon)
     except HorizonTooLarge as exc:
         raise HorizonTooLarge(f"{exc}; set a smaller --series-horizon") from None
+    tilted = tilt(spec.law, exponential, spectral.R).tilted   # refuses before any fork
     rec = None
 
     def build_series():   # runs in the caller while the Monte Carlo children run
         nonlocal rec
         t0 = time.perf_counter()
-        tw = tilt(spec.law, exponential, spectral.R)
-        rec = build_recurrence_report(tw.tilted, spectral.rho, horizon=args.series_horizon,
+        rec = build_recurrence_report(tilted, spectral.rho, horizon=args.series_horizon,
                                       recurrent_threshold=recurrent,
                                       transient_threshold=transient)
         report["timings"]["series"] = time.perf_counter() - t0

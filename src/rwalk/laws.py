@@ -13,6 +13,7 @@ drift of the total mass is measured, never hidden.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -27,7 +28,8 @@ CONVOLVE_SUM_TOL = 1e-10
 
 
 class Law:
-    """Probability measure with finite support on a discrete group."""
+    """Probability measure with finite support on a discrete group; `arrays` is
+    its read-only array form, built once, on first use."""
 
     def __init__(self, group: Group, atoms, *, sum_tol: float = STRICT_SUM_TOL,
                  mass_leak: float = 0.0):
@@ -44,6 +46,14 @@ class Law:
         self.group = group
         self.atoms = dict(pairs)
         self.mass_leak = mass_leak
+
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only float64 elements, (n, d) on Z^d, and masses (n,), in atom order."""
+        x = np.array(list(self.atoms), dtype=float)
+        p = np.fromiter(self.atoms.values(), float, len(x))
+        x.flags.writeable = p.flags.writeable = False
+        return x, p
 
     @classmethod
     def point_mass(cls, group: Group, x=None) -> "Law":
@@ -145,7 +155,7 @@ def _sublattice_index(vectors, dim: int) -> int:
 _SEPARATION_BLOCK = 512  # candidate rows tested against the support at once
 
 
-def _separating_direction(vectors, dim: int):
+def _separating_direction(vectors, dim: int, index: int | None = None):
     """Exact test for a closed half-space containing every vector.
 
     Returns an integer direction u != 0 with u.s <= 0 for all s, or None
@@ -160,12 +170,17 @@ def _separating_direction(vectors, dim: int):
     in Python integers.  The search is skipped when the vectors v with -v
     also among them span R^d (integer rank, _sublattice_index != 0): then
     u.v <= 0 and u.(-v) <= 0 force u.v = 0 on a spanning set, so u = 0.
+    `index`, the vectors' own _sublattice_index, is reused when every nonzero
+    vector's negation is among them, as then both are indices of one lattice.
     """
     nz = [s for s in vectors if any(s)]
     if not nz:
         return (1,) + (0,) * (dim - 1)
     present = set(nz)
-    if _sublattice_index([s for s in nz if tuple(-x for x in s) in present], dim):
+    sym = [s for s in nz if tuple(-x for x in s) in present]
+    if index is None or len(sym) < len(nz):
+        index = _sublattice_index(sym, dim)
+    if index:
         return None
     c = max(abs(x) for s in nz for x in s)
     nz = np.array(nz, dtype=float if 6 * c ** 3 < 2 ** 53 else object)
@@ -249,7 +264,7 @@ def check_irreducible(law: Law) -> IrreducibilityResult:
     vectors = list(law.atoms)
     dim = group.dim
     index = _sublattice_index(vectors, dim)
-    u = _separating_direction(vectors, dim)
+    u = _separating_direction(vectors, dim, index)
     if index == 0:
         witness = f"support spans a sublattice of rank < {dim}"
     elif index != 1:

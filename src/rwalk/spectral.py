@@ -84,12 +84,13 @@ def _lambda_pass(law: Law, theta):
 
     With w_x = mass(x) exp(theta.x): Lambda = sum w_x, the gradient is
     sum w_x x and the Hessian sum w_x x x^T.  Lambda is summed exactly
-    (math.fsum) because it is reported as rho and R = 1/rho.
+    (math.fsum) because it is reported as rho and R = 1/rho.  The atoms come
+    from the law's cached array form, so a solve builds them once.
     """
-    x = np.array(list(law.atoms), dtype=float)
-    w = np.fromiter(law.atoms.values(), float, len(x)) * _guarded_exp(x @ theta)
+    x, p = law.arrays
+    w = p * _guarded_exp(x @ theta)
     xw = x * w[:, None]
-    return math.fsum(w), xw.sum(axis=0), xw.T @ x
+    return math.fsum(w.tolist()), xw.sum(axis=0), xw.T @ x
 
 
 def find_exponential(law: Law, theta0=None):

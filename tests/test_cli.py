@@ -620,13 +620,16 @@ def test_singular_hessian_law_solves_in_every_command(capsys, tmp_path):
     assert all(" ERROR (" in line or " PASS " in line for line in lines)
 
 
+# theta*_x = 1.99, so the atom (-20, 0, 0) tilts to 1e-310 * e^-39.9 * R = 0.0
+UNDERFLOW_3D = {(1, 0, 0): 0.01, (-1, 0, 0): 0.54, (0, 1, 0): 0.1125, (0, -1, 0): 0.1125,
+                (0, 0, 1): 0.1125, (0, 0, -1): 0.1125, (-20, 0, 0): 1e-310}
+UNDERFLOW_REFUSAL = ("atom (-20, 0, 0) of mass 1e-310: its tilted mass R * phi(x) * mass "
+                     "underflows to 0.0")
+
+
 def test_tilted_mass_underflow_is_refused_by_every_command(capsys, tmp_path):
-    # theta*_x = 1.99, so the atom (-20, 0, 0) tilts to 1e-310 * e^-39.9 * R = 0.0
-    spec = lattice_spec(tmp_path, {(1, 0, 0): 0.01, (-1, 0, 0): 0.54,
-                                   (0, 1, 0): 0.1125, (0, -1, 0): 0.1125,
-                                   (0, 0, 1): 0.1125, (0, 0, -1): 0.1125,
-                                   (-20, 0, 0): 1e-310})
-    refusal = "atom (-20, 0, 0) of mass 1e-310: its tilted mass R * phi(x) * mass underflows to 0.0"
+    spec = lattice_spec(tmp_path, UNDERFLOW_3D)
+    refusal = UNDERFLOW_REFUSAL
     assert main(["tilt", spec, "-o", str(tmp_path / "tilted.spec")]) == 2
     assert capsys.readouterr().err == f"error: {refusal}\n"
     assert main(["simulate", spec, "--trajectories", "64", "--horizon", "100",
@@ -637,6 +640,22 @@ def test_tilted_mass_underflow_is_refused_by_every_command(capsys, tmp_path):
     for name in ("eq1", "eq17", "measure"):   # the checks that tilt
         assert lines[name] == f"{name:<12} ERROR ({refusal})"
     assert lines["dual"].endswith(")") and " PASS " in lines["dual"]
+
+
+def test_simulate_refuses_a_tilt_underflow_before_any_fork(capsys, tmp_path, monkeypatch):
+    forks, real = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(recurrence, "_cpus", lambda: 2)
+    monkeypatch.setenv("RWALK_THREADS", "2")
+    assert main(["simulate", lattice_spec(tmp_path, UNDERFLOW_3D), "--trajectories", "64",
+                 "--horizon", "100", "--series-horizon", "20"]) == 2
+    assert capsys.readouterr().err == f"error: {UNDERFLOW_REFUSAL}\n"
+    assert forks == []
 
 
 def test_badly_scaled_3d_law_stops_at_the_iteration_cap(capsys, tmp_path):

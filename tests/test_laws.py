@@ -12,6 +12,8 @@ from rwalk import (ExponentOverflow, FunctionTable, GroupMismatch, Lattice, Law,
 from rwalk.laws import _separating_direction, _sublattice_index
 from rwalk.tables import DENSE_CELL_LIMIT, EXP_GUARD, step
 
+from conftest import tilt_from_spectral
+
 
 def brute_convolution(a, b):
     """Independent oracle: enumerate all support pairs."""
@@ -310,6 +312,97 @@ def generated_supports(draw):
 def test_sublattice_index_matches_minors_gcd(case):
     vectors, dim = case
     assert _sublattice_index(vectors, dim) == reference_sublattice_index(vectors, dim)
+
+
+def two_index_irreducible(law):
+    """check_irreducible on a lattice with the symmetric subset's index
+    computed apart from the support's, as _separating_direction does when
+    it is given no index."""
+    vectors, dim = list(law.atoms), law.group.dim
+    index = _sublattice_index(vectors, dim)
+    u = _separating_direction(vectors, dim)
+    if index == 0:
+        witness = f"support spans a sublattice of rank < {dim}"
+    elif index != 1:
+        witness = f"support generates a sublattice of index {index}"
+    elif u is not None:
+        witness = ("semigroup generated stays in the half-space with outward normal "
+                   f"{u} (origin not interior to support hull)")
+    else:
+        return (True, "support lattice is Z^d and origin is interior to the support hull",
+                False)
+    return (False, witness, u is not None)
+
+
+def _neg(v):
+    return tuple(-c for c in v)
+
+
+@st.composite
+def irreducibility_supports(draw):
+    """1-3D supports of each kind: symmetric, symmetric plus vectors whose
+    negations are missing, folded into a half-space, or mapped onto a
+    sublattice of index 2 to 27; each with or without the origin.  Up to d
+    generators, so some fall short of rank d, and half the draws add the
+    unit vectors, so that the lattice is Z^d before any mapping."""
+    dim = draw(st.integers(1, 3))
+    small = st.integers(-3, 3)
+    vec = st.tuples(*[small] * dim)
+    gens = draw(st.lists(vec, min_size=1, max_size=dim))
+    combos = draw(st.lists(st.tuples(*[small] * len(gens)), min_size=1, max_size=12))
+    half = {tuple(sum(c * g[k] for c, g in zip(co, gens)) for k in range(dim))
+            for co in combos}
+    if draw(st.booleans()):
+        half |= {tuple(int(i == k) for k in range(dim)) for i in range(dim)}
+    vectors = half | {_neg(v) for v in half}
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "cone", "sublattice"]))
+    if kind == "asymmetric":
+        vectors |= set(draw(st.lists(vec.filter(lambda v: any(v) and _neg(v) not in vectors),
+                                     min_size=1, max_size=3)))
+    elif kind == "cone":
+        normal = draw(vec.filter(any))
+        vectors = {v if np.dot(normal, v) <= 0 else _neg(v) for v in vectors}
+    elif kind == "sublattice":   # upper triangular, so the index scales by prod(diagonal)
+        diag = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim)
+                    .filter(lambda d: math.prod(d) >= 2))
+        m = [[diag[i] if i == j else draw(small) if j > i else 0 for j in range(dim)]
+             for i in range(dim)]
+        vectors = {tuple(sum(m[i][j] * v[j] for j in range(dim)) for i in range(dim))
+                   for v in vectors}
+    origin = (0,) * dim
+    vectors = vectors | {origin} if draw(st.booleans()) else vectors - {origin}
+    vectors = sorted(vectors) or [origin]
+    return Law(Lattice(dim), {v: 1.0 / len(vectors) for v in vectors}, sum_tol=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(irreducibility_supports())
+def test_irreducibility_reusing_the_index_matches_two_indices(law):
+    got = check_irreducible(law)
+    assert (got.irreducible, got.witness, got.degenerate) == two_index_irreducible(law)
+
+
+def test_law_arrays_are_read_only_and_in_atom_order(drift2d, bernoulli):
+    for law in (drift2d, bernoulli, drift2d.dual(), tilt_from_spectral(drift2d).tilted):
+        x, p = law.arrays
+        assert law.arrays is law.arrays   # built once
+        assert x.dtype == p.dtype == np.float64 and x.shape == (len(law.atoms), law.group.dim)
+        assert np.array_equal(x, np.array(list(law.atoms), dtype=float))
+        assert p.tolist() == list(law.atoms.values())
+        with pytest.raises(ValueError):
+            x[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            p[0] = 1.0
+
+
+def test_dual_and_tilted_laws_get_their_own_arrays(drift2d):
+    x, p = drift2d.arrays
+    dual, tilted = drift2d.dual(), tilt_from_spectral(drift2d).tilted
+    assert not np.shares_memory(dual.arrays[0], x) and not np.shares_memory(dual.arrays[1], p)
+    assert np.array_equal(dual.arrays[0], np.array(list(dual.atoms), dtype=float))
+    assert sorted(map(tuple, -dual.arrays[0])) == sorted(map(tuple, x))
+    assert np.array_equal(tilted.arrays[0], x)   # the same support, in the same order
+    assert tilted.arrays[1].tolist() == list(tilted.atoms.values()) != p.tolist()
 
 
 def test_irreducibility_finite(z6_group, z6_law, s3_law):

@@ -304,6 +304,27 @@ def test_one_pass_matches_reference(case):
     assert mgf(law, theta) == val
 
 
+def rebuilt_lambda_pass(law, theta):
+    """_lambda_pass as it read before laws cached their array form: the
+    atoms rebuilt from the dict on every call, fsum over numpy scalars."""
+    x = np.array(list(law.atoms), dtype=float)
+    w = np.fromiter(law.atoms.values(), float, len(x)) * np.exp(x @ theta)
+    xw = x * w[:, None]
+    return math.fsum(w), xw.sum(axis=0), xw.T @ x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(laws_and_points())
+def test_one_pass_on_the_cached_arrays_is_bit_identical(case):
+    law, theta = case
+    theta = np.asarray(theta)
+    for _ in range(2):   # the first call builds the array form, the second reads it
+        val, grad, hess = _lambda_pass(law, theta)
+        ref_val, ref_grad, ref_hess = rebuilt_lambda_pass(law, theta)
+        assert val == ref_val
+        assert np.array_equal(grad, ref_grad) and np.array_equal(hess, ref_hess)
+
+
 @pytest.mark.parametrize("py", [1e-12, 1e-20, 1e-26, 1e-100, 1e-200])
 def test_skewed_law_closed_form(z2, py):
     # the y-terms of Lambda are tiny, so |grad| and the Newton decrement
