@@ -128,28 +128,22 @@ class IrreducibilityResult(NamedTuple):
 def _sublattice_index(vectors, dim: int) -> int:
     """Index of the subgroup of Z^d generated by the vectors.
 
-    Integer row reduction: Euclid's algorithm on column k leaves one row
-    with a nonzero entry there, the pivot, which is set aside; the index is
-    |product of pivots|, the |det| of an echelon basis.  0 means the vectors
-    do not span a rank-d sublattice.
+    Each vector is reduced into an echelon basis, one row per pivot column
+    (a zero row until filled), by Euclid's algorithm on each column.  The
+    index is |product of pivots|, the |det| of the basis, 0 below rank d;
+    once every pivot is +-1 no later vector can change it.
     """
-    rows = [list(v) for v in vectors]
-    index = 1
-    for k in range(dim):
-        while True:
-            live = [r for r in rows if r[k]]
-            if not live:
-                return 0
-            pivot = min(live, key=lambda r: abs(r[k]))
-            if len(live) == 1:
-                break
-            for r in live:
-                if r is not pivot:
-                    q = r[k] // pivot[k]
-                    r[:] = [a - q * b for a, b in zip(r, pivot)]
-        rows.remove(pivot)
-        index *= abs(pivot[k])
-    return index
+    pivots = [[0] * dim for _ in range(dim)]
+    for v in vectors:
+        r = list(v)
+        for k, b in enumerate(pivots):
+            while r[k]:
+                q = b[k] // r[k]
+                b, r = r, [x - q * y for x, y in zip(b, r)]
+            pivots[k] = b
+        if all(abs(b[k]) == 1 for k, b in enumerate(pivots)):
+            return 1
+    return abs(math.prod(b[k] for k, b in enumerate(pivots)))
 
 
 _SEPARATION_BLOCK = 512  # candidate rows tested against the support at once

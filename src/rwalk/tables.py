@@ -15,13 +15,15 @@ comparable.
 `powers`, the forward counterpart, is the one n-step kernel: one contiguous
 add per atom at a fixed flat offset, where a read past the m-step array
 lands in zero padding and adding p * 0.0 leaves a non-negative cell as it
-is, so the arrays are bit-identical to one d-dimensional slice add per atom.
-check_cells refuses a dense box past DENSE_CELL_LIMIT (an n-step box, the
-hitting DP's table, a check window) before it is allocated.
+is, so the arrays are bit-identical to one d-dimensional slice add per atom;
+step_frame picks the unimodular frame of its smallest box.  check_cells
+refuses a dense box past DENSE_CELL_LIMIT before it is allocated.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -201,6 +203,33 @@ def step_span(points, n: int) -> tuple:
     hi = np.maximum(pts.max(axis=0), 0)
     check_cells(n * (hi - lo) + 1, f"the {n}-step box")
     return lo, hi
+
+
+@functools.cache
+def _unimodular_bases(dim: int):
+    """(rows, bases, inverses), read-only int64: the rows of {-1,0,1}^dim, one of
+    each pair +-b, unit vectors first; the bases of Z^dim made of them, as row
+    indices, the identity first; and each basis's integer inverse."""
+    rows = np.array(sorted((r for r in itertools.product((1, 0, -1), repeat=dim)
+                            if r > (0,) * dim), key=lambda r: sum(map(abs, r))))
+    bases = np.array(list(itertools.combinations(range(len(rows)), dim)))
+    bases = bases[np.abs(np.linalg.det(rows[bases])).round() == 1]
+    inverses = np.linalg.inv(rows[bases]).round().astype(np.int64)
+    rows.flags.writeable = bases.flags.writeable = inverses.flags.writeable = False
+    return rows, bases, inverses
+
+
+def step_frame(points, n: int):
+    """The unimodular frame of the smallest n-step box of the lattice points
+    (as step_span takes it): (shifts, inverse), the points as (points, d) int64
+    coordinates y = B x, B's rows from _unimodular_bases, and B's integer
+    inverse.  x coordinates win ties, so an axis-aligned support keeps its box."""
+    pts = np.array(list(points), dtype=np.int64)
+    rows, bases, inverses = _unimodular_bases(pts.shape[1])
+    proj = rows @ pts.T
+    sides = n * (proj.max(axis=1, initial=0) - proj.min(axis=1, initial=0)) + 1.0
+    k = int(np.argmin(sides[bases].prod(axis=1)))   # the first minimum
+    return pts @ rows[bases[k]].T, inverses[k]
 
 
 def flush_free_steps(masses) -> float:

@@ -5,7 +5,7 @@ a new probability law whose walk has zero drift; the checks here certify
 the identities that make the construction tick:
 
   * tilted n-step law  =  R^n * phi * (original n-step law), at every
-    point of the n-step bounding box (the dense powers of tables.powers)
+    point of the smallest unimodular n-step box (tables.step_frame, powers)
   * psi = 1/phi is invariant for the reversed walk:  psi = R * Phat psi
   * the measure psi * counting is R-invariant:  psi(y) = R * sum_x psi(x) v(x^-1 y)
   * a symmetric law degenerates: theta* = 0, R = 1, tilting is the identity
@@ -31,7 +31,7 @@ from .errors import ExponentOverflow, NotNormalized, RwalkError
 from .groups import FiniteGroup
 from .laws import Law, default_window
 from .spectral import EXP_GUARD, Exponential, SpectralResult
-from .tables import FunctionTable, LatticeBox, invariance_residual, powers, step_span
+from .tables import FunctionTable, LatticeBox, invariance_residual, powers, step_frame, step_span
 
 TILT_NORMALIZATION_TOL = 1e-10
 # Corollary 2: how close to theta* = 0 and R = 1 a symmetric law must land
@@ -81,35 +81,46 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
     """Max discrepancy between tilted^n and R^n * phi * original^n, n <= n_max.
 
     Both n-step laws are dense arrays on one shared box, zero where an atom
-    is absent (tables.powers); theta.x is tabulated once on the n_max-step
-    box and sliced per n.  The residual is absolute: theta.x below the guard
+    is absent (tables.powers), in the frame of tables.step_frame; theta.x is
+    tabulated once on that box, at each point's integer x, and sliced per n.
+    The residual is absolute, formed in one buffer: theta.x below the guard
     only underflows phi toward 0, the right product; theta.x above it where
     the walk has mass, or an R^n * phi that overflows, is ExponentOverflow.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    group, window, boxes = tw.original.group, None, [slice(None)] * n_max
+    group, window, shifts, boxes = tw.original.group, None, None, [slice(None)] * n_max
+    exponent = tw.exponential.exponent
     if not isinstance(group, FiniteGroup):
-        lo, hi = step_span(tw.original.atoms, n_max)
+        shifts, inverse = step_frame(tw.original.atoms, n_max)
+        lo, hi = step_span(shifts, n_max)
         window = LatticeBox(n_max * lo, n_max * hi)
         boxes = [tuple(slice((n - n_max) * a, (n - n_max) * a + n * (b - a) + 1)
                        for a, b in zip(lo, hi)) for n in range(1, n_max + 1)]
+        # theta.x at x = inverse @ y, the same float as on an x-coordinate box
+        exponent = lambda y: tw.exponential.exponent(
+            [sum(c * g for c, g in zip(row, y) if c) for row in inverse.tolist()])
     # theta.x, exponentiated in place
-    phi = FunctionTable.tabulate(group, tw.exponential.exponent, window).values
+    phi = FunctionTable.tabulate(group, exponent, window).values
     over = phi > EXP_GUARD
     any_over = bool(over.any())
     phi[over] = 0.0
     np.exp(phi, out=phi)
+    buf = np.empty(phi.size)
     worst = 0.0
     scale = 1.0
-    steps = zip(boxes, powers(tw.tilted, n_max), powers(tw.original, n_max))
+    steps = zip(boxes, powers(tw.tilted, n_max, shifts), powers(tw.original, n_max, shifts))
     for n, (box, left, right) in enumerate(steps, 1):
         scale *= tw.R
         if any_over and over[box][right > 0].any():
             raise ExponentOverflow(
                 f"theta.x above the {EXP_GUARD} guard at a point the walk reaches")
+        t = buf[:right.size].reshape(right.shape)   # left - scale * phi[box] * right
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = float(np.max(np.abs(left - scale * phi[box] * right)))
+            np.multiply(scale, phi[box], out=t)
+            t *= right
+            np.subtract(left, t, out=t)
+            resid = float(np.abs(t, out=t).max())
         if not math.isfinite(resid):   # R^n or R^n * phi overflowed
             raise ExponentOverflow(f"R^n * phi overflows at n = {n} (R = {tw.R:.3e})")
         worst = max(worst, resid)

@@ -411,10 +411,29 @@ law
 """
 
 
+# +-e_k and +-40 e_k: wide in every frame tables.step_frame tries, where the
+# diagonal +-(40, 40, 40) of WIDE_3D fits an 801 x 21 x 21 box
+WIDE_EVERY_FRAME_3D = """group lattice 3
+law
+  1 0 0 0.15
+  -1 0 0 0.15
+  0 1 0 0.15
+  0 -1 0 0.15
+  0 0 1 0.15
+  0 0 -1 0.15
+  40 0 0 0.02
+  -40 0 0 0.02
+  0 40 0 0.02
+  0 -40 0 0.02
+  0 0 40 0.01
+  0 0 -40 0.01
+"""
+
+
 def test_verify_eq17_box_too_large_fails_fast(capsys, tmp_path):
     # the 10-step box would be 801^3 cells, 3.8 GiB per array
     spec = tmp_path / "wide.spec"
-    spec.write_text(WIDE_3D)
+    spec.write_text(WIDE_EVERY_FRAME_3D)
     code = main(["verify", str(spec), "--paper-checks", "eq17"])
     captured = capsys.readouterr()
     assert code == 3
@@ -1014,7 +1033,8 @@ def test_simulate_unreachable_thresholds_are_a_usage_error(capsys, tmp_path,
 THEOREM_VERDICTS = {"bad_sum.spec": None, "bernoulli_025.spec": "RRecurrent",
                     "drift2d.spec": "RRecurrent", "even_steps.spec": None,
                     "lazy_drift.spec": "RRecurrent", "one_sided.spec": None,
-                    "sym3d.spec": "RTransient", "symmetric.spec": "RRecurrent",
+                    "offaxis3d.spec": "RTransient", "sym3d.spec": "RTransient",
+                    "symmetric.spec": "RRecurrent",
                     "z6.spec": "RRecurrent"}
 
 

@@ -382,6 +382,38 @@ def test_irreducibility_reusing_the_index_matches_two_indices(law):
     assert (got.irreducible, got.witness, got.degenerate) == two_index_irreducible(law)
 
 
+def head_sublattice_index(vectors, dim):
+    """_sublattice_index as it was before it stopped at index 1: Euclid's
+    algorithm on column k over all live rows, pivots set aside, the index
+    |product of pivots| (0 below rank d)."""
+    rows = [list(v) for v in vectors]
+    index = 1
+    for k in range(dim):
+        while True:
+            live = [r for r in rows if r[k]]
+            if not live:
+                return 0
+            pivot = min(live, key=lambda r: abs(r[k]))
+            if len(live) == 1:
+                break
+            for r in live:
+                if r is not pivot:
+                    q = r[k] // pivot[k]
+                    r[:] = [a - q * b for a, b in zip(r, pivot)]
+        rows.remove(pivot)
+        index *= abs(pivot[k])
+    return index
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(irreducibility_supports(), st.data())
+def test_sublattice_index_stopping_at_one_matches_the_full_reduction(law, data):
+    # the witness texts read only the index, so equal indices keep them
+    dim = law.group.dim
+    for vectors in (list(law.atoms), data.draw(st.permutations(list(law.atoms)))):
+        assert _sublattice_index(vectors, dim) == head_sublattice_index(vectors, dim)
+
+
 def test_law_arrays_are_read_only_and_in_atom_order(drift2d, bernoulli):
     for law in (drift2d, bernoulli, drift2d.dual(), tilt_from_spectral(drift2d).tilted):
         x, p = law.arrays

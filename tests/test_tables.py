@@ -12,6 +12,7 @@ every hitting layer and the finite n-step arrays to slice_step, the
 stencil as one shifted slice per atom.
 """
 
+import itertools
 import math
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
 from rwalk.cli import TRANSLATION_STEPS
 from rwalk.groups import FiniteGroup, Lattice
 from rwalk.spectral import Exponential
-from rwalk.tables import powers, step, step_span
+from rwalk.tables import _unimodular_bases, powers, step, step_frame, step_span
 
 from conftest import mgf
 
@@ -364,3 +365,61 @@ def test_finite_step_layers_and_powers_bit_identical_to_slice_step(s3_skew, data
         f = slice_step(s3_skew.dual(), f)
         assert_same_bits(dense, f)
     assert check_translation_invariance(s3_skew, targets, data.draw(elements), steps) == 0.0
+
+
+# ------------------------------------------------------------ the frame
+
+
+def all_unimodular(dim):
+    """Every (dim, dim) matrix of entries in {-1, 0, 1} with |det| = 1."""
+    mats = np.array(list(itertools.product((-1, 0, 1), repeat=dim * dim))).reshape(-1, dim, dim)
+    return mats[np.abs(np.linalg.det(mats)).round() == 1]
+
+
+def box_cells(shifts, n):
+    lo, hi = step_span(shifts, n)
+    return math.prod((n * (hi - lo) + 1).tolist())
+
+
+def test_unimodular_bases_invert_exactly():
+    for dim, count in ((1, 1), (2, 5), (3, 145)):
+        rows, bases, inverses = _unimodular_bases(dim)
+        assert len(bases) == count
+        assert np.array_equal(rows[bases[0]], np.eye(dim))
+        assert (inverses @ rows[bases] == np.eye(dim, dtype=np.int64)).all()
+
+
+@KERNEL_SETTINGS
+@given(stencil_laws(), st.integers(1, 10))
+def test_step_frame_is_the_smallest_unimodular_box(law, n):
+    pts = np.array(list(law.atoms))
+    shifts, inverse = step_frame(law.atoms, n)
+    assert shifts.dtype == inverse.dtype == np.int64
+    assert np.array_equal(shifts @ inverse.T, pts)   # x = inverse @ y, exactly
+    assert round(abs(np.linalg.det(inverse))) == 1
+    # no matrix of {-1, 0, 1} entries, in any row order or sign, does better
+    assert box_cells(shifts, n) == min(box_cells(pts @ m.T, n)
+                                       for m in all_unimodular(law.group.dim))
+
+
+def test_step_frame_keeps_x_on_axis_supports_and_ties():
+    for dim in (1, 2, 3):
+        units = [tuple(s * (j == k) for j in range(dim)) for k in range(dim) for s in (1, -1)]
+        for points in (units, [(0,) * dim] + units[::2], units + [(3,) + (0,) * (dim - 1)]):
+            shifts, inverse = step_frame(points, 10)
+            assert np.array_equal(inverse, np.eye(dim)) and np.array_equal(shifts, points)
+    # rows (1, 0) and (1, -1) give this support the x box too: x wins the tie
+    points = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+    assert box_cells(np.array(points) @ np.array([[1, 0], [1, -1]]).T, 10) == 21 * 21
+    shifts, inverse = step_frame(points, 10)
+    assert np.array_equal(inverse, np.eye(2)) and np.array_equal(shifts, points)
+
+
+def test_step_frame_shrinks_the_off_axis_3d_box():
+    # the windows workload's 3D support: 41 x 41 x 21 cells in x coordinates
+    points = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+              (0, 0, -1), (2, -2, -1), (-2, 2, 1)]
+    assert box_cells(points, 10) == 41 * 41 * 21
+    shifts, inverse = step_frame(points, 10)
+    assert box_cells(shifts, 10) == 21 ** 3
+    assert np.array_equal(shifts @ inverse.T, points)

@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rwalk import (ExponentOverflow, LatticeBox, Law, NotNormalized, WindowExceeded,
+from rwalk import (ExponentOverflow, Lattice, LatticeBox, Law, NotNormalized, WindowExceeded,
                    check_dual_invariance, check_measure_invariance,
                    check_symmetric_degeneracy, check_tilted_powers,
                    default_window, find_exponential, tilt, verify_r_invariance)
 from rwalk.spectral import EXP_GUARD, Exponential
-from rwalk.tables import DENSE_CELL_LIMIT, FunctionTable
+from rwalk.tables import DENSE_CELL_LIMIT, FunctionTable, powers, step_span
 
 from conftest import mgf, tilt_from_spectral
 
@@ -96,15 +98,75 @@ def test_power_identity_lazy_deep(lazy_drift):
     assert check_tilted_powers(tw, 8) <= 1e-12
 
 
+# +-e_k and +-40 e_k: every row of {-1,0,1}^3 spans at least 80 on them, so
+# no frame beats the x box; tables.step_frame keeps x on the tie
+WIDE_EVERY_FRAME_3D = {(1, 0, 0): .15, (-1, 0, 0): .15, (0, 1, 0): .15, (0, -1, 0): .15,
+                       (0, 0, 1): .15, (0, 0, -1): .15, (40, 0, 0): .02, (-40, 0, 0): .02,
+                       (0, 40, 0): .02, (0, -40, 0): .02, (0, 0, 40): .01, (0, 0, -40): .01}
+
+
 def test_power_identity_box_limit(z3):
     # a 40-step jump makes the 10-step box 801^3 cells: refused before allocating
-    atoms = {(1, 0, 0): .15, (-1, 0, 0): .15, (0, 1, 0): .15, (0, -1, 0): .15,
-             (0, 0, 1): .15, (0, 0, -1): .15, (40, 40, 40): .05, (-40, -40, -40): .05}
-    tw = tilt_from_spectral(Law(z3, atoms))
+    tw = tilt_from_spectral(Law(z3, WIDE_EVERY_FRAME_3D))
     with pytest.raises(WindowExceeded, match=str(801 ** 3)):
         check_tilted_powers(tw, 10)
     assert 801 ** 3 > DENSE_CELL_LIMIT >= 81 ** 3
     assert check_tilted_powers(tw, 1) <= 1e-14
+
+
+def test_power_identity_runs_a_diagonal_wide_law_in_its_frame(z3):
+    # +-(40, 40, 40): the x box would be 801^3 cells, rows (1,0,0), (0,1,-1)
+    # and (1,-1,0) make it 801 x 21 x 21
+    atoms = {(1, 0, 0): .15, (-1, 0, 0): .15, (0, 1, 0): .15, (0, -1, 0): .15,
+             (0, 0, 1): .15, (0, 0, -1): .15, (40, 40, 40): .05, (-40, -40, -40): .05}
+    assert check_tilted_powers(tilt_from_spectral(Law(z3, atoms)), 10) == 0.0
+
+
+def x_box_tilted_powers(tw, n_max):
+    """check_tilted_powers on a lattice as it was on the x-coordinate box,
+    the residual formed in temporaries: the frame's residual equals it."""
+    lo, hi = step_span(tw.original.atoms, n_max)
+    window = LatticeBox(n_max * lo, n_max * hi)
+    boxes = [tuple(slice((n - n_max) * a, (n - n_max) * a + n * (b - a) + 1)
+                   for a, b in zip(lo, hi)) for n in range(1, n_max + 1)]
+    phi = FunctionTable.tabulate(tw.original.group, tw.exponential.exponent, window).values
+    over = phi > EXP_GUARD
+    phi[over] = 0.0
+    np.exp(phi, out=phi)
+    worst, scale = 0.0, 1.0
+    steps = zip(boxes, powers(tw.tilted, n_max), powers(tw.original, n_max))
+    for n, (box, left, right) in enumerate(steps, 1):
+        scale *= tw.R
+        assert not over[box][right > 0].any()
+        resid = float(np.max(np.abs(left - scale * phi[box] * right)))
+        assert math.isfinite(resid)
+        worst = max(worst, resid)
+    return worst
+
+
+@st.composite
+def tilted_lattice_walks(draw):
+    """Tilts of lattice laws in d = 1..3 at an exponent drawn apart from
+    theta*: supports of up to 6 points of [-2, 2]^d, mostly off the axes and
+    sparse, half of them closed under x -> -x."""
+    dim = draw(st.integers(1, 3))
+    support = set(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1,
+                                max_size=6, unique=True)))
+    if draw(st.booleans()):
+        support |= {tuple(-c for c in x) for x in support}
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(support),
+                            max_size=len(support)))
+    total = math.fsum(weights)
+    law = Law(Lattice(dim), {x: w / total for x, w in zip(sorted(support), weights)},
+              sum_tol=1e-9)
+    theta = tuple(draw(st.floats(-0.8, 0.8)) for _ in range(dim))
+    return tilt(law, Exponential(theta), 1.0 / mgf(law, theta))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tilted_lattice_walks(), st.integers(1, 10))
+def test_power_identity_in_the_frame_equals_the_x_box(tw, n_max):
+    assert check_tilted_powers(tw, n_max) == x_box_tilted_powers(tw, n_max)
 
 
 def test_power_identity_guard_only_where_the_walk_reaches(drift2d, bernoulli):

@@ -5,18 +5,21 @@
 Run from anywhere inside the repository.  Each side is copied to its own
 temporary directory as tools/bench_pairs.py does (the parent with `git
 archive`, the working tree as git tracks or would track it).  On each
-tests/fixtures/*.spec, from the root of each copy, it runs
+tests/fixtures/*.spec of either side, read from the working tree's copy
+when it has one (so a fixture the change adds also runs on the parent),
+it runs, from the root of each copy,
 
     python3 -m rwalk.cli analyze SPEC --json -
     python3 -m rwalk.cli verify SPEC --json -
     python3 -m rwalk.cli tilt SPEC -o -
     python3 -m rwalk.cli simulate SPEC --trajectories 200 --horizon 300 \
-        --series-horizon 200 --json -        (--series-horizon 120 on sym3d)
+        --series-horizon 200 --json -        (SERIES_HORIZON where given)
 
 sym3d runs at its series cap, 120, which is also its benchmark horizon:
-there the 60-step box is 61^3 cells, 14 tiles of tables.powers, the
-most tiles and the largest arrays of any command here, so the in-place
-tile order is exercised where the benchmark exercises it.
+there the 60-step box is 61^3 cells, 14 tiles of tables.powers, so the
+in-place tile order is exercised where the benchmark exercises it.
+offaxis3d runs at 100, the largest horizon whose 50-step box (201 x 201
+x 101 cells) fits the dense-array limit.
 
 A command differs when its exit code, its stderr, its text output or its
 JSON report differs between the sides; the reports' `timings` are blanked
@@ -42,7 +45,7 @@ from pathlib import Path
 from bench_pairs import copy_working_tree, extract_ref, git, source_lines
 
 SIMULATE = ["--trajectories", "200", "--horizon", "300", "--json", "-"]
-SERIES_HORIZON = {"sym3d": "120"}
+SERIES_HORIZON = {"sym3d": "120", "offaxis3d": "100"}
 
 
 def commands(spec: str) -> dict:
@@ -112,13 +115,15 @@ def main(argv=None) -> int:
                         for p in (d / "tests" / "fixtures").glob("*.spec")})
         total, differing, details = 0, 0, []
         for spec in specs:
+            spec = str(next(d / spec for d in (dirs["change"], dirs["parent"])
+                            if (d / spec).is_file()))
             for name, cmd in commands(spec).items():
                 total += 1
                 out = {side: run(d, cmd) for side, d in dirs.items()}
                 parts = [k for k in out["parent"] if out["parent"][k] != out["change"][k]]
                 if parts:
                     differing += 1
-                    details.append(f"{name} {spec}: {', '.join(parts)} differ")
+                    details.append(f"{name} {Path(spec).name}: {', '.join(parts)} differ")
                     for k in parts:
                         details += describe(k, out["parent"][k], out["change"][k])
 
