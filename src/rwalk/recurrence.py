@@ -19,10 +19,11 @@ plus the exact hitting-probability dynamic program used for the
 translation-invariance identity h^{yB}(yx) = h^B(x).
 
 On a lattice the series steps tables.powers, whose size limit bounds it
-too, in the coordinates of the walk's parity coset when it has one
-(_coset_frame): odd-n returns are then exact zeros and are not computed,
-every cell equals the x-coordinate convolution bit for bit, and only the
-pairing sums p(2n) can differ from an x-coordinate sum in the last ulps.
+too, in the frame of the smallest half-horizon box (tables.step_frame):
+a unimodular basis, or a basis of the walk's parity coset, where odd-n
+returns are exact zeros and are not computed.  Every cell equals the
+x-coordinate convolution bit for bit; only the pairing sums p(2n) can
+differ from an x-coordinate sum in the last ulps.
 
 The Monte Carlo runs chunks of _MC_CHUNK trajectories in forked processes
 that claim them from one token pipe, while the caller first does other
@@ -52,7 +53,7 @@ import numpy as np
 from .errors import HorizonTooLarge, InsufficientData, WindowExceeded
 from .groups import FiniteGroup, Lattice
 from .laws import Law
-from .tables import FunctionTable, LatticeBox, check_cells, powers, step_span, stepper
+from .tables import FunctionTable, LatticeBox, check_cells, powers, step_frame, stepper
 
 # (default, cap) of the return-series horizon per lattice dimension, and finite
 SERIES_HORIZON = {1: (4000, 5000), 2: (600, 600), 3: (120, 120)}
@@ -113,60 +114,24 @@ def _paired_origin_mass(f, lo_f, g, lo_g):
     return float((f[tuple(f_sl)] * g[tuple(g_sl)][(slice(None, None, -1),) * g.ndim]).sum())
 
 
-def _coset_frame(law: Law, n: int):
-    """Coordinates in which the walk's n-step law fills the smallest box.
-
-    Returns (shifts, rows, lo).  If a.u is odd for every atom u and some
-    a in {0,1}^d (the first), X_n lies in the coset a.x = n (mod 2), so no
-    odd n returns.  Doubled rows b (2e_k, or b = a (mod 2) in {-1,0,1}^d,
-    one of b and -b) stacked as a (d, d) matrix `rows` with |det| = 2^(d-1)
-    map the coset one to one onto Z^d by c_k = (b_k.x - n lo_k)/2, lo_k =
-    min_u b_k.u, where atom u is the fixed shift (b_k.u - lo_k)/2 >= 0.
-    The basis with the smallest n-step box is taken; x coordinates (rows
-    None, lo 0), the only frame without a coset, win ties.  The n-step
-    point c pairs with -c - n lo for p(2n).  `shifts` is an (atoms, d)
-    int64 array in the law's canonical atom order.
-    """
-    elems = np.array(list(law.atoms), dtype=np.int64)
-    dim = elems.shape[1]
-    frame = (elems, None, np.zeros(dim, dtype=np.int64))
-    a = next((a for a in itertools.product((0, 1), repeat=dim)
-              if any(a) and np.all(elems @ a % 2 == 1)), None)
-    if a is None:
-        return frame
-    box = lambda widths: math.prod(n * int(w) + 1 for w in widths)
-    cells = box(np.maximum(elems.max(axis=0), 0) - np.minimum(elems.min(axis=0), 0))
-    rows = list(2 * np.eye(dim, dtype=np.int64)) + [
-        b for b in itertools.product((1, 0, -1), repeat=dim)
-        if tuple(c % 2 for c in b) == a and b > tuple(-c for c in b)]
-    for basis in map(np.array, itertools.combinations(rows, dim)):
-        bu = elems @ basis.T
-        lo = bu.min(axis=0)
-        size = box((bu.max(axis=0) - lo) // 2)
-        if round(abs(np.linalg.det(basis))) == 2 ** (dim - 1) and size < cells:
-            frame, cells = ((bu - lo) // 2, basis, lo), size
-    return frame
-
-
-def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
+def _series_lattice(law: Law, horizon: int, frame) -> ReturnSeries:
     """Convolution powers from tables.powers, paired around the midpoint.
 
     Since increments are i.i.d., p(m + n) = sum_x P(X_m = x) P(X_n = -x);
     reading p(2n) and p(2n+1) off consecutive half-way distributions keeps
     every value exact convolution arithmetic while the dense arrays only
-    grow to half the horizon.  The arrays live in the coordinates
-    _coset_frame picks for the half-horizon box, where -x at step n pairs
-    with c as -c - n lo, and p(odd) = 0 is not computed in a coset basis.
+    grow to half the horizon.  The arrays live in the half-horizon box's
+    tables.step_frame `frame`, where -x at step n pairs with c as -c - n
+    offset in a coset frame, which skips p(odd) = 0, and as -c in any other.
     """
-    half = (horizon + 1) // 2
-    shifts, rows, lo = _coset_frame(law, half)
-    base, hi = step_span(shifts, half)
+    _, base, hi, offset, _ = frame
+    lo = base * 0 if offset is None else offset
     # p(2n) pairs the whole n-step box with its reflection if n (base + hi + lo) = 0
     flip = None if np.any(base + hi + lo) else (slice(None, None, -1),) * len(lo)
     base, lo = base.tolist(), lo.tolist()
     # corner of the n-step array, moved by k lo where it pairs for p(2k)
     corner = lambda n, k=0: [n * c + k * l for c, l in zip(base, lo)]
-    arrays = powers(law, half, shifts)
+    arrays = powers(law, (horizon + 1) // 2, frame)
     arr = np.ones((1,) * law.group.dim)
     probs = [1.0] + [0.0] * horizon
     worst_mass = 0.0
@@ -176,11 +141,11 @@ def _series_lattice(law: Law, horizon: int) -> ReturnSeries:
             probs[2 * n] = (float((arr * arr[flip]).sum()) if flip else
                             _paired_origin_mass(arr, corner(n), arr, corner(n, n)))
         if 2 * n + 1 <= horizon:
-            if rows is not None:
+            if offset is not None:
                 arr = nxt = None   # p(2n) is read: one box less while the next is built
             nxt = next(arrays)
             worst_mass = max(worst_mass, abs(float(nxt.sum()) - 1.0))
-            if rows is None:
+            if offset is None:
                 probs[2 * n + 1] = _paired_origin_mass(arr, corner(n), nxt, corner(n + 1))
             arr = nxt
     return _finish_series(probs, horizon, worst_mass)
@@ -204,11 +169,9 @@ def _finish_series(probs, horizon, worst_mass) -> ReturnSeries:
     return ReturnSeries(probs, period, horizon, worst_mass)
 
 
-def series_horizon(law: Law, horizon: int | None = None) -> int:
-    """The horizon return_series(law, horizon) runs to, None giving the
-    default; HorizonTooLarge beyond the per-dimension cap, or when the
-    half-horizon box passes the dense limit.  The law's support and group
-    decide, so a tilted law has its original's."""
+def _series_frame(law: Law, horizon: int | None):
+    """(horizon, frame): series_horizon's horizon and, on a lattice, the
+    tables.step_frame of its half-horizon box (None on a finite group)."""
     finite = isinstance(law.group, FiniteGroup)
     default, cap = SERIES_HORIZON_FINITE if finite else SERIES_HORIZON[law.group.dim]
     horizon = default if horizon is None else horizon
@@ -216,21 +179,28 @@ def series_horizon(law: Law, horizon: int | None = None) -> int:
         raise HorizonTooLarge(f"horizon {horizon} exceeds cap {cap} for {law.group}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if not finite:
-        half = (horizon + 1) // 2
-        try:
-            step_span(_coset_frame(law, half)[0], half)
-        except WindowExceeded as exc:
-            raise HorizonTooLarge(f"series horizon {horizon}: {exc}") from None
-    return horizon
+    if finite:
+        return horizon, None
+    try:
+        return horizon, step_frame(law.atoms, (horizon + 1) // 2, coset=True)
+    except WindowExceeded as exc:
+        raise HorizonTooLarge(f"series horizon {horizon}: {exc}") from None
+
+
+def series_horizon(law: Law, horizon: int | None = None) -> int:
+    """The horizon return_series(law, horizon) runs to, None giving the
+    default; HorizonTooLarge beyond the per-dimension cap, or when the
+    half-horizon box passes the dense limit.  The law's support and group
+    decide, so a tilted law has its original's."""
+    return _series_frame(law, horizon)[0]
 
 
 def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
     """Exact p(n, e, {e}) for n = 0..horizon, refused as series_horizon refuses."""
-    horizon = series_horizon(law, horizon)
-    if isinstance(law.group, FiniteGroup):
+    horizon, frame = _series_frame(law, horizon)
+    if frame is None:
         return _series_finite(law, horizon)
-    return _series_lattice(law, horizon)
+    return _series_lattice(law, horizon, frame)
 
 
 class RhoEstimate(NamedTuple):

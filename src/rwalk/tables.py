@@ -16,8 +16,8 @@ comparable.
 add per atom at a fixed flat offset, where a read past the m-step array
 lands in zero padding and adding p * 0.0 leaves a non-negative cell as it
 is, so the arrays are bit-identical to one d-dimensional slice add per atom;
-step_frame picks the unimodular frame of its smallest box.  check_cells
-refuses a dense box past DENSE_CELL_LIMIT before it is allocated.
+step_frame picks the unimodular or parity-coset frame of its smallest box.
+check_cells refuses a dense box past DENSE_CELL_LIMIT before it is allocated.
 """
 
 from __future__ import annotations
@@ -206,30 +206,48 @@ def step_span(points, n: int) -> tuple:
 
 
 @functools.cache
-def _unimodular_bases(dim: int):
-    """(rows, bases, inverses), read-only int64: the rows of {-1,0,1}^dim, one of
-    each pair +-b, unit vectors first; the bases of Z^dim made of them, as row
-    indices, the identity first; and each basis's integer inverse."""
-    rows = np.array(sorted((r for r in itertools.product((1, 0, -1), repeat=dim)
-                            if r > (0,) * dim), key=lambda r: sum(map(abs, r))))
-    bases = np.array(list(itertools.combinations(range(len(rows)), dim)))
-    bases = bases[np.abs(np.linalg.det(rows[bases])).round() == 1]
-    inverses = np.linalg.inv(rows[bases]).round().astype(np.int64)
-    rows.flags.writeable = bases.flags.writeable = inverses.flags.writeable = False
-    return rows, bases, inverses
+def _frame_bases(dim: int, parity=None):
+    """(rows, bases, halved), read-only: the rows of {-1,0,1}^dim, one of each
+    pair +-b, unit vectors first, then for a parity a the coset rows 2e_k and
+    b = a (mod 2); the bases, as row indices: the identity, the coset bases
+    (|det| = 2^(dim-1)), the other unimodular ones; which rows are coset rows."""
+    signs = [r for r in itertools.product((1, 0, -1), repeat=dim) if r > (0,) * dim]
+    rows = sorted(signs, key=lambda r: sum(map(abs, r)))
+    m = len(rows)
+    if parity is not None:
+        rows += [tuple(2 * (j == k) for j in range(dim)) for k in range(dim)]
+        rows += [b for b in signs if tuple(c % 2 for c in b) == parity]
+    rows = np.array(rows, dtype=np.int64)
+    bases = np.array(list(itertools.combinations(range(len(rows)), dim)))   # rising indices
+    dets = np.abs(np.linalg.det(rows[bases])).round()
+    plain = bases[(bases[:, -1] < m) & (dets == 1)]
+    coset = bases[(bases[:, 0] >= m) & (dets == 2 ** (dim - 1))]
+    bases = np.concatenate([plain[:1], coset, plain[1:]])
+    halved = np.arange(len(rows)) >= m
+    rows.flags.writeable = bases.flags.writeable = halved.flags.writeable = False
+    return rows, bases, halved
 
 
-def step_frame(points, n: int):
-    """The unimodular frame of the smallest n-step box of the lattice points
-    (as step_span takes it): (shifts, inverse), the points as (points, d) int64
-    coordinates y = B x, B's rows from _unimodular_bases, and B's integer
-    inverse.  x coordinates win ties, so an axis-aligned support keeps its box."""
+def step_frame(points, n: int, coset: bool = False):
+    """The frame of the smallest n-step box of the lattice points, as (shifts,
+    lo, hi, offset, basis): the points in its coordinates as a (points, d)
+    int64 array, their step_span and its rows B.  A unimodular basis maps x
+    to B x (offset None); with `coset`, if a.u is odd on every point u for
+    some a in {0,1}^d (the first), a coset basis maps the n-step point x
+    one to one to (B x - n offset)/2, offset_k = min_u b_k.u.  The first
+    smallest box in _frame_bases order wins: x coordinates win ties."""
     pts = np.array(list(points), dtype=np.int64)
-    rows, bases, inverses = _unimodular_bases(pts.shape[1])
+    dim = pts.shape[1]
+    parity = next((a for a in itertools.product((0, 1), repeat=dim)
+                   if any(a) and np.all(pts @ a % 2 == 1)), None) if coset else None
+    rows, bases, halved = _frame_bases(dim, parity)
     proj = rows @ pts.T
+    offset = np.where(halved, proj.min(axis=1), 0)
+    proj = (proj - offset[:, None]) // (1 + halved[:, None])
     sides = n * (proj.max(axis=1, initial=0) - proj.min(axis=1, initial=0)) + 1.0
-    k = int(np.argmin(sides[bases].prod(axis=1)))   # the first minimum
-    return pts @ rows[bases[k]].T, inverses[k]
+    k = bases[int(np.argmin(sides[bases].prod(axis=1)))]   # the first smallest box
+    shifts = proj[k].T
+    return (shifts, *step_span(shifts, n), offset[k] if halved[k].any() else None, rows[k])
 
 
 def flush_free_steps(masses) -> float:
@@ -261,20 +279,20 @@ def _shift_add(flat, moves) -> None:
         flat[a:b] = tile
 
 
-def powers(law, n_max: int, shifts=None):
+def powers(law, n_max: int, frame=None):
     """Yield the law of X_n = u_1 ... u_n, n = 1..n_max, as dense arrays.
 
-    On a lattice the n-th array is the box n*lo .. n*hi of
-    step_span(shifts, n_max), where `shifts` gives each atom, in the law's
-    canonical order, as a shift in the caller's coordinates (default: the
-    atoms themselves); the (n+1)-th adds mass(u) times the n-th at each
-    shift u, read at one flat offset from the n-th copied to the corner of
-    the (n+1)-th box, tile by tile (_shift_add; a 1D box of one tile reads
-    the n-th itself), and flushes cells below UNDERFLOW_FLOOR beyond the
-    flush_free_steps bound; the first step refuses an n_max-step box past
-    the limit before building any array.  On a finite group the arrays are
-    indexed by the elements, and each step gathers f(z u^-1) through the
-    reversed law, the law of X_n u (right multiplication, as Law.convolve).
+    On a lattice the n-th array is the box n*lo .. n*hi of the step_frame
+    `frame`, whose shifts give each atom, in the law's canonical order, in
+    its coordinates (default: x coordinates, step_span's box, refused past
+    the limit before any array is built); the (n+1)-th adds mass(u) times
+    the n-th at each shift u, read at one flat offset from the n-th copied
+    to the corner of the (n+1)-th box, tile by tile (_shift_add; a 1D box
+    of one tile reads the n-th itself), and flushes cells below
+    UNDERFLOW_FLOOR beyond the flush_free_steps bound.  On a finite group
+    the arrays are indexed by the elements, and each step gathers
+    f(z u^-1) through the reversed law, the law of X_n u (right
+    multiplication, as Law.convolve).
     """
     group = law.group
     if isinstance(group, FiniteGroup):
@@ -285,8 +303,9 @@ def powers(law, n_max: int, shifts=None):
             f = kernel(f).copy()   # the kernel's next call overwrites its output
             yield f
         return
-    shifts = list(law.atoms) if shifts is None else shifts.tolist()
-    lo, hi = step_span(shifts, n_max)
+    if frame is None:   # x coordinates
+        frame = list(law.atoms), *step_span(law.atoms, n_max)
+    shifts, lo, hi = frame[:3]
     safe = flush_free_steps(law.atoms.values())
     places, masses = np.array(shifts) - lo, list(law.atoms.values())   # from the box corner
     moves = list(zip(places[:, 0].tolist(), masses))   # the 1D offsets, fixed

@@ -5,7 +5,8 @@ a new probability law whose walk has zero drift; the checks here certify
 the identities that make the construction tick:
 
   * tilted n-step law  =  R^n * phi * (original n-step law), at every
-    point of the smallest unimodular n-step box (tables.step_frame, powers)
+    point of the smallest unimodular n-step box (tables.step_frame without
+    the series' coset bases; powers reuses its span)
   * psi = 1/phi is invariant for the reversed walk:  psi = R * Phat psi
   * the measure psi * counting is R-invariant:  psi(y) = R * sum_x psi(x) v(x^-1 y)
   * a symmetric law degenerates: theta* = 0, R = 1, tilting is the identity
@@ -31,7 +32,7 @@ from .errors import ExponentOverflow, NotNormalized, RwalkError
 from .groups import FiniteGroup
 from .laws import Law, default_window
 from .spectral import EXP_GUARD, Exponential, SpectralResult
-from .tables import FunctionTable, LatticeBox, invariance_residual, powers, step_frame, step_span
+from .tables import FunctionTable, LatticeBox, invariance_residual, powers, step_frame
 
 TILT_NORMALIZATION_TOL = 1e-10
 # Corollary 2: how close to theta* = 0 and R = 1 a symmetric law must land
@@ -89,17 +90,17 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    group, window, shifts, boxes = tw.original.group, None, None, [slice(None)] * n_max
+    group, window, frame, boxes = tw.original.group, None, None, [slice(None)] * n_max
     exponent = tw.exponential.exponent
     if not isinstance(group, FiniteGroup):
-        shifts, inverse = step_frame(tw.original.atoms, n_max)
-        lo, hi = step_span(shifts, n_max)
+        frame = _, lo, hi, _, basis = step_frame(tw.original.atoms, n_max)
+        inverse = np.linalg.inv(basis).round().astype(np.int64).tolist()
         window = LatticeBox(n_max * lo, n_max * hi)
         boxes = [tuple(slice((n - n_max) * a, (n - n_max) * a + n * (b - a) + 1)
                        for a, b in zip(lo, hi)) for n in range(1, n_max + 1)]
         # theta.x at x = inverse @ y, the same float as on an x-coordinate box
         exponent = lambda y: tw.exponential.exponent(
-            [sum(c * g for c, g in zip(row, y) if c) for row in inverse.tolist()])
+            [sum(c * g for c, g in zip(row, y) if c) for row in inverse])
     # theta.x, exponentiated in place
     phi = FunctionTable.tabulate(group, exponent, window).values
     over = phi > EXP_GUARD
@@ -109,7 +110,7 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
     buf = np.empty(phi.size)
     worst = 0.0
     scale = 1.0
-    steps = zip(boxes, powers(tw.tilted, n_max, shifts), powers(tw.original, n_max, shifts))
+    steps = zip(boxes, powers(tw.tilted, n_max, frame), powers(tw.original, n_max, frame))
     for n, (box, left, right) in enumerate(steps, 1):
         scale *= tw.R
         if any_over and over[box][right > 0].any():

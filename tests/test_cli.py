@@ -1057,6 +1057,14 @@ def test_simulate_reports_the_theorem_verdict(capsys, tmp_path, name):
     assert report["recurrence"]["verdict_theorem"] == expected
 
 
+@pytest.mark.parametrize("name", [name for name, verdict in sorted(THEOREM_VERDICTS.items())
+                                  if verdict is not None])
+def test_simulate_runs_every_fixture_walk_at_its_default_series_horizon(capsys, name):
+    # offaxis3d's 60-step box would be 7027801 cells in x coordinates, 121^3 in its frame
+    code = main(["simulate", fixture(name), "--trajectories", "20", "--horizon", "20"])
+    assert code == 0, capsys.readouterr().err
+
+
 def test_simulate_decides_on_the_tilted_series(tmp_path):
     # p(n) of {1: .9, -1: .1} drops below the underflow floor at n = 1444,
     # so R^n p(n) stops growing; the tilted walk is the simple symmetric

@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwalk import (FiniteGroup, HorizonTooLarge, IndexOutOfRange, InsufficientData,
@@ -19,9 +19,9 @@ from rwalk import (FiniteGroup, HorizonTooLarge, IndexOutOfRange, InsufficientDa
 import rwalk.recurrence as recurrence
 import rwalk.tables as tables
 from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_finite,
-                              _chunk_lattice, _coset_frame, _decode_keys,
+                              _chunk_lattice, _decode_keys,
                               _key_weights, _philox_keys, _word_thresholds, worker_count)
-from rwalk.tables import UNDERFLOW_FLOOR, flush_free_steps, powers, step_span
+from rwalk.tables import UNDERFLOW_FLOOR, flush_free_steps, powers, step_frame, step_span
 
 from conftest import s3_cayley, tilt_from_spectral
 
@@ -89,6 +89,15 @@ def test_series_refuses_an_oversized_box_before_allocating(symmetric3d, monkeypa
     assert seen == []
     monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells)
     assert return_series(symmetric3d, 120).period == 2 and len(seen) == 60
+
+
+def test_return_series_searches_one_frame(symmetric3d, monkeypatch):
+    # series_horizon's check and the series share the half-horizon frame
+    calls = []
+    monkeypatch.setattr(recurrence, "step_frame", lambda *args, **kwargs: calls.append(
+        args[1]) or step_frame(*args, **kwargs))
+    return_series(symmetric3d, 40)
+    assert calls == [20]
 
 
 def test_horizon_caps(bernoulli, symmetric2d, symmetric3d, z6_law):
@@ -222,8 +231,8 @@ def convolve(atoms, values, span):
 
 def recording_powers(seen):
     """recurrence.powers, appending every array it yields to `seen`."""
-    def record(law, n_max, shifts=None):
-        for f in powers(law, n_max, shifts):
+    def record(law, n_max, frame=None):
+        for f in powers(law, n_max, frame):
             seen.append(f)
             yield f
     return record
@@ -322,9 +331,10 @@ def shear_series_lattice(law, horizon):
     """The lattice series as the one-axis shear frame paired it."""
     shifts, a, j = shear_frame(law)
     half = (horizon + 1) // 2
-    lo = step_span(shifts, half)[0].tolist()
+    span = step_span(shifts, half)
+    lo = span[0].tolist()
     corner = lambda n, k=0: [n * c + k * (axis == j) for axis, c in enumerate(lo)]
-    arrays = powers(law, half, shifts)
+    arrays = powers(law, half, (shifts, *span))
     arr = np.ones((1,) * law.group.dim)
     probs = [1.0] + [0.0] * horizon
     for n in range(horizon // 2 + 1):
@@ -346,16 +356,25 @@ def box_cells(shifts, n):
     return math.prod(n * int(w) + 1 for w in span)
 
 
+def series_frame(law, n):
+    """tables.step_frame of the series' n-step box, as (shifts, basis, offset)."""
+    shifts, _, _, offset, basis = step_frame(law.atoms, n, coset=True)
+    return shifts, basis, offset
+
+
 def assert_frame_is_a_coset_basis(law, n):
-    """_coset_frame(law, n) is x coordinates or a basis of the parity
-    coset, its n-step box is never larger than the one-axis shear frame's,
-    and a basis is taken only when its box is smaller than the x box."""
-    shifts, rows, lo = _coset_frame(law, n)
+    """The series frame of the n-step box is a unimodular frame whose box is
+    no larger than the x box, or a basis of the parity coset; its box is
+    never larger than the one-axis shear frame's, and a coset basis is
+    taken only when its box is smaller than the x box."""
+    shifts, rows, lo = series_frame(law, n)
     elems = np.array(list(law.atoms), dtype=np.int64)
     old_shifts, a, _ = shear_frame(law)
     assert box_cells(shifts, n) <= box_cells(old_shifts, n)
-    if rows is None:
-        assert np.array_equal(shifts, elems) and not np.any(lo)
+    if lo is None:
+        assert round(abs(np.linalg.det(rows))) == 1
+        assert np.array_equal(shifts, elems @ rows.T)
+        assert box_cells(shifts, n) <= box_cells(elems, n)
         return
     assert a is not None and round(abs(np.linalg.det(rows))) == 2 ** (law.group.dim - 1)
     for b in rows:   # 2e_k, or b = a (mod 2) in {-1,0,1}^d
@@ -369,23 +388,36 @@ def assert_frame_is_a_coset_basis(law, n):
 def test_coset_frame_on_the_fixtures(bernoulli, drift2d, symmetric3d, lazy_drift):
     for law in (drift2d, symmetric3d, no_shear_law()):
         for n in (1, 30, 60):
-            shifts, rows, lo = _coset_frame(law, n)
+            shifts, rows, lo = series_frame(law, n)
             assert box_cells(shifts, n) == (n + 1) ** law.group.dim
             assert np.all(np.abs(rows) == 1) and np.array_equal(lo, [-1] * law.group.dim)
-    shifts, rows, lo = _coset_frame(bernoulli, 60)   # c = (x + n)/2
+    shifts, rows, lo = series_frame(bernoulli, 60)   # c = (x + n)/2
     assert shifts.tolist() == [[0], [1]] and rows.tolist() == [[1]] and lo.tolist() == [-1]
-    shifts, rows, lo = _coset_frame(lazy_drift, 60)
-    assert shifts.tolist() == [list(u) for u in lazy_drift.atoms] and rows is None
-    assert lo.tolist() == [0]
+    shifts, rows, lo = series_frame(lazy_drift, 60)
+    assert shifts.tolist() == [list(u) for u in lazy_drift.atoms] and rows.tolist() == [[1]]
+    assert lo is None
     # here one axis keeps x: c = (x + 1, (x + y + 3)/2), a (2n+1)(3n+1) box
     wide_y = Law(Lattice(2), {(1, 0): .25, (-1, 0): .25, (0, 3): .25, (0, -3): .25})
-    shifts, rows, lo = _coset_frame(wide_y, 60)
+    shifts, rows, lo = series_frame(wide_y, 60)
     assert rows.tolist() == [[2, 0], [1, 1]] and lo.tolist() == [-2, -3]
     assert shifts.tolist() == [[0, 1], [1, 0], [1, 3], [2, 2]]   # canonical atom order
 
 
+# laws with an atom at the origin, so no parity coset, that a unimodular
+# frame shrinks: rows e_1 and (1, -1) make the 2D box (2n+1)(n+1), and the
+# offaxis3d fixture's box is 21^3 rather than 41 x 41 x 21 at n = 10
+ORIGIN_2D = Law(Lattice(2), {(0, 0): .3, (1, 1): .25, (-1, -1): .2, (1, 0): .15, (0, -1): .1})
+ORIGIN_3D = Law(Lattice(3), {(0, 0, 0): .1, (1, 0, 0): .2, (-1, 0, 0): .1, (0, 1, 0): .15,
+                             (0, -1, 0): .15, (0, 0, 1): .1, (0, 0, -1): .1,
+                             (2, -2, -1): .06, (-2, 2, 1): .04})
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(lattice_laws(), st.integers(1, 41))
+@example(ORIGIN_2D, 41)
+@example(ORIGIN_2D, 40)
+@example(ORIGIN_3D, 21)
+@example(ORIGIN_3D, 20)
 def test_series_lattice_matches_reference(law, horizon):
     assert_frame_is_a_coset_basis(law, (horizon + 1) // 2)
     got = return_series(law, horizon)
@@ -394,7 +426,7 @@ def test_series_lattice_matches_reference(law, horizon):
     have = np.array(got.probabilities)
     assert np.array_equal(have == 0.0, want == 0.0)
     assert got.period == period
-    if _coset_frame(law, (horizon + 1) // 2)[1] is not None:
+    if series_frame(law, (horizon + 1) // 2)[2] is not None:
         assert period % 2 == 0 and not np.any(want[1::2])
     assert np.all(np.abs(have - want) <= 16 * np.spacing(want))
     assert abs(got.max_mass_error - worst_mass) <= 1e-15
@@ -403,9 +435,12 @@ def test_series_lattice_matches_reference(law, horizon):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(law=lattice_laws(), n=st.integers(1, 200))
 def test_coset_box_is_never_larger_than_the_shear_frame(drift2d, symmetric3d, law, n):
-    assert_frame_is_a_coset_basis(law, n)
-    for fixed in (drift2d, symmetric3d, no_shear_law()):
-        assert box_cells(_coset_frame(fixed, n)[0], n) == (n + 1) ** fixed.group.dim
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        # step_frame refuses a box past the dense limit; the frame is what is tested
+        monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", math.inf)
+        assert_frame_is_a_coset_basis(law, n)
+        for fixed in (drift2d, symmetric3d, no_shear_law()):
+            assert box_cells(series_frame(fixed, n)[0], n) == (n + 1) ** fixed.group.dim
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -427,10 +462,10 @@ def sliced_series_lattice(law, horizon):
     """The lattice series with every pairing, p(2n) included, read by the
     sliced recurrence._paired_origin_mass."""
     half = (horizon + 1) // 2
-    shifts, rows, lo = _coset_frame(law, half)
-    base = step_span(shifts, half)[0]
-    corner = lambda n, k=0: (n * base + k * lo).tolist()
-    arrays = powers(law, half, shifts)
+    frame = step_frame(law.atoms, half, coset=True)
+    base, lo = frame[1], frame[3]
+    corner = lambda n, k=0: (n * base + k * (0 if lo is None else lo)).tolist()
+    arrays = powers(law, half, frame)
     arr = np.ones((1,) * law.group.dim)
     probs = [1.0] + [0.0] * horizon
     for n in range(horizon // 2 + 1):
@@ -438,7 +473,7 @@ def sliced_series_lattice(law, horizon):
             probs[2 * n] = recurrence._paired_origin_mass(arr, corner(n), arr, corner(n, n))
         if 2 * n + 1 <= horizon:
             nxt = next(arrays)
-            if rows is None:
+            if lo is None:
                 probs[2 * n + 1] = recurrence._paired_origin_mass(arr, corner(n), nxt,
                                                                   corner(n + 1))
             arr = nxt
@@ -464,28 +499,29 @@ def test_series_full_reflection_equals_the_sliced_pairing(
 
 
 def assert_coset_cells_equal_dense(law, n_max, monkeypatch):
-    """Each n-step array of the series, mapped back from coset to x
-    coordinates by x = B^-1 (2c + n lo), equals the dense x-box law cell
-    for cell, and every cell it leaves out is zero there."""
+    """Each n-step array of the series, mapped back to x coordinates by
+    x = B^-1 (2c + n lo) from a coset frame or x = B^-1 c from any other,
+    equals the dense x-box law cell for cell, and every cell it leaves out
+    is zero there."""
     seen = []
     monkeypatch.setattr(recurrence, "powers", recording_powers(seen))
     return_series(law, 2 * n_max)
     monkeypatch.undo()
     assert len(seen) == n_max
     dim = law.group.dim
-    shifts, rows, lo = _coset_frame(law, n_max)
+    shifts, rows, lo = series_frame(law, n_max)
     g_lo = step_span(shifts, n_max)[0]
     dense_span = support_span(law)
     f = np.ones((1,) * dim)
     for n, g in enumerate(seen, start=1):
         f = convolve(law.atoms.items(), f, dense_span)
         c = np.indices(g.shape) + (n * g_lo).reshape((dim,) + (1,) * dim)
-        x = c
-        if rows is not None:
+        y = c.reshape(dim, -1)
+        if lo is not None:
             y = (2 * c + n * lo.reshape((dim,) + (1,) * dim)).reshape(dim, -1)
-            x = np.rint(np.linalg.solve(rows, y)).astype(np.int64)
-            assert np.array_equal(rows @ x, y)   # every cell is a coset point
-            x = x.reshape(c.shape)
+        x = np.rint(np.linalg.solve(rows, y)).astype(np.int64)
+        assert np.array_equal(rows @ x, y)   # every cell is a lattice or coset point
+        x = x.reshape(c.shape)
         idx = [xk - int(corner) for xk, corner in zip(x, n * dense_span[0])]
         inside = np.all([(i >= 0) & (i < m) for i, m in zip(idx, f.shape)], axis=0)
         assert not np.any(g[~inside])
@@ -557,14 +593,14 @@ def test_flush_skip_matches_always_flush_powers(monkeypatch):
     assert np.count_nonzero(got[-1]) < got[-1].size // 2 + 1
 
 
-def assert_powers_equal_reference(law, n_max, shifts=None):
-    """Every array powers(law, n_max, shifts) yields equals the reference
-    convolve stepped with the same shifts on the same box, cell for cell."""
-    moves = list(law.atoms) if shifts is None else shifts.tolist()
+def assert_powers_equal_reference(law, n_max, frame=None):
+    """Every array powers(law, n_max, frame) yields equals the reference
+    convolve stepped with the frame's shifts on the same box, cell for cell."""
+    moves = list(law.atoms) if frame is None else frame[0].tolist()
     span = step_span(moves, n_max)
     ref = np.ones((1,) * law.group.dim)
     count = 0
-    for got in powers(law, n_max, shifts):
+    for got in powers(law, n_max, frame):
         ref = convolve(zip(moves, law.atoms.values()), ref, span)
         assert np.array_equal(got, ref)
         count += 1
@@ -592,8 +628,9 @@ def test_tiled_powers_equal_reference(law, tile):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(tables, "_TILE_CELLS", tile)
         n_max = TILED_STEPS[law.group.dim]
-        for shifts in (None, _coset_frame(law, n_max)[0]):
-            assert_powers_equal_reference(law, n_max, shifts)
+        for frame in (None, step_frame(law.atoms, n_max),
+                      step_frame(law.atoms, n_max, coset=True)):
+            assert_powers_equal_reference(law, n_max, frame)
 
 
 def test_tiled_powers_equal_reference_past_the_flush(monkeypatch):
@@ -601,15 +638,15 @@ def test_tiled_powers_equal_reference_past_the_flush(monkeypatch):
     law = flush_laws()[2][0]
     assert 49 < flush_free_steps(law.atoms.values()) < 50
     monkeypatch.setattr(tables, "_TILE_CELLS", 40)
-    assert_powers_equal_reference(law, 56, _coset_frame(law, 56)[0])
+    assert_powers_equal_reference(law, 56, step_frame(law.atoms, 56, coset=True))
 
 
 def test_tiled_powers_equal_reference_on_the_tilted_sym3d_series(symmetric3d):
     # the series' 60-step arrays for horizon 120, at the real tile size
     law = tilt_from_spectral(symmetric3d).tilted
-    shifts = _coset_frame(law, 60)[0]
-    assert box_cells(shifts, 60) > 3 * tables._TILE_CELLS
-    assert_powers_equal_reference(law, 60, shifts)
+    frame = step_frame(law.atoms, 60, coset=True)
+    assert box_cells(frame[0], 60) > 3 * tables._TILE_CELLS
+    assert_powers_equal_reference(law, 60, frame)
 
 
 @pytest.mark.parametrize("law, n_max", [

@@ -28,7 +28,8 @@ from rwalk import (ExponentOverflow, FunctionTable, Law, LatticeBox,
 from rwalk.cli import TRANSLATION_STEPS
 from rwalk.groups import FiniteGroup, Lattice
 from rwalk.spectral import Exponential
-from rwalk.tables import _unimodular_bases, powers, step, step_frame, step_span
+import rwalk.tables as tables
+from rwalk.tables import _frame_bases, powers, step, step_frame, step_span
 
 from conftest import mgf
 
@@ -383,20 +384,43 @@ def box_cells(shifts, n):
 
 def test_unimodular_bases_invert_exactly():
     for dim, count in ((1, 1), (2, 5), (3, 145)):
-        rows, bases, inverses = _unimodular_bases(dim)
-        assert len(bases) == count
+        rows, bases, halved = _frame_bases(dim)
+        assert len(bases) == count and not halved.any()
         assert np.array_equal(rows[bases[0]], np.eye(dim))
+        inverses = np.linalg.inv(rows[bases]).round().astype(np.int64)
         assert (inverses @ rows[bases] == np.eye(dim, dtype=np.int64)).all()
+
+
+def test_coset_bases_follow_the_identity():
+    # with a parity a, the coset bases sit between the identity and the
+    # other unimodular bases, which keep their order
+    for dim in (1, 2, 3):
+        rows, bases, _ = _frame_bases(dim)
+        for a in itertools.product((0, 1), repeat=dim):
+            if not any(a):
+                continue
+            c_rows, c_bases, halved = _frame_bases(dim, a)
+            coset = c_bases[1:len(c_bases) - len(bases) + 1]
+            assert len(coset) > 0 and np.array_equal(c_rows[c_bases[0]], np.eye(dim))
+            assert np.array_equal(c_rows[c_bases[len(coset) + 1:]], rows[bases[1:]])
+            assert halved[coset].all() and not halved[c_bases[len(coset) + 1:]].any()
+            dets = np.abs(np.linalg.det(c_rows[coset])).round()
+            assert (dets == 2 ** (dim - 1)).all()
+            for b in c_rows[halved]:   # 2e_k, or b = a (mod 2) in {-1,0,1}^d
+                assert sorted(np.abs(b).tolist()) == [0] * (dim - 1) + [2] \
+                    or (np.abs(b).max() == 1 and np.array_equal(b % 2, a))
 
 
 @KERNEL_SETTINGS
 @given(stencil_laws(), st.integers(1, 10))
 def test_step_frame_is_the_smallest_unimodular_box(law, n):
     pts = np.array(list(law.atoms))
-    shifts, inverse = step_frame(law.atoms, n)
-    assert shifts.dtype == inverse.dtype == np.int64
+    shifts, lo, hi, offset, basis = step_frame(law.atoms, n)
+    inverse = np.linalg.inv(basis).round().astype(np.int64)
+    assert shifts.dtype == basis.dtype == np.int64 and offset is None
     assert np.array_equal(shifts @ inverse.T, pts)   # x = inverse @ y, exactly
     assert round(abs(np.linalg.det(inverse))) == 1
+    assert all(map(np.array_equal, (lo, hi), step_span(shifts, n)))
     # no matrix of {-1, 0, 1} entries, in any row order or sign, does better
     assert box_cells(shifts, n) == min(box_cells(pts @ m.T, n)
                                        for m in all_unimodular(law.group.dim))
@@ -406,13 +430,19 @@ def test_step_frame_keeps_x_on_axis_supports_and_ties():
     for dim in (1, 2, 3):
         units = [tuple(s * (j == k) for j in range(dim)) for k in range(dim) for s in (1, -1)]
         for points in (units, [(0,) * dim] + units[::2], units + [(3,) + (0,) * (dim - 1)]):
-            shifts, inverse = step_frame(points, 10)
-            assert np.array_equal(inverse, np.eye(dim)) and np.array_equal(shifts, points)
+            shifts, _, _, offset, basis = step_frame(points, 10)
+            assert np.array_equal(basis, np.eye(dim)) and np.array_equal(shifts, points)
+            assert offset is None
+        # an atom at the origin leaves no parity coset: the series keeps x too
+        points = [(0,) * dim] + units
+        shifts, _, _, offset, basis = step_frame(points, 10, coset=True)
+        assert np.array_equal(basis, np.eye(dim)) and np.array_equal(shifts, points)
+        assert offset is None
     # rows (1, 0) and (1, -1) give this support the x box too: x wins the tie
     points = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
     assert box_cells(np.array(points) @ np.array([[1, 0], [1, -1]]).T, 10) == 21 * 21
-    shifts, inverse = step_frame(points, 10)
-    assert np.array_equal(inverse, np.eye(2)) and np.array_equal(shifts, points)
+    shifts, _, _, _, basis = step_frame(points, 10)
+    assert np.array_equal(basis, np.eye(2)) and np.array_equal(shifts, points)
 
 
 def test_step_frame_shrinks_the_off_axis_3d_box():
@@ -420,6 +450,91 @@ def test_step_frame_shrinks_the_off_axis_3d_box():
     points = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
               (0, 0, -1), (2, -2, -1), (-2, 2, 1)]
     assert box_cells(points, 10) == 41 * 41 * 21
-    shifts, inverse = step_frame(points, 10)
+    shifts, _, _, _, basis = step_frame(points, 10)
     assert box_cells(shifts, 10) == 21 ** 3
+    inverse = np.linalg.inv(basis).round().astype(np.int64)
     assert np.array_equal(shifts @ inverse.T, points)
+
+
+def coset_parity(pts):
+    """The first a in {0,1}^d, a != 0, with a.u odd on every point, or None."""
+    return next((a for a in itertools.product((0, 1), repeat=pts.shape[1])
+                 if any(a) and np.all(pts @ a % 2 == 1)), None)
+
+
+def all_coset_bases(dim, a):
+    """Every (dim, dim) matrix of rows +-2e_k or b = a (mod 2) in {-1,0,1}^dim
+    with |det| = 2^(dim-1)."""
+    rows = [r for r in itertools.product((-2, -1, 0, 1, 2), repeat=dim)
+            if sorted(map(abs, r)) == [0] * (dim - 1) + [2]
+            or (max(map(abs, r)) == 1 and tuple(c % 2 for c in r) == a)]
+    mats = np.array(list(itertools.product(rows, repeat=dim)))
+    return mats[np.abs(np.linalg.det(mats)).round() == 2 ** (dim - 1)]
+
+
+def smallest_cells(pts, mats, n, halve):
+    """The smallest n-step box over the frames y = M x: of the origin and the
+    points' spans, or of (y - min y)/2 on a coset."""
+    y = np.einsum("pk,mjk->mpj", pts, mats)
+    if halve:
+        widths = (y.max(axis=1) - y.min(axis=1)) // 2
+    else:
+        widths = np.maximum(y.max(axis=1), 0) - np.minimum(y.min(axis=1), 0)
+    return int((n * widths + 1).prod(axis=1).min())
+
+
+def previous_series_frame(pts, n):
+    """(basis, offset) of the series frame before unimodular bases joined
+    it: the first coset basis, in combinations of the rows 2e_k then b = a
+    (mod 2) with b > -b, whose box beats the x box, else x coordinates."""
+    dim, a = pts.shape[1], coset_parity(pts)
+    cells, frame = box_cells(pts, n), (np.eye(dim, dtype=np.int64), None)
+    rows = [] if a is None else list(2 * np.eye(dim, dtype=np.int64)) + [
+        b for b in itertools.product((1, 0, -1), repeat=dim)
+        if tuple(c % 2 for c in b) == a and b > tuple(-c for c in b)]
+    for basis in map(np.array, itertools.combinations(rows, dim)):
+        y = pts @ basis.T
+        size = math.prod((n * (y.max(axis=0) - y.min(axis=0)) // 2 + 1).tolist())
+        if round(abs(np.linalg.det(basis))) == 2 ** (dim - 1) and size < cells:
+            cells, frame = size, (basis, y.min(axis=0))
+    return frame
+
+
+@st.composite
+def frame_supports(draw):
+    """Supports of up to 7 points of [-3, 3]^d, d = 1..3, half of them moved
+    into a parity coset: a.u made odd for a random a along one axis."""
+    dim = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=7,
+                        unique=True))
+    if draw(st.booleans()):
+        a = draw(st.tuples(*[st.integers(0, 1)] * dim).filter(any))
+        j = draw(st.sampled_from([k for k in range(dim) if a[k]]))
+        pts = {tuple(c + int(k == j and np.dot(a, u) % 2 == 0) for k, c in enumerate(u))
+               for u in pts}
+    return np.array(sorted(pts), dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(frame_supports(), st.integers(1, 20))
+def test_step_frame_is_the_smallest_box_of_both_families(pts, n):
+    dim, a = pts.shape[1], coset_parity(pts)
+    best = smallest_cells(pts, all_unimodular(dim), n, False)
+    if a is not None:
+        best = min(best, smallest_cells(pts, all_coset_bases(dim, a), n, True))
+    shifts, lo, hi, offset, basis = step_frame(map(tuple, pts), n, coset=True)
+    assert box_cells(shifts, n) == best
+    assert all(map(np.array_equal, (lo, hi), step_span(shifts, n)))
+    if offset is None:
+        assert round(abs(np.linalg.det(basis))) == 1
+        assert np.array_equal(shifts, pts @ basis.T)
+    else:
+        assert a is not None and round(abs(np.linalg.det(basis))) == 2 ** (dim - 1)
+        assert np.array_equal(2 * shifts, pts @ basis.T - offset)
+    # the frame the series had before stays wherever its box is still smallest
+    old_basis, old_offset = previous_series_frame(pts, n)
+    old_shifts = pts @ old_basis.T if old_offset is None else (pts @ old_basis.T - old_offset) // 2
+    if box_cells(old_shifts, n) == best:
+        assert np.array_equal(basis, old_basis)
+        assert (offset is None) == (old_offset is None)
+        assert old_offset is None or np.array_equal(offset, old_offset)

@@ -11,6 +11,7 @@ from rwalk import (ExponentOverflow, Lattice, LatticeBox, Law, NotNormalized, Wi
                    check_symmetric_degeneracy, check_tilted_powers,
                    default_window, find_exponential, tilt, verify_r_invariance)
 from rwalk.spectral import EXP_GUARD, Exponential
+import rwalk.tables as tables
 from rwalk.tables import DENSE_CELL_LIMIT, FunctionTable, powers, step_span
 
 from conftest import mgf, tilt_from_spectral
@@ -120,6 +121,19 @@ def test_power_identity_runs_a_diagonal_wide_law_in_its_frame(z3):
     atoms = {(1, 0, 0): .15, (-1, 0, 0): .15, (0, 1, 0): .15, (0, -1, 0): .15,
              (0, 0, 1): .15, (0, 0, -1): .15, (40, 40, 40): .05, (-40, -40, -40): .05}
     assert check_tilted_powers(tilt_from_spectral(Law(z3, atoms)), 10) == 0.0
+
+
+def test_power_identity_sizes_its_box_once(z3, monkeypatch):
+    # step_frame computes the frame's span and checks its size; powers reuses both
+    tw = tilt_from_spectral(Law(z3, {(1, 0, 0): .3, (-1, 0, 0): .2, (0, 1, 0): .15,
+                                     (0, -1, 0): .15, (2, -2, -1): .1, (-2, 2, 1): .1}))
+    calls = []
+    for name in ("step_span", "check_cells"):
+        real = getattr(tables, name)
+        monkeypatch.setattr(tables, name, lambda *args, name=name, real=real: calls.append(
+            name) or real(*args))
+    check_tilted_powers(tw, 10)
+    assert calls == ["step_span", "check_cells"]
 
 
 def x_box_tilted_powers(tw, n_max):

@@ -18,8 +18,9 @@ it runs, from the root of each copy,
 sym3d runs at its series cap, 120, which is also its benchmark horizon:
 there the 60-step box is 61^3 cells, 14 tiles of tables.powers, so the
 in-place tile order is exercised where the benchmark exercises it.
-offaxis3d runs at 100, the largest horizon whose 50-step box (201 x 201
-x 101 cells) fits the dense-array limit.
+offaxis3d runs at 120 too, its default and cap: its 60-step box is 121^3
+cells in the unimodular frame tables.step_frame picks, where x coordinates
+would need 241 x 241 x 121, past the dense-array limit.
 
 A command differs when its exit code, its stderr, its text output or its
 JSON report differs between the sides; the reports' `timings` are blanked
@@ -45,7 +46,7 @@ from pathlib import Path
 from bench_pairs import copy_working_tree, extract_ref, git, source_lines
 
 SIMULATE = ["--trajectories", "200", "--horizon", "300", "--json", "-"]
-SERIES_HORIZON = {"sym3d": "120", "offaxis3d": "100"}
+SERIES_HORIZON = {"sym3d": "120", "offaxis3d": "120"}
 
 
 def commands(spec: str) -> dict:
