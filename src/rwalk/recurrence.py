@@ -53,7 +53,7 @@ import numpy as np
 from .errors import HorizonTooLarge, InsufficientData, WindowExceeded
 from .groups import FiniteGroup, Lattice
 from .laws import Law
-from .tables import FunctionTable, LatticeBox, check_cells, powers, step_frame, stepper
+from .tables import LatticeBox, check_cells, powers, step_frame, stepper
 
 # (default, cap) of the return-series horizon per lattice dimension, and finite
 SERIES_HORIZON = {1: (4000, 5000), 2: (600, 600), 3: (120, 120)}
@@ -127,6 +127,7 @@ def _series_lattice(law: Law, horizon: int, frame) -> ReturnSeries:
     _, base, hi, offset, _ = frame
     lo = base * 0 if offset is None else offset
     # p(2n) pairs the whole n-step box with its reflection if n (base + hi + lo) = 0
+    # (_paired_origin_mass gives the same bits, but this fast path runs 1D series ~20% faster)
     flip = None if np.any(base + hi + lo) else (slice(None, None, -1),) * len(lo)
     base, lo = base.tolist(), lo.tolist()
     # corner of the n-step array, moved by k lo where it pairs for p(2k)
@@ -596,7 +597,7 @@ class HittingTable(NamedTuple):
     targets: frozenset
     horizon: int
     window: LatticeBox | None
-    layers: list  # layers[n][x] = P_x(first visit to targets within n steps)
+    layers: np.ndarray  # layers[n]: P_x(first visit to targets within n steps), on the window
 
 
 def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
@@ -606,9 +607,10 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
     truncation), so every layer is a certified lower bound on the
     untruncated value; the window pushes the boundary steps * support_radius
     away from the targets, out of reach, so the bound is exact (a finite
-    group's window is the whole group, its support_radius 0).  The steps + 1
-    layers are refused (tables.check_cells) before any is allocated.  Every
-    step reads one buffer whose zero border, never written, is the truncation.
+    group's window is the whole group, its support_radius 0).  The layers
+    are one (steps + 1, *shape) array, anchored at window.lo, refused
+    (tables.check_cells) before it is allocated.  Every step reads one
+    buffer whose zero border, never written, is the truncation.
     """
     group = law.group
     targets = _target_set(group, targets)
@@ -616,26 +618,22 @@ def hitting_dp(law: Law, targets, steps: int) -> HittingTable:
         raise ValueError("steps must be >= 0")
 
     margin = law.support_radius()
+    pts = np.array(list(targets)).reshape(len(targets), -1)
     if isinstance(group, FiniteGroup):
-        window, shape = None, (group.order,)
+        window, shape, hits = None, (group.order,), tuple(pts.T)
     else:
-        pts = np.array(list(targets))
         window = LatticeBox(pts.min(axis=0) - steps * margin, pts.max(axis=0) + steps * margin)
-        shape = window.shape
+        shape, hits = window.shape, tuple((pts - window.lo).T)
     check_cells((steps + 1, *shape), f"the {steps}-step hitting table")
-    first = FunctionTable(group, window)
-    for t in targets:
-        first.values[first.index(t)] = 1.0
-    hits = first.values.nonzero()
-    layers = [first]
-    buf = np.pad(first.values, margin)  # the zero border is the absorbing truncation
+    layers = np.zeros((steps + 1, *shape))
+    layers[(0, *hits)] = 1.0
+    buf = np.pad(layers[0], margin)  # the zero border is the absorbing truncation
     inner = tuple(slice(margin, margin + n) for n in shape)
     kernel = stepper(law, buf.shape)
-    for _ in range(steps):
-        new = kernel(buf).copy()   # the kernel's next call overwrites its output
-        new[hits] = 1.0
+    for new in layers[1:]:
+        new[...] = kernel(buf)
+        new[hits] = 1.0   # the targets absorb
         buf[inner] = new
-        layers.append(FunctionTable(group, window, new))
     return HittingTable(targets, steps, window, layers)
 
 
@@ -651,10 +649,10 @@ def check_translation_invariance(law: Law, targets, y, steps: int) -> float:
     shifted_targets = frozenset(group.multiply(y, b) for b in targets)
     shifted = hitting_dp(law, shifted_targets, steps)
     # the shifted layer read at y*x, for every x; on a lattice the shifted
-    # targets' window is the base window translated by y, so y+x is where x was
+    # targets' window is the base window translated by y, so y+x is where x was.
+    # One max per layer: a whole-array difference would be one more table.
     at_yx = group.cayley_array[y] if isinstance(group, FiniteGroup) else Ellipsis
-    return max(float(np.abs(b.values[at_yx] - a.values).max())
-               for a, b in zip(base.layers, shifted.layers))
+    return max(float(np.abs(b[at_yx] - a).max()) for a, b in zip(base.layers, shifted.layers))
 
 
 class RecurrenceReport(NamedTuple):

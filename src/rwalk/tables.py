@@ -1,16 +1,15 @@
 """Finite evaluation windows, function tables over them, and the two
 dense kernels that every window and n-step computation goes through.
 
-A table is a dense array: over a lattice box it is anchored at the box
-corner, over a finite group it is indexed by the elements.  `step` applies
-(P f)(x) = sum_u mass(u) f(x u) to such an array through a kernel that
-`stepper` sets up once per law and shape, in the law's canonical atom
-order.  A lattice input loses law.support_radius() cells on every side,
-the points one step could carry out of the box, so truncation is never
-extrapolated; the hitting recursion steps one zero-bordered buffer, whose
-border is its absorbing boundary.  Equal arrays give bit-identical outputs
-wherever the box sits, which keeps translated computations exactly
-comparable.
+A table is a plain dense array: over a lattice box it is anchored at the
+box corner, over a finite group it is indexed by the elements.  The kernel
+that `stepper` sets up once per law and shape, in the law's canonical atom
+order, applies (P f)(x) = sum_u mass(u) f(x u) to such an array.  A lattice
+input loses law.support_radius() cells on every side, the points one step
+could carry out of the box, so truncation is never extrapolated; the
+hitting recursion steps one zero-bordered buffer, whose border is its
+absorbing boundary.  Equal arrays give bit-identical outputs wherever the
+box sits, which keeps translated computations exactly comparable.
 
 `powers`, the forward counterpart, is the one n-step kernel: one contiguous
 add per atom at a fixed flat offset, where a read past the m-step array
@@ -71,21 +70,13 @@ class LatticeBox:
 class FunctionTable:
     """Real-valued function tabulated on a window (lattice box or whole finite group).
 
-    `values` is a float array, zero unless given: of the box's shape with
-    `values[0, ...]` at `window.lo` on a lattice, of shape (order,) on a
-    finite group.
+    `values` is a float array: of the box's shape with `values[0, ...]` at
+    `window.lo` on a lattice, of shape (order,) on a finite group, whose
+    window is None.
     """
 
-    def __init__(self, group: Group, window: LatticeBox | None, values=None):
-        if isinstance(group, FiniteGroup):
-            window = None  # whole group
-        elif window is None:
-            raise ValueError("lattice tables need an explicit window")
-        if values is None:
-            values = np.zeros((group.order,) if window is None else window.shape)
-        self.group = group
-        self.window = window
-        self.values = values
+    def __init__(self, group: Group, window: LatticeBox | None, values: np.ndarray):
+        self.group, self.window, self.values = group, window, values
 
     @classmethod
     def tabulate(cls, group: Group, fn, window: LatticeBox | None = None) -> "FunctionTable":
@@ -94,37 +85,22 @@ class FunctionTable:
         fn receives the window's coordinates as arrays: on a lattice the
         per-axis open grids of the box (np.ogrid), on a finite group the
         vector of element indices.  It returns values broadcastable to
-        the window's shape.
+        the window's shape.  A lattice needs a window; a finite group's is
+        the whole group.
         """
-        table = cls(group, window)
-        if table.window is None:
-            table.values[...] = fn(np.arange(group.order))
-        else:
-            box = table.window
-            table.values[...] = fn(np.ogrid[tuple(slice(a, b + 1)
-                                                  for a, b in zip(box.lo, box.hi))])
-        return table
-
-    def index(self, x):
-        """Array index of the point x; WindowExceeded if x is outside the window."""
-        shape = self.values.shape
-        if self.window is None:
-            inside = isinstance(x, int) and 0 <= x < shape[0]
-            idx = x
-        else:
-            idx = tuple(c - a for c, a in zip(x, self.window.lo))
-            inside = len(x) == len(shape) and all(0 <= i < n for i, n in zip(idx, shape))
-        if not inside:
-            raise WindowExceeded(f"point {x!r} outside table window")
-        return idx
-
-    def __getitem__(self, x) -> float:
-        return float(self.values[self.index(x)])
+        finite = isinstance(group, FiniteGroup)
+        window = None if finite else window
+        values = np.zeros((group.order,) if finite else window.shape)
+        values[...] = fn(np.arange(group.order) if finite else
+                         np.ogrid[tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))])
+        return cls(group, window, values)
 
 
 def stepper(law, shape):
-    """The kernel of `step` for arrays of this shape, set up once; kernel(values)
-    returns P f in the kernel's own buffer, which its next call overwrites.
+    """The one-step kernel for arrays of this shape, set up once: kernel(values)
+    returns (P f)(x) = sum_u mass(u) f(x u) in its own buffer, which its next
+    call overwrites, on every element of a finite group, on a lattice on the
+    box shrunk by law.support_radius() on every side (WindowExceeded if too small).
 
     On a lattice each atom is one multiply-add, through one scratch buffer,
     over the flat span from the inner box's first cell to its last, read at
@@ -164,14 +140,6 @@ def stepper(law, shape):
     return kernel
 
 
-def step(law, values: np.ndarray) -> np.ndarray:
-    """One-step transition operator (P f)(x) = sum_u mass(u) f(x u), through
-    stepper: on a lattice, P f on the box of `values` shrunk on every side
-    by law.support_radius(), the reach of one step (WindowExceeded if the
-    box is too small to shrink); on a finite group, on every element."""
-    return stepper(law, values.shape)(values)
-
-
 def invariance_residual(law, fn, r: float, window: LatticeBox | None) -> float:
     """Max relative residual of f = r * P f, with f the table of fn on the
     window (FunctionTable.tabulate), over the points of the window that one
@@ -179,7 +147,7 @@ def invariance_residual(law, fn, r: float, window: LatticeBox | None) -> float:
     values = FunctionTable.tabulate(law.group, fn, window).values
     margin = law.support_radius()
     ref = values[tuple(slice(margin, n - margin) for n in values.shape)]
-    return float(np.max(np.abs(ref - r * step(law, values)) / ref))
+    return float(np.max(np.abs(ref - r * stepper(law, values.shape)(values)) / ref))
 
 
 def check_cells(shape, what: str) -> None:

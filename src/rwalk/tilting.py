@@ -15,7 +15,7 @@ Residuals are relative wherever the reference value spans orders of
 magnitude; counting measure turns every "almost everywhere" statement
 into "at every point of the check region".  The invariance checks hand phi
 or psi to tables.invariance_residual, which tabulates it once as a dense
-array and applies the one transition kernel, tables.step.  The reversed-walk
+array and applies the one transition kernel of tables.stepper.  The reversed-walk
 identity and the measure identity are the same sum: check_dual_invariance
 computes it, and `rwalk verify` reports that one computation under both
 the `dual` and the `measure` check names.

@@ -36,6 +36,12 @@ def mgf(law, theta):
     return _lambda_pass(law, np.asarray(theta, dtype=float))[0]
 
 
+def window_index(window, x):
+    """Array index of the point x in a table on `window`: x itself on a
+    finite group (window None), x - window.lo on a lattice box."""
+    return x if window is None else tuple(c - a for c, a in zip(x, window.lo))
+
+
 def tilt_from_spectral(law):
     """Minimize, then tilt at the computed (phi, R)."""
     exponential, spectral = find_exponential(law)

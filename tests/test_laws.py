@@ -10,9 +10,9 @@ from rwalk import (ExponentOverflow, FunctionTable, GroupMismatch, Lattice, Law,
                    LatticeBox, WindowExceeded, check_irreducible, cyclic_group,
                    default_window)
 from rwalk.laws import _separating_direction, _sublattice_index
-from rwalk.tables import DENSE_CELL_LIMIT, EXP_GUARD, step
+from rwalk.tables import DENSE_CELL_LIMIT, EXP_GUARD, stepper
 
-from conftest import tilt_from_spectral
+from conftest import tilt_from_spectral, window_index
 
 
 def brute_convolution(a, b):
@@ -112,30 +112,34 @@ def test_convolve_rejects_group_mismatch(bernoulli, z6_law):
 
 def test_step_constant_one(bernoulli, z1):
     window = LatticeBox.centered(3, 1)
-    ones = FunctionTable.tabulate(z1, lambda x: 1.0, window)
-    image = FunctionTable(z1, LatticeBox.centered(2, 1), step(bernoulli, ones.values))
-    assert image[(0,)] == pytest.approx(1.0, abs=1e-15)
+    ones = FunctionTable.tabulate(z1, lambda x: 1.0, window).values
+    image = stepper(bernoulli, ones.shape)(ones)
+    inner = LatticeBox.centered(2, 1)
+    assert image.shape == inner.shape
+    assert image[window_index(inner, (0,))] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_step_exponential(bernoulli, z1):
     window = LatticeBox.centered(3, 1)
     inner = LatticeBox.centered(2, 1)
-    flat = FunctionTable.tabulate(z1, lambda x: np.exp(0.0 * x[0]), window)
-    image = FunctionTable(z1, inner, step(bernoulli, flat.values))
-    assert image[(0,)] == pytest.approx(1.0, abs=1e-15)
+    origin = window_index(inner, (0,))
+    flat = FunctionTable.tabulate(z1, lambda x: np.exp(0.0 * x[0]), window).values
+    image = stepper(bernoulli, flat.shape)(flat)
+    assert image.shape == inner.shape
+    assert image[origin] == pytest.approx(1.0, abs=1e-15)
     theta = 0.5 * math.log(3.0)
-    table = FunctionTable.tabulate(z1, lambda x: np.exp(theta * x[0]), window)
-    image = FunctionTable(z1, inner, step(bernoulli, table.values))
+    table = FunctionTable.tabulate(z1, lambda x: np.exp(theta * x[0]), window).values
+    image = stepper(bernoulli, table.shape)(table)
     # closed form 2*sqrt(p*(1-p))
-    assert image[(0,)] == pytest.approx(2.0 * math.sqrt(0.25 * 0.75), abs=1e-12)
+    assert image[origin] == pytest.approx(2.0 * math.sqrt(0.25 * 0.75), abs=1e-12)
 
 
 def test_step_window_exceeded(bernoulli, z1):
     window = LatticeBox((0,), (1,))
-    t = FunctionTable.tabulate(z1, lambda x: 1.0, window)
+    t = FunctionTable.tabulate(z1, lambda x: 1.0, window).values
     # a two-point box has no point from which one step of radius 1 stays inside
     with pytest.raises(WindowExceeded):
-        step(bernoulli, t.values)
+        stepper(bernoulli, t.shape)(t)
 
 
 def test_irreducibility_examples(bernoulli, z1):

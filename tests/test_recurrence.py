@@ -23,7 +23,7 @@ from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_fin
                               _key_weights, _philox_keys, _word_thresholds, worker_count)
 from rwalk.tables import UNDERFLOW_FLOOR, flush_free_steps, powers, step_frame, step_span
 
-from conftest import s3_cayley, tilt_from_spectral
+from conftest import s3_cayley, tilt_from_spectral, window_index
 
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
@@ -877,39 +877,51 @@ def test_hitting_dp_two_step_enumeration(simple_symmetric):
     # oracle: of the 4 equally likely 2-step paths from 2, only (-1,-1) hits 0
     paths = [p for p in product((1, -1), repeat=2) if 2 + p[0] == 0 or 2 + p[0] + p[1] == 0]
     assert len(paths) == 1
-    assert table.layers[2][(2,)] == pytest.approx(0.25, abs=1e-15)
+    assert table.layers[2][window_index(table.window, (2,))] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_hitting_dp_target_is_absorbing(bernoulli):
     table = hitting_dp(bernoulli, {(0,)}, 10)
-    assert all(layer[(0,)] == 1.0 for layer in table.layers)
+    assert all(layer[window_index(table.window, (0,))] == 1.0 for layer in table.layers)
 
 
 def test_hitting_dp_zero_steps_is_indicator(bernoulli):
     table = hitting_dp(bernoulli, {(0,)}, 0)
-    assert table.layers[0][(0,)] == 1.0
-    assert np.count_nonzero(table.layers[0].values) == 1
+    assert table.layers[0][window_index(table.window, (0,))] == 1.0
+    assert np.count_nonzero(table.layers[0]) == 1
 
 
 def test_hitting_dp_refuses_a_wide_table_before_allocating(bernoulli, z6_law,
                                                            monkeypatch):
     # 51 layers of the 101-cell window, and of the 6 elements of Z6
     allocated = []
-    table = recurrence.FunctionTable
 
-    def recording_table(*args):
-        allocated.append(args)
-        return table(*args)
+    class RecordingNumpy:   # recurrence's numpy, recording the arrays np.zeros makes
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(recurrence, "FunctionTable", recording_table)
-    for law, cells in ((bernoulli, 51 * 101), (z6_law, 51 * 6)):
+        def zeros(self, shape):
+            allocated.append(tuple(shape))
+            return np.zeros(shape)
+
+    monkeypatch.setattr(recurrence, "np", RecordingNumpy())
+    for law, shape in ((bernoulli, (51, 101)), (z6_law, (51, 6))):
+        cells = math.prod(shape)
         monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells - 1)
-        with pytest.raises(WindowExceeded,
-                           match=f"^the 50-step hitting table has {cells} cells"):
-            hitting_dp(law, {law.group.identity()}, 50)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WindowExceeded,
+                               match=f"^the 50-step hitting table has {cells} cells"):
+                hitting_dp(law, {law.group.identity()}, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert allocated == []
+        if law is bernoulli:   # Z6's 2448-byte table is near the refusal's own bookkeeping
+            assert peak < 8 * cells
         monkeypatch.setattr(tables, "DENSE_CELL_LIMIT", cells)
         assert len(hitting_dp(law, {law.group.identity()}, 50).layers) == 51
+        assert allocated == [shape]   # the one table, at its full size
         allocated.clear()
 
 
@@ -932,7 +944,7 @@ def test_hitting_dp_monotone(asymmetric_corpus, z6_law):
         target = {law.group.identity()}
         table = hitting_dp(law, target, steps)
         for prev, nxt in zip(table.layers, table.layers[1:]):
-            assert np.all(nxt.values >= prev.values)
+            assert np.all(nxt >= prev)
 
 
 def test_translation_invariance_bernoulli(bernoulli):
@@ -1003,7 +1015,7 @@ def test_simulate_untilted_bernoulli_matches_ruin_oracle(bernoulli):
 def test_simulate_matches_exact_dp_at_short_horizon(bernoulli):
     horizon = 30
     table = hitting_dp(bernoulli, {(0,)}, horizon - 1)
-    exact = math.fsum(p * table.layers[horizon - 1][u]
+    exact = math.fsum(p * table.layers[horizon - 1][window_index(table.window, u)]
                       for u, p in bernoulli.atoms.items())
     res = simulate_harris(bernoulli, {(0,)}, 4000, horizon, seed=11)
     assert abs(res.return_fraction - exact) <= max(3.0 * res.ci_halfwidth, 0.02)

@@ -6,10 +6,11 @@ kernel sums the same terms in atom order instead, so the two agree to a
 few ulps of values that are O(1): residuals and hitting probabilities
 are compared with abs 1e-15.  The dense n-step laws are compared with
 Law.power, the dictionary convolution, to the same tolerance.  The
-hitting DP is also held bit for bit (np.array_equal) to the recursion
-that pads each layer anew, which eq12's exact zero rests on, and `step`,
-every hitting layer and the finite n-step arrays to slice_step, the
-stencil as one shifted slice per atom.
+hitting DP's one (steps + 1, *shape) layer array is also held bit for bit
+(np.array_equal) to the recursion that pads each layer anew, which eq12's
+exact zero rests on, and the `stepper` kernel, every hitting layer and the
+finite n-step arrays to slice_step, the stencil as one shifted slice per
+atom.
 """
 
 import itertools
@@ -29,9 +30,9 @@ from rwalk.cli import TRANSLATION_STEPS
 from rwalk.groups import FiniteGroup, Lattice
 from rwalk.spectral import Exponential
 import rwalk.tables as tables
-from rwalk.tables import _frame_bases, powers, step, step_frame, step_span
+from rwalk.tables import _frame_bases, powers, step_frame, step_span, stepper
 
-from conftest import mgf
+from conftest import mgf, window_index
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                            database=None)
@@ -71,12 +72,12 @@ def slice_step(law, values):
 def padded_hitting_layers(law, targets, steps, window):
     """The hitting recursion that pads each layer anew: np.pad of the
     previous layer, one slice_step, then np.where over the targets."""
-    first = FunctionTable(law.group, window)
+    first = np.zeros((law.group.order,) if window is None else window.shape)
     for t in targets:
-        first.values[first.index(t)] = 1.0
-    target = first.values == 1.0
+        first[window_index(window, t)] = 1.0
+    target = first == 1.0
     margin = law.support_radius()
-    layers = [first.values]
+    layers = [first]
     for _ in range(steps):
         stepped = slice_step(law, np.pad(layers[-1], margin))
         layers.append(np.where(target, 1.0, stepped))
@@ -155,7 +156,8 @@ def test_hitting_layers_match_pointwise_reference(case, data):
     ref = brute_hitting(law, {origin}, steps, points)
     assert len(table.layers) == len(ref) == steps + 1
     for layer, expected in zip(table.layers, ref):
-        assert max(abs(layer[x] - v) for x, v in expected.items()) <= 1e-15
+        assert max(abs(layer[window_index(table.window, x)] - v)
+                   for x, v in expected.items()) <= 1e-15
 
 
 def assert_powers_match(law, n_max):
@@ -192,7 +194,8 @@ def test_step_is_translation_exact(drift2d, z2):
     g = FunctionTable.tabulate(z2, lambda x: np.cos(x[0] - 7) + (x[1] + 3) ** 2,
                                LatticeBox((1, -9), (13, 3)))
     assert np.array_equal(f.values, g.values)
-    assert np.array_equal(step(drift2d, f.values), step(drift2d, g.values))
+    step = lambda values: stepper(drift2d, values.shape)(values)
+    assert np.array_equal(step(f.values), step(g.values))
 
 
 def test_dual_and_measure_residuals_identical(asymmetric_corpus, z6_law):
@@ -223,7 +226,7 @@ def test_finite_step_matches_pointwise_reference(s3_skew):
     f = lambda x: float(values[x])
     mul = s3_skew.group.multiply
     for law in (s3_skew, s3_skew.dual()):
-        out = step(law, values)
+        out = stepper(law, values.shape)(values)
         for x in range(s3_skew.group.order):
             ref = math.fsum(p * f(mul(x, u)) for u, p in law.atoms.items())
             assert out[x] == pytest.approx(ref, abs=1e-15)
@@ -236,7 +239,7 @@ def test_finite_dense_powers_use_right_multiplication(s3_skew):
     f = np.eye(6)[s3_skew.group.identity()]
     worst = 0.0
     for n in range(1, 4):
-        f = step(s3_skew, f)
+        f = stepper(s3_skew, f.shape)(f)
         law_n = s3_skew.power(n)
         worst = max(worst, max(abs(f[x] - law_n.atoms.get(x, 0.0)) for x in range(6)))
     assert worst > 0.01
@@ -259,7 +262,8 @@ def test_finite_hitting_layers_match_pointwise_reference(s3_skew):
         table = hitting_dp(s3_skew, targets, 25)
         ref = brute_hitting(s3_skew, targets, 25, list(range(s3_skew.group.order)))
         for layer, expected in zip(table.layers, ref):
-            assert max(abs(layer[x] - v) for x, v in expected.items()) <= 1e-15
+            assert max(abs(layer[window_index(table.window, x)] - v)
+                       for x, v in expected.items()) <= 1e-15
 
 
 def test_translation_invariance_nonabelian_exact(s3_skew):
@@ -269,12 +273,17 @@ def test_translation_invariance_nonabelian_exact(s3_skew):
 
 
 def assert_layers_match_padded_recursion(law, targets, steps):
+    """The layers are one C-contiguous (steps + 1, *window shape) array,
+    equal bit for bit to the recursion that pads each layer anew."""
     table = hitting_dp(law, targets, steps)
     expected = padded_hitting_layers(law, targets, steps, table.window)
+    window = (law.group.order,) if table.window is None else table.window.shape
     assert len(table.layers) == steps + 1
+    assert table.layers.shape == (steps + 1, *window)
+    assert table.layers.flags.c_contiguous
+    assert np.array_equal(table.layers, np.array(expected))
     for layer, ref in zip(table.layers, expected):
-        assert layer.values.shape == ref.shape
-        assert np.array_equal(layer.values, ref)
+        assert_same_bits(layer, ref)
 
 
 @pytest.mark.parametrize("name", LATTICE_FIXTURES)
@@ -333,16 +342,12 @@ def test_step_and_hitting_layers_bit_identical_to_slice_step(law, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shape = tuple(2 * margin + data.draw(st.integers(1, 6)) for _ in range(dim))
     values = nonnegative_values(rng, shape)
-    assert_same_bits(step(law, values), slice_step(law, values))
+    assert_same_bits(stepper(law, shape)(values), slice_step(law, values))
     point = st.tuples(*[st.integers(-4, 4)] * dim)
     targets = data.draw(st.lists(point, min_size=1, max_size=3, unique=True))
     steps = DP_STEPS[dim]
     for aim in ({law.group.identity()}, set(targets)):
-        table = hitting_dp(law, aim, steps)
-        expected = padded_hitting_layers(law, aim, steps, table.window)
-        assert len(table.layers) == steps + 1
-        for layer, ref in zip(table.layers, expected):
-            assert_same_bits(layer.values, ref)
+        assert_layers_match_padded_recursion(law, aim, steps)
     y = data.draw(point)
     assert check_translation_invariance(law, targets, y, steps) == 0.0
 
@@ -355,12 +360,10 @@ def test_finite_step_layers_and_powers_bit_identical_to_slice_step(s3_skew, data
     elements = st.integers(0, group.order - 1)
     for law in (s3_skew, s3_skew.dual()):
         values = nonnegative_values(rng, (group.order,))
-        assert_same_bits(step(law, values), slice_step(law, values))
+        assert_same_bits(stepper(law, values.shape)(values), slice_step(law, values))
     targets = set(data.draw(st.lists(elements, min_size=1, max_size=3, unique=True)))
     steps = data.draw(st.integers(0, 40))
-    table = hitting_dp(s3_skew, targets, steps)
-    for layer, ref in zip(table.layers, padded_hitting_layers(s3_skew, targets, steps, None)):
-        assert_same_bits(layer.values, ref)
+    assert_layers_match_padded_recursion(s3_skew, targets, steps)
     f = np.eye(group.order)[group.identity()]
     for dense in powers(s3_skew, steps):
         f = slice_step(s3_skew.dual(), f)

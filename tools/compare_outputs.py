@@ -1,4 +1,4 @@
-"""Compare the CLI's outputs on every fixture between a parent commit and the working tree.
+"""Compare the CLI's outputs on every fixture and benchmark input: parent commit vs working tree.
 
     python3 tools/compare_outputs.py --parent REF
 
@@ -22,12 +22,21 @@ offaxis3d runs at 120 too, its default and cap: its 60-step box is 121^3
 cells in the unimodular frame tables.step_frame picks, where x coordinates
 would need 241 x 241 x 121, past the dense-array limit.
 
-A command differs when its exit code, its stderr, its text output or its
-JSON report differs between the sides; the reports' `timings` are blanked
-first.  Every differing command is listed with what differed, followed by
-each differing report field, as a path with the parent's and the working
-tree's values, and the first differing line of the text output and of
-stderr; the exit status is 1 if any command differed.  The summary line
+Then, for every workload of perfbench/workloads.py and seeds 1 and 2, it
+writes the benchmark's inputs into each copy with the working tree's
+workloads.build and runs each of its commands there, as perfbench/run.py
+would but one process per command; the `--json` report and the `tilt -o`
+file each command writes are read back.  The copies' paths, which the
+commands print (the tilt line) and write (each report's spec path), are
+masked as <dir>.
+
+A command differs when its exit code, its stderr, its text output, its
+JSON report or the spec file it writes differs between the sides; the
+reports' `timings` are blanked first.  Every differing command is listed
+with what differed, followed by each differing report field, as a path
+with the parent's and the working tree's values, and the first differing
+line of the text output, stderr or spec file; the exit status is 1 if any
+command differed.  The summary line
 also gives each side's src/rwalk line count.  Only the standard library
 is used.
 """
@@ -38,6 +47,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -46,6 +56,7 @@ from pathlib import Path
 from bench_pairs import copy_working_tree, extract_ref, git, source_lines
 
 SIMULATE = ["--trajectories", "200", "--horizon", "300", "--json", "-"]
+SEEDS = (1, 2)   # workloads.build seeds of the benchmark inputs
 SERIES_HORIZON = {"sym3d": "120", "offaxis3d": "120"}
 
 
@@ -57,19 +68,26 @@ def commands(spec: str) -> dict:
             "simulate": ["simulate", spec, *SIMULATE, "--series-horizon", series]}
 
 
-def run(side_dir: Path, argv: list) -> dict:
-    """Exit code, stderr, text output and report (timings blanked) of one command."""
+def run(side_dir: Path, argv: list, report: Path | None = None,
+        out: Path | None = None) -> dict:
+    """Exit code, stderr, text output, report (timings blanked; printed by
+    `--json -`, or written to `report`) and written spec file (`out`) of one
+    command, with either side's directory masked as <dir>."""
     env = {**os.environ, "PYTHONPATH": str(side_dir / "src")}
     proc = subprocess.run([sys.executable, "-m", "rwalk.cli", *argv], cwd=side_dir,
                           env=env, capture_output=True, text=True)
+    mask = lambda text: re.sub(re.escape(str(side_dir.parent)) + "/(parent|change)", "<dir>",
+                               text)
+    read = lambda path: mask(path.read_text()) if path is not None and path.is_file() else ""
     # `--json -` prints the report last, from a line that is just "{"
-    lines = proc.stdout.splitlines(keepends=True)
+    lines = mask(proc.stdout).splitlines(keepends=True)
     cut = next((i for i, line in enumerate(lines) if line == "{\n"), len(lines))
-    report = json.loads("".join(lines[cut:])) if cut < len(lines) else None
+    text = "".join(lines[cut:]) or read(report)
+    report = json.loads(text) if text else None
     if report is not None:
         report["timings"] = None
-    return {"exit code": proc.returncode, "stderr": proc.stderr,
-            "stdout": "".join(lines[:cut]), "report": report}
+    return {"exit code": proc.returncode, "stderr": mask(proc.stderr),
+            "stdout": "".join(lines[:cut]), "report": report, "spec file": read(out)}
 
 
 def field_diffs(parent, change, path=""):
@@ -114,23 +132,34 @@ def main(argv=None) -> int:
         lines = {side: source_lines(d) for side, d in dirs.items()}
         specs = sorted({p.relative_to(d).as_posix() for d in dirs.values()
                         for p in (d / "tests" / "fixtures").glob("*.spec")})
-        total, differing, details = 0, 0, []
+        jobs = []   # (label, {side: run's arguments})
         for spec in specs:
             spec = str(next(d / spec for d in (dirs["change"], dirs["parent"])
                             if (d / spec).is_file()))
-            for name, cmd in commands(spec).items():
-                total += 1
-                out = {side: run(d, cmd) for side, d in dirs.items()}
-                parts = [k for k in out["parent"] if out["parent"][k] != out["change"][k]]
-                if parts:
-                    differing += 1
-                    details.append(f"{name} {Path(spec).name}: {', '.join(parts)} differ")
-                    for k in parts:
-                        details += describe(k, out["parent"][k], out["change"][k])
+            jobs += [(f"{name} {Path(spec).name}", {side: (cmd,) for side in dirs})
+                     for name, cmd in commands(spec).items()]
+        sys.path.insert(0, str(dirs["change"] / "perfbench"))
+        import workloads
+        for workload, seed in itertools.product(workloads.WORKLOADS, SEEDS):
+            built = {side: workloads.build(workload, seed, d / "bench" / f"{workload}-{seed}")
+                     for side, d in dirs.items()}
+            jobs += [(f"{workload} seed {seed}: {cmd.kind} {cmd.spec_name}",
+                      {side: (c[k].argv, c[k].report, c[k].out) for side, c in built.items()})
+                     for k, cmd in enumerate(built["change"])]
+        differing, details = 0, []
+        for label, calls in jobs:
+            out = {side: run(d, *calls[side]) for side, d in dirs.items()}
+            parts = [k for k in out["parent"] if out["parent"][k] != out["change"][k]]
+            if parts:
+                differing += 1
+                details.append(f"{label}: {', '.join(parts)} differ")
+                for k in parts:
+                    details += describe(k, out["parent"][k], out["change"][k])
 
     for line in details:
         print(line)
-    print(f"{total} commands on {len(specs)} fixtures, parent {args.parent} ({sha[:12]}, "
+    print(f"{len(jobs)} commands on {len(specs)} fixtures and the benchmark inputs of seeds "
+          f"{', '.join(map(str, SEEDS))}, parent {args.parent} ({sha[:12]}, "
           f"{lines['parent']} src/rwalk lines) against the working tree "
           f"({lines['change']} lines): {differing} differ")
     return 1 if differing else 0
