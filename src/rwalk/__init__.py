@@ -7,7 +7,7 @@ from .errors import (DegenerateSupport, ExponentOverflow, GroupMismatch,
                      HorizonTooLarge, IndexOutOfRange, InsufficientData,
                      NotIrreducible, NotNormalized, RwalkError, SpecFileError,
                      WindowExceeded)
-from .groups import FiniteGroup, Group, Lattice, cyclic_group
+from .groups import FiniteGroup, Group, Lattice
 from .laws import Law, check_irreducible, default_window
 from .recurrence import (HarrisResult, HittingTable, RecurrenceReport,
                          ReturnSeries, Verdict, build_recurrence_report,

@@ -112,9 +112,7 @@ def _group_json(group):
 
 
 def _law_json(law: Law):
-    def elem(x):
-        return list(x) if isinstance(x, tuple) else x
-    return [{"element": elem(x), "prob": p} for x, p in law.atoms.items()]
+    return [{"element": x, "prob": p} for x, p in law.atoms.items()]
 
 
 def _options_json(options):

@@ -129,7 +129,3 @@ class FiniteGroup(Group):
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 
-
-def cyclic_group(n: int) -> FiniteGroup:
-    """Z/nZ; the standard small example and the abelian finite showcase."""
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])

@@ -97,9 +97,6 @@ class ReturnSeries(NamedTuple):
     horizon: int
     max_mass_error: float  # worst |total mass - 1| over all computed steps
 
-    def nonzero_count(self) -> int:
-        return sum(1 for p in self.probabilities if p > 0.0)
-
 
 def _paired_origin_mass(f, lo_f, g, lo_g):
     """sum_x f(x) g(-x): the origin mass of the convolution of f and g,
@@ -114,8 +111,9 @@ def _paired_origin_mass(f, lo_f, g, lo_g):
     return float((f[tuple(f_sl)] * g[tuple(g_sl)][(slice(None, None, -1),) * g.ndim]).sum())
 
 
-def _series_lattice(law: Law, horizon: int, frame) -> ReturnSeries:
-    """Convolution powers from tables.powers, paired around the midpoint.
+def _series_lattice(law: Law, horizon: int, frame):
+    """(probabilities, worst mass error): the convolution powers of
+    tables.powers, paired around the midpoint.
 
     Since increments are i.i.d., p(m + n) = sum_x P(X_m = x) P(X_n = -x);
     reading p(2n) and p(2n+1) off consecutive half-way distributions keeps
@@ -149,30 +147,15 @@ def _series_lattice(law: Law, horizon: int, frame) -> ReturnSeries:
             if offset is None:
                 probs[2 * n + 1] = _paired_origin_mass(arr, corner(n), nxt, corner(n + 1))
             arr = nxt
-    return _finish_series(probs, horizon, worst_mass)
+    return probs, worst_mass
 
 
-def _series_finite(law: Law, horizon: int) -> ReturnSeries:
-    e = law.group.identity()
-    probs = [1.0]
-    worst_mass = 0.0
-    for f in powers(law, horizon):
-        worst_mass = max(worst_mass, abs(float(f.sum()) - 1.0))
-        probs.append(float(f[e]))
-    return _finish_series(probs, horizon, worst_mass)
-
-
-def _finish_series(probs, horizon, worst_mass) -> ReturnSeries:
-    period = 0
-    for n, p in enumerate(probs):
-        if n >= 1 and p > 0.0:
-            period = math.gcd(period, n)
-    return ReturnSeries(probs, period, horizon, worst_mass)
-
-
-def _series_frame(law: Law, horizon: int | None):
-    """(horizon, frame): series_horizon's horizon and, on a lattice, the
-    tables.step_frame of its half-horizon box (None on a finite group)."""
+def series_horizon(law: Law, horizon: int | None = None) -> tuple:
+    """(horizon, frame): the horizon return_series(law, horizon) runs to,
+    None giving the default, and on a lattice the tables.step_frame of its
+    half-horizon box (None on a finite group).  HorizonTooLarge beyond the
+    per-dimension cap, or when the half-horizon box passes the dense limit.
+    The law's support and group decide, so a tilted law has its original's."""
     finite = isinstance(law.group, FiniteGroup)
     default, cap = SERIES_HORIZON_FINITE if finite else SERIES_HORIZON[law.group.dim]
     horizon = default if horizon is None else horizon
@@ -188,20 +171,22 @@ def _series_frame(law: Law, horizon: int | None):
         raise HorizonTooLarge(f"series horizon {horizon}: {exc}") from None
 
 
-def series_horizon(law: Law, horizon: int | None = None) -> int:
-    """The horizon return_series(law, horizon) runs to, None giving the
-    default; HorizonTooLarge beyond the per-dimension cap, or when the
-    half-horizon box passes the dense limit.  The law's support and group
-    decide, so a tilted law has its original's."""
-    return _series_frame(law, horizon)[0]
-
-
 def return_series(law: Law, horizon: int | None = None) -> ReturnSeries:
     """Exact p(n, e, {e}) for n = 0..horizon, refused as series_horizon refuses."""
-    horizon, frame = _series_frame(law, horizon)
+    horizon, frame = series_horizon(law, horizon)
     if frame is None:
-        return _series_finite(law, horizon)
-    return _series_lattice(law, horizon, frame)
+        e = law.group.identity()
+        probs, worst_mass = [1.0], 0.0
+        for f in powers(law, horizon):
+            worst_mass = max(worst_mass, abs(float(f.sum()) - 1.0))
+            probs.append(float(f[e]))
+    else:
+        probs, worst_mass = _series_lattice(law, horizon, frame)
+    period = 0
+    for n, p in enumerate(probs):
+        if n >= 1 and p > 0.0:
+            period = math.gcd(period, n)
+    return ReturnSeries(probs, period, horizon, worst_mass)
 
 
 class RhoEstimate(NamedTuple):
@@ -216,13 +201,11 @@ def estimate_rho(series: ReturnSeries) -> RhoEstimate:
     available n.  Secondary: p(n)^(1/n) at the largest n with p(n) > 0.
     No return series has a radius above 1: InsufficientData beyond 1 + RHO_SLACK.
     """
-    if series.nonzero_count() < MIN_TERMS:
-        raise InsufficientData(
-            f"{series.nonzero_count()} nonzero terms < required {MIN_TERMS}")
-    g = series.period
-    if g == 0:
-        raise InsufficientData("no returns observed; period undefined")
     p = series.probabilities
+    terms = sum(1 for q in p if q > 0.0)
+    if terms < MIN_TERMS:   # MIN_TERMS > 1 nonzero terms include an n >= 1: period >= 1
+        raise InsufficientData(f"{terms} nonzero terms < required {MIN_TERMS}")
+    g = series.period
     pairs = [(n, n + g) for n in range(0, series.horizon - g + 1, g)
              if p[n] > 0.0 and p[n + g] > 0.0]
     if pairs:

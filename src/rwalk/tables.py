@@ -68,19 +68,13 @@ class LatticeBox:
 
 
 class FunctionTable:
-    """Real-valued function tabulated on a window (lattice box or whole finite group).
-
-    `values` is a float array: of the box's shape with `values[0, ...]` at
-    `window.lo` on a lattice, of shape (order,) on a finite group, whose
-    window is None.
-    """
-
-    def __init__(self, group: Group, window: LatticeBox | None, values: np.ndarray):
-        self.group, self.window, self.values = group, window, values
+    """Namespace of `tabulate`, which builds a function's table on a window."""
 
     @classmethod
-    def tabulate(cls, group: Group, fn, window: LatticeBox | None = None) -> "FunctionTable":
-        """Table of fn, evaluated once on the whole window.
+    def tabulate(cls, group: Group, fn, window: LatticeBox | None = None) -> np.ndarray:
+        """Table of fn, evaluated once on the whole window, as a float array:
+        of the box's shape with [0, ...] at window.lo on a lattice, of shape
+        (order,) on a finite group.
 
         fn receives the window's coordinates as arrays: on a lattice the
         per-axis open grids of the box (np.ogrid), on a finite group the
@@ -89,11 +83,10 @@ class FunctionTable:
         the whole group.
         """
         finite = isinstance(group, FiniteGroup)
-        window = None if finite else window
         values = np.zeros((group.order,) if finite else window.shape)
         values[...] = fn(np.arange(group.order) if finite else
                          np.ogrid[tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))])
-        return cls(group, window, values)
+        return values
 
 
 def stepper(law, shape):
@@ -144,7 +137,7 @@ def invariance_residual(law, fn, r: float, window: LatticeBox | None) -> float:
     """Max relative residual of f = r * P f, with f the table of fn on the
     window (FunctionTable.tabulate), over the points of the window that one
     step cannot carry outside it."""
-    values = FunctionTable.tabulate(law.group, fn, window).values
+    values = FunctionTable.tabulate(law.group, fn, window)
     margin = law.support_radius()
     ref = values[tuple(slice(margin, n - margin) for n in values.shape)]
     return float(np.max(np.abs(ref - r * stepper(law, values.shape)(values)) / ref))

@@ -102,7 +102,7 @@ def check_tilted_powers(tw: TiltedWalk, n_max: int) -> float:
         exponent = lambda y: tw.exponential.exponent(
             [sum(c * g for c, g in zip(row, y) if c) for row in inverse])
     # theta.x, exponentiated in place
-    phi = FunctionTable.tabulate(group, exponent, window).values
+    phi = FunctionTable.tabulate(group, exponent, window)
     over = phi > EXP_GUARD
     any_over = bool(over.any())
     phi[over] = 0.0

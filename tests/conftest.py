@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rwalk import FiniteGroup, Lattice, Law, cyclic_group, find_exponential, tilt
+from rwalk import FiniteGroup, Lattice, Law, find_exponential, tilt
 from rwalk.spectral import _lambda_pass
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -29,6 +29,11 @@ def _compose(p, q):
 def s3_cayley():
     idx = {p: i for i, p in enumerate(_S3_PERMS)}
     return [[idx[_compose(p, q)] for q in _S3_PERMS] for p in _S3_PERMS]
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    """Z/nZ, the standard small finite group."""
+    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def mgf(law, theta):

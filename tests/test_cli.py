@@ -13,6 +13,7 @@ import tempfile
 from itertools import product
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,49 +36,18 @@ SCHEMA = json.loads(
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-# --- minimal JSON-schema checker (type/properties/required/items/enum) ----
-
-def _type_ok(value, tname):
-    if tname == "object":
-        return isinstance(value, dict)
-    if tname == "array":
-        return isinstance(value, list)
-    if tname == "string":
-        return isinstance(value, str)
-    if tname == "boolean":
-        return isinstance(value, bool)
-    if tname == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if tname == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if tname == "null":
-        return value is None
-    raise AssertionError(f"unknown schema type {tname}")
+# draft-07, except that no float passes as an integer (draft-07 takes 2.0)
+_Draft7Ints = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)))
+REPORT_VALIDATOR = _Draft7Ints(SCHEMA)
 
 
-def check_schema(value, schema, path="$"):
-    t = schema.get("type")
-    if t is not None:
-        names = t if isinstance(t, list) else [t]
-        assert any(_type_ok(value, n) for n in names), \
-            f"{path}: {value!r} not of type {t}"
-    if "enum" in schema:
-        assert value in schema["enum"], f"{path}: {value!r} not in enum"
-    if isinstance(value, float):
-        assert math.isfinite(value), f"{path}: non-finite number"
-    if isinstance(value, dict):
-        for key in schema.get("required", []):
-            assert key in value, f"{path}: missing required {key!r}"
-        for key, sub in schema.get("properties", {}).items():
-            if key in value:
-                check_schema(value[key], sub, f"{path}.{key}")
-        if not schema.get("properties"):
-            for key, v in value.items():
-                if isinstance(v, float):
-                    assert math.isfinite(v), f"{path}.{key}: non-finite"
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            check_schema(item, schema["items"], f"{path}[{i}]")
+def check_schema(report):
+    """The report meets the schema and holds no NaN or infinite number."""
+    REPORT_VALIDATOR.validate(report)
+    json.dumps(report, allow_nan=False)   # ValueError on a non-finite float
 
 
 def fixture(name):
@@ -91,7 +61,7 @@ def test_analyze_bernoulli(capsys, tmp_path):
     text = capsys.readouterr().out
     assert "theta*" in text and "rho" in text
     report = json.loads(out.read_text())
-    check_schema(report, SCHEMA)
+    check_schema(report)
     assert report["spectral"]["theta"][0] == pytest.approx(0.5493061443, abs=1e-8)
     assert report["spectral"]["rho"] == pytest.approx(0.8660254038, abs=1e-9)
     assert report["spectral"]["R"] == pytest.approx(1.1547005384, abs=1e-9)
@@ -108,6 +78,23 @@ def test_analyze_even_steps_exits_2(capsys):
     code = main(["analyze", fixture("even_steps.spec")])
     assert code == 2
     assert "index 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, key, bad, error", [
+    (None, "exit_code", 0.0, jsonschema.ValidationError),
+    ("spectral", "iterations", 3.0, jsonschema.ValidationError),
+    ("spectral", "rho", math.nan, ValueError),
+    ("spectral", "R", math.inf, ValueError),
+])
+def test_check_schema_rejects_float_integers_and_non_finite_numbers(capsys, tmp_path, part,
+                                                                    key, bad, error):
+    out = tmp_path / "report.json"
+    assert main(["analyze", fixture("bernoulli_025.spec"), "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    check_schema(report)
+    (report if part is None else report[part])[key] = bad
+    with pytest.raises(error):
+        check_schema(report)
 
 
 def test_parse_error_exits_1(capsys):
@@ -145,7 +132,7 @@ def test_tilt_writes_its_report(capsys, tmp_path):
     assert main(["tilt", fixture("bernoulli_025.spec"), "-o", str(out),
                  "--json", str(rep)]) == 0
     report = json.loads(rep.read_text())
-    check_schema(report, SCHEMA)
+    check_schema(report)
     assert report["exit_code"] == 0
     assert report["spec"]["path"] == fixture("bernoulli_025.spec")
     assert report["tool"]["workers"] == worker_count()
@@ -189,7 +176,7 @@ def test_verify_all_checks_pass(capsys, tmp_path):
     assert text.count("PASS") == 6
     assert "FAIL" not in text
     report = json.loads(out.read_text())
-    check_schema(report, SCHEMA)
+    check_schema(report)
     assert [c["name"] for c in report["checks"]] == \
         ["eq1", "eq17", "dual", "measure", "eq12", "corollary2"]
     assert all(c["passed"] for c in report["checks"])
@@ -791,7 +778,7 @@ def test_analyze_json_to_stdout(capsys):
     assert code == 0
     out = capsys.readouterr().out
     report = json.loads(out[out.index("{"):])
-    check_schema(report, SCHEMA)
+    check_schema(report)
 
 
 def test_analyze_skewed_law_closed_form(capsys, tmp_path):
@@ -870,7 +857,7 @@ def test_simulate_report_and_determinism(capsys, tmp_path):
     assert main(args + ["--json", str(out2)]) == 0
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
-    check_schema(a, SCHEMA)
+    check_schema(a)
     assert a["recurrence"]["mc"]["return_fraction"] == \
         b["recurrence"]["mc"]["return_fraction"]
     assert a["recurrence"]["mc"]["seed"] == 9
@@ -1053,7 +1040,7 @@ def test_simulate_reports_the_theorem_verdict(capsys, tmp_path, name):
         return
     assert code == 0
     report = json.loads(out.read_text())
-    check_schema(report, SCHEMA)
+    check_schema(report)
     assert report["recurrence"]["verdict_theorem"] == expected
 
 
@@ -1092,7 +1079,7 @@ def test_simulate_unsettled_series_reports_no_rho(tmp_path):
             "--json", str(out)]
     assert main(args + ["--series-horizon", "60"]) == 0
     report = json.loads(out.read_text())
-    check_schema(report, SCHEMA)
+    check_schema(report)
     rec = report["recurrence"]
     assert rec["rho_series"] is None and rec["rho_method"] is None
     assert any(w.startswith("rho estimate unavailable") for w in rec["warnings"])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rwalk import FiniteGroup, IndexOutOfRange, Lattice, cyclic_group
+from rwalk import FiniteGroup, IndexOutOfRange, Lattice
 
-from conftest import s3_cayley
+from conftest import cyclic_group, s3_cayley
 
 
 def test_lattice_multiply_is_componentwise_sum():
@@ -84,6 +84,13 @@ def test_rejection_names_first_offender(table, message):
     with pytest.raises(ValueError) as info:
         FiniteGroup(table)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_equal_lattices_hash_equal(dim):
+    a, b = Lattice(dim), Lattice(dim)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, *(Lattice(d) for d in (1, 2, 3) if d != dim)}) == 3
 
 
 def test_equal_tables_give_equal_groups():

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwalk import (ExponentOverflow, FunctionTable, GroupMismatch, Lattice, Law,
-                   LatticeBox, WindowExceeded, check_irreducible, cyclic_group,
-                   default_window)
+                   LatticeBox, WindowExceeded, check_irreducible, default_window)
 from rwalk.laws import _separating_direction, _sublattice_index
 from rwalk.tables import DENSE_CELL_LIMIT, EXP_GUARD, stepper
 
-from conftest import tilt_from_spectral, window_index
+from conftest import cyclic_group, tilt_from_spectral, window_index
 
 
 def brute_convolution(a, b):
@@ -69,6 +68,13 @@ def test_power_zero_is_point_mass(bernoulli, z1):
     assert bernoulli.power(0) == Law.point_mass(z1)
 
 
+@pytest.mark.parametrize("n", [-1, -4])
+def test_power_refuses_a_negative_count(bernoulli, z6_law, n):
+    for law in (bernoulli, z6_law):
+        with pytest.raises(ValueError, match=r"^power needs n >= 0$"):
+            law.power(n)
+
+
 def test_point_mass_power_cycles(z3_group):
     delta = Law.point_mass(z3_group, 1)
     assert delta.power(3).atoms == {0: 1.0}
@@ -112,7 +118,7 @@ def test_convolve_rejects_group_mismatch(bernoulli, z6_law):
 
 def test_step_constant_one(bernoulli, z1):
     window = LatticeBox.centered(3, 1)
-    ones = FunctionTable.tabulate(z1, lambda x: 1.0, window).values
+    ones = FunctionTable.tabulate(z1, lambda x: 1.0, window)
     image = stepper(bernoulli, ones.shape)(ones)
     inner = LatticeBox.centered(2, 1)
     assert image.shape == inner.shape
@@ -123,12 +129,12 @@ def test_step_exponential(bernoulli, z1):
     window = LatticeBox.centered(3, 1)
     inner = LatticeBox.centered(2, 1)
     origin = window_index(inner, (0,))
-    flat = FunctionTable.tabulate(z1, lambda x: np.exp(0.0 * x[0]), window).values
+    flat = FunctionTable.tabulate(z1, lambda x: np.exp(0.0 * x[0]), window)
     image = stepper(bernoulli, flat.shape)(flat)
     assert image.shape == inner.shape
     assert image[origin] == pytest.approx(1.0, abs=1e-15)
     theta = 0.5 * math.log(3.0)
-    table = FunctionTable.tabulate(z1, lambda x: np.exp(theta * x[0]), window).values
+    table = FunctionTable.tabulate(z1, lambda x: np.exp(theta * x[0]), window)
     image = stepper(bernoulli, table.shape)(table)
     # closed form 2*sqrt(p*(1-p))
     assert image[origin] == pytest.approx(2.0 * math.sqrt(0.25 * 0.75), abs=1e-12)
@@ -136,7 +142,7 @@ def test_step_exponential(bernoulli, z1):
 
 def test_step_window_exceeded(bernoulli, z1):
     window = LatticeBox((0,), (1,))
-    t = FunctionTable.tabulate(z1, lambda x: 1.0, window).values
+    t = FunctionTable.tabulate(z1, lambda x: 1.0, window)
     # a two-point box has no point from which one step of radius 1 stays inside
     with pytest.raises(WindowExceeded):
         stepper(bernoulli, t.shape)(t)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rwalk import (FiniteGroup, HorizonTooLarge, IndexOutOfRange, InsufficientData,
                    Lattice, Law, Verdict, WindowExceeded, build_recurrence_report,
-                   check_translation_invariance, cyclic_group, estimate_rho,
+                   check_translation_invariance, estimate_rho,
                    find_exponential, hitting_dp, r_recurrence_test, return_series,
                    simulate_harris)
 import rwalk.recurrence as recurrence
@@ -23,7 +23,7 @@ from rwalk.recurrence import (RHO_SLACK, _COMPARE_ATOMS, _atom_index, _chunk_fin
                               _key_weights, _philox_keys, _word_thresholds, worker_count)
 from rwalk.tables import UNDERFLOW_FLOOR, flush_free_steps, powers, step_frame, step_span
 
-from conftest import s3_cayley, tilt_from_spectral, window_index
+from conftest import cyclic_group, s3_cayley, tilt_from_spectral, window_index
 
 BERNOULLI_RHO = 2.0 * math.sqrt(0.25 * 0.75)
 LAZY_RHO = 0.5 + 2.0 * math.sqrt(0.3 * 0.2)
@@ -113,6 +113,17 @@ def test_horizon_caps(bernoulli, symmetric2d, symmetric3d, z6_law):
     with pytest.raises(HorizonTooLarge, match=r"^horizon 10001 exceeds cap 10000 "
                        r"for FiniteGroup\(order=6\)$"):
         return_series(z6_law, 10_001)
+
+
+@pytest.mark.parametrize("law_name, target", [("bernoulli", (0,)), ("symmetric3d", (0, 0, 0)),
+                                              ("z6_law", 0)])
+@pytest.mark.parametrize("count", [-1, -7])
+def test_negative_horizons_are_refused(request, law_name, target, count):
+    law = request.getfixturevalue(law_name)
+    with pytest.raises(ValueError, match=r"^horizon must be >= 0$"):
+        return_series(law, count)
+    with pytest.raises(ValueError, match=r"^steps must be >= 0$"):
+        hitting_dp(law, {target}, count)
 
 
 def test_return_series_default_horizons(bernoulli, drift2d, symmetric3d, z6_law):

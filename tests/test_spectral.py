@@ -69,6 +69,14 @@ def test_mgf_overflow_guard(bernoulli):
         mgf(bernoulli, (800.0,))
 
 
+@pytest.mark.parametrize("theta, value, x", [((800.0,), "phi", (1,)), ((800.0,), "psi", (-1,)),
+                                             ((-800.0,), "phi", (1,)), ((0.0, 701.0), "psi", (0, 1))])
+def test_exponential_guard_on_one_point(theta, value, x):
+    # a single point takes the scalar branch of the guard, not the array one
+    with pytest.raises(ExponentOverflow, match=r"beyond \+/-700.0 guard"):
+        getattr(Exponential(theta), value)(x)
+
+
 def test_exponential_multiplicativity(z2):
     phi = Exponential((0.3, -0.7))
     rng = np.random.default_rng(3)

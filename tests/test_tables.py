@@ -187,15 +187,26 @@ def test_dense_powers_lopsided_support(z1, z2):
     assert_powers_match(Law(z2, {(2, 0): 0.5, (1, 1): 0.25, (0, -1): 0.25}), 5)
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    ((0, 0), (1,), r"^box corner dimensions differ$"),
+    ((0,), (1, 1), r"^box corner dimensions differ$"),
+    ((0, 3), (2, 2), r"^empty box: lo=\(0, 3\) hi=\(2, 2\)$"),
+    ((1,), (0,), r"^empty box: lo=\(1,\) hi=\(0,\)$"),
+])
+def test_lattice_box_refusals(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        LatticeBox(lo, hi)
+
+
 def test_step_is_translation_exact(drift2d, z2):
     # the same array on two boxes: outputs are equal bit for bit
     f = FunctionTable.tabulate(z2, lambda x: np.cos(x[0]) + x[1] ** 2,
                                LatticeBox.centered(6, 2))
     g = FunctionTable.tabulate(z2, lambda x: np.cos(x[0] - 7) + (x[1] + 3) ** 2,
                                LatticeBox((1, -9), (13, 3)))
-    assert np.array_equal(f.values, g.values)
+    assert np.array_equal(f, g)
     step = lambda values: stepper(drift2d, values.shape)(values)
-    assert np.array_equal(step(f.values), step(g.values))
+    assert np.array_equal(step(f), step(g))
 
 
 def test_dual_and_measure_residuals_identical(asymmetric_corpus, z6_law):

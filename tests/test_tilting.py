@@ -86,6 +86,13 @@ def test_power_identity_n2_both_sides_enumerated(bernoulli):
     assert check_tilted_powers(tw, 1) <= 1e-14  # n = 1 is definitional
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_power_identity_refuses_fewer_than_one_step(bernoulli, z6_law, n_max):
+    for law in (bernoulli, z6_law):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1$"):
+            check_tilted_powers(tilt_from_spectral(law), n_max)
+
+
 def test_power_identity_corpus(asymmetric_corpus):
     for law in asymmetric_corpus:
         tw = tilt_from_spectral(law)
@@ -143,7 +150,7 @@ def x_box_tilted_powers(tw, n_max):
     window = LatticeBox(n_max * lo, n_max * hi)
     boxes = [tuple(slice((n - n_max) * a, (n - n_max) * a + n * (b - a) + 1)
                    for a, b in zip(lo, hi)) for n in range(1, n_max + 1)]
-    phi = FunctionTable.tabulate(tw.original.group, tw.exponential.exponent, window).values
+    phi = FunctionTable.tabulate(tw.original.group, tw.exponential.exponent, window)
     over = phi > EXP_GUARD
     phi[over] = 0.0
     np.exp(phi, out=phi)
@@ -321,9 +328,9 @@ def test_tilt_commutes_with_dual(bernoulli, lazy_drift):
 def test_invariant_measure_table(bernoulli):
     # the density psi that check_dual_invariance tabulates
     exponential, sp = find_exponential(bernoulli)
-    table = FunctionTable.tabulate(bernoulli.group, exponential.psi,
-                                   default_window(bernoulli))
-    at = lambda x: table.values[window_index(table.window, x)]
+    window = default_window(bernoulli)
+    table = FunctionTable.tabulate(bernoulli.group, exponential.psi, window)
+    at = lambda x: table[window_index(window, x)]
     assert at(bernoulli.group.identity()) == 1.0
-    assert np.all(table.values > 0.0)
+    assert np.all(table > 0.0)
     assert at((1,)) == pytest.approx(math.exp(-sp.theta[0]), rel=1e-12)
